@@ -170,14 +170,32 @@ def swap_chain(fs: Iterable[float | Fidelity]) -> float:
 
 
 def purify_chain(fs: Iterable[float | Fidelity]) -> float:
-    """Fidelity of purifying n pairs down to one: prod(F) / (prod(F) + prod(1-F))."""
+    """Fidelity of purifying n pairs down to one: prod(F) / (prod(F) + prod(1-F)).
+
+    Each running product is kept as a mantissa in [1/2, 1) and a power of
+    two, so long chains do not underflow.  Scaling by a power of two is
+    exact, so the result is bit-identical to plain products wherever those
+    stay normal.  Only both products being exactly zero is singular.
+    """
     vals = [_physical(f) for f in fs]
     if not vals:
         raise AlgebraDomainError("purify_chain of empty sequence")
-    kept = math.prod(vals)
-    lost = math.prod(1.0 - v for v in vals)
-    if kept + lost <= SINGULAR_EPS:
-        raise AlgebraDomainError("singular purification input in chain")
+    kept, kept_exp = 1.0, 0
+    lost, lost_exp = 1.0, 0
+    for v in vals:
+        kept, e = math.frexp(kept * v)
+        kept_exp += e
+        lost, e = math.frexp(lost * (1.0 - v))
+        lost_exp += e
+    if kept == 0.0 or lost == 0.0:
+        if kept == lost:
+            raise AlgebraDomainError("singular purification input in chain")
+        return 0.0 if kept == 0.0 else 1.0
+    # Move the larger product into [1, 2); plain products are at most 1,
+    # so this never scales below them.
+    top = max(kept_exp, lost_exp) - 1
+    kept = math.ldexp(kept, kept_exp - top)
+    lost = math.ldexp(lost, lost_exp - top)
     return kept / (kept + lost)
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "strategy_from_obj",
     "strategy_leaves",
     "strategy_to_obj",
+    "serialize_composite",
     "serialize_strategy",
 ]
 
@@ -101,6 +102,14 @@ def strategy_from_obj(obj) -> StrategyTree:
 def serialize_strategy(tree: StrategyTree) -> str:
     """Canonical text form; used for deterministic tie-breaking."""
     return canonical_dumps(strategy_to_obj(tree))
+
+
+def serialize_composite(
+    kind: type[Swap] | type[Purify], left: str, right: str
+) -> str:
+    """serialize_strategy(kind(l, r)), given the serializations of l and r."""
+    op = "swap" if kind is Swap else "purify"
+    return f'{{"left":{left},"op":"{op}","right":{right}}}'
 
 
 def strategy_leaves(tree: StrategyTree) -> list[str]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import (
+    AlgebraDomainError,
     CostVector,
     purify_cost,
     swap_cost,
@@ -29,6 +30,7 @@ from .reduction import (
     Swap,
     is_fully_reduced_pair,
     reduce_to_fixpoint,
+    serialize_composite,
     serialize_strategy,
 )
 
@@ -209,51 +211,87 @@ def _substitute(tree: StrategyTree, mapping: dict[str, StrategyTree]) -> Strateg
     return Swap(left, right) if isinstance(tree, Swap) else Purify(left, right)
 
 
-def _better(
-    a: tuple[StrategyTree, CostVector] | None,
-    tree: StrategyTree,
-    cost: CostVector,
-) -> tuple[StrategyTree, CostVector]:
-    """Higher fidelity, then higher success, then smaller serialization."""
-    if a is None:
-        return tree, cost
-    old_tree, old = a
-    if cost.fidelity != old.fidelity:
-        return (tree, cost) if cost.fidelity > old.fidelity else a
-    if cost.success != old.success:
-        return (tree, cost) if cost.success > old.success else a
-    if serialize_strategy(tree) < serialize_strategy(old_tree):
-        return tree, cost
-    return a
+def _better(best: tuple | None, cand: tuple) -> tuple:
+    """Higher fidelity, then higher success, then smaller serialization.
+
+    Both are tuples starting (fidelity, success, serialization, ...).
+    """
+    if best is None:
+        return cand
+    if cand[0] != best[0]:
+        return cand if cand[0] > best[0] else best
+    if cand[1] != best[1]:
+        return cand if cand[1] > best[1] else best
+    return cand if cand[2] < best[2] else best
+
+
+def _pair_join(
+    pa: tuple[str, str], pb: tuple[str, str], roles: dict[str, NodeRole]
+) -> tuple[tuple[str, str], type[Swap] | type[Purify]] | None:
+    """How two virtual pairs merge: (produced pair, operation), or None.
+
+    Equal node pairs purify; pairs sharing exactly one router swap there.
+    """
+    if pa == pb:
+        return pa, Purify
+    shared = set(pa) & set(pb)
+    if len(shared) != 1:
+        return None
+    (y,) = shared
+    if roles[y] is not NodeRole.ROUTER:
+        return None
+    x = pa[0] if pa[1] == y else pa[1]
+    z = pb[0] if pb[1] == y else pb[1]
+    return tuple(sorted((x, z))), Swap
+
+
+# Frontier entry: (fidelity, success, serialization, tree, cost).
+_Entry = tuple[float, float, str, StrategyTree, CostVector]
+
+
+def _compose(
+    cost: CostVector, kind: type[Swap] | type[Purify], a: _Entry, b: _Entry
+) -> _Entry:
+    """Entry for kind(a, b), children ordered by serialization."""
+    if b[2] < a[2]:
+        a, b = b, a
+    ser = serialize_composite(kind, a[2], b[2])
+    return cost.fidelity, cost.success, ser, kind(a[3], b[3]), cost
 
 
 def _frontier_add(
-    entries: list[tuple[float, float, str, StrategyTree]],
-    fid: float,
-    succ: float,
-    ser: str,
-    tree: StrategyTree,
+    entries: list[_Entry],
+    cost: CostVector,
+    kind: type[Swap] | type[Purify],
+    a: _Entry,
+    b: _Entry,
 ) -> None:
-    """Insert into a Pareto frontier over (fidelity, success).
+    """Insert the candidate kind(a, b) into a Pareto frontier over (F, s).
 
-    Weakly dominated candidates are dropped; an exact (fidelity, success)
-    tie keeps the lexicographically smaller serialization.  Pruning is
-    sound because both operations are monotone in each operand's fidelity
-    while all fidelities stay above 1/2 and in success always.
+    A candidate weakly dominated by an entry is dropped, except that an
+    exact (fidelity, success) tie keeps whichever of the two has the
+    lexicographically smaller serialization; a surviving candidate evicts
+    every entry it weakly dominates.  The candidate's serialization (the
+    children's stored strings, composed in serialization order) and its
+    tree node are built only when it survives or ties exactly; most
+    candidates are dominated and never need either.
+
+    Pruning is sound because both operations are monotone in each
+    operand's fidelity, and in success, while every fidelity is at least
+    1/2.  Swapping gives 1/2 + 2(f1 - 1/2)(f2 - 1/2), which decreases in
+    one operand once the other is below 1/2, so callers must guarantee
+    F >= 1/2 on every channel; swap and purify preserve it.
     """
-    for k, (f2, s2, ser2, _t2) in enumerate(entries):
-        if f2 >= fid and s2 >= succ:
-            if f2 == fid and s2 == succ and ser < ser2:
-                entries[k] = (fid, succ, ser, tree)
+    fid, succ = cost.fidelity, cost.success
+    for k, e in enumerate(entries):
+        if e[0] >= fid and e[1] >= succ:
+            if e[0] == fid and e[1] == succ:
+                cand = _compose(cost, kind, a, b)
+                if cand[2] < e[2]:
+                    entries[k] = cand
             return
     entries[:] = [e for e in entries if not (fid >= e[0] and succ >= e[1])]
-    entries.append((fid, succ, ser, tree))
-
-
-def _ordered(a: StrategyTree, a_ser: str, b: StrategyTree, b_ser: str):
-    if a_ser <= b_ser:
-        return a, b
-    return b, a
+    entries.append(_compose(cost, kind, a, b))
 
 
 def _exhaustive_search(
@@ -267,19 +305,31 @@ def _exhaustive_search(
     router may serve other subsets again, which plain graph reduction
     cannot express); purification joins two disjoint subsets over the
     same pair.  Returns (best, candidate trees evaluated).
+
+    Raises AlgebraDomainError for a channel of fidelity below 1/2, where
+    Pareto pruning would be unsound (see _frontier_add).
     """
     ids = sorted(g.channels)
     roles = {nid: n.role for nid, n in g.nodes.items()}
     ops = g.op_costs
     span = tuple(sorted((source, target)))
-    Frontier = dict[tuple[str, str], list[tuple[float, float, str, StrategyTree]]]
-    frontiers: list[Frontier] = [{} for _ in range(1 << len(ids))]
+    frontiers: list[dict[tuple[str, str], list[_Entry]]] = [
+        {} for _ in range(1 << len(ids))
+    ]
     for i, cid in enumerate(ids):
         c = g.channel(cid)
+        if c.cost.fidelity < 0.5:
+            raise AlgebraDomainError(
+                f"kernel channel {cid!r} has fidelity {c.cost.fidelity!r} "
+                "below 1/2; the exhaustive search is exact only for "
+                "fidelities >= 1/2"
+            )
         tree = Leaf(cid)
+        ser = serialize_strategy(tree)
         frontiers[1 << i][(c.a, c.b)] = [
-            (c.cost.fidelity, c.cost.success, serialize_strategy(tree), tree)
+            (c.cost.fidelity, c.cost.success, ser, tree, c.cost)
         ]
+    joins: dict = {}
     evaluated = 0
     for mask in range(3, 1 << len(ids)):
         if mask & (mask - 1) == 0:
@@ -288,56 +338,32 @@ def _exhaustive_search(
         sub = (mask - 1) & mask
         while sub:
             other = mask ^ sub
-            if sub < other:
+            if sub < other and frontiers[sub] and frontiers[other]:
                 for pa, ea in frontiers[sub].items():
                     for pb, eb in frontiers[other].items():
-                        if pa == pb:
-                            produced = pa
-                            is_parallel = True
-                        else:
-                            shared = set(pa) & set(pb)
-                            if len(shared) != 1:
-                                continue
-                            (y,) = shared
-                            if roles[y] is not NodeRole.ROUTER:
-                                continue
-                            x = pa[0] if pa[1] == y else pa[1]
-                            z = pb[0] if pb[1] == y else pb[1]
-                            if x == z:
-                                continue
-                            produced = tuple(sorted((x, z)))
-                            is_parallel = False
+                        key = (pa, pb)
+                        if key not in joins:
+                            joins[key] = _pair_join(pa, pb, roles)
+                        join = joins[key]
+                        if join is None:
+                            continue
+                        produced, kind = join
+                        merge = purify_cost if kind is Purify else swap_cost
                         bucket = frontier.setdefault(produced, [])
-                        for fa, sa, sera, ta in ea:
-                            for fb, sb, serb, tb in eb:
-                                ca = CostVector(fa, sa)
-                                cb = CostVector(fb, sb)
-                                if is_parallel:
-                                    denom = fa * fb + (1.0 - fa) * (1.0 - fb)
-                                    if denom <= 1e-12:
-                                        continue
-                                    cost = purify_cost(ca, cb, ops)
-                                    left, right = _ordered(ta, sera, tb, serb)
-                                    tree = Purify(left, right)
-                                else:
-                                    cost = swap_cost(ca, cb, ops)
-                                    left, right = _ordered(ta, sera, tb, serb)
-                                    tree = Swap(left, right)
+                        for a in ea:
+                            for b in eb:
+                                cost = merge(a[4], b[4], ops)
                                 evaluated += 1
-                                _frontier_add(
-                                    bucket,
-                                    cost.fidelity,
-                                    cost.success,
-                                    serialize_strategy(tree),
-                                    tree,
-                                )
+                                _frontier_add(bucket, cost, kind, a, b)
             sub = (sub - 1) & mask
-    best: tuple[StrategyTree, CostVector] | None = None
+    best: _Entry | None = None
     for mask in range(1, 1 << len(ids)):
-        for fid, succ, _ser, tree in frontiers[mask].get(span, []):
-            if succ >= min_success:
-                best = _better(best, tree, CostVector(fid, succ))
-    return best, evaluated
+        for entry in frontiers[mask].get(span, []):
+            if entry[1] >= min_success:
+                best = _better(best, entry)
+    if best is None:
+        return None, evaluated
+    return (best[3], best[4]), evaluated
 
 
 def residual_search(
@@ -347,7 +373,10 @@ def residual_search(
     min_success: float,
     max_channels: int = 12,
 ) -> tuple[StrategyTree, CostVector]:
-    """Exhaustive subset search for graphs the reduction could not collapse."""
+    """Exhaustive subset search for graphs the reduction could not collapse.
+
+    Raises AlgebraDomainError when a channel's fidelity is below 1/2.
+    """
     if len(g.channels) > max_channels:
         raise SearchBoundError(
             f"{len(g.channels)} channels exceed the search bound {max_channels}"
@@ -364,7 +393,9 @@ def route(g: NetworkGraph, request: RouteRequest) -> RouteResult:
     """Plan the best strategy between two endpoints under a success floor.
 
     Maximizes fidelity subject to cost.success >= min_success; ties break
-    toward higher success, then the smallest strategy serialization.
+    toward higher success, then the smallest strategy serialization.  The
+    exhaustive-search fallback raises AlgebraDomainError when a kernel
+    channel's fidelity is below 1/2.
     """
     _check_endpoints(g, request.source, request.target)
     source, target = request.source, request.target
@@ -456,7 +487,7 @@ def brute_force_best(
             for c in g.channels.values()
         )
     )
-    best: tuple[StrategyTree, CostVector] | None = None
+    best = None
     seen: set = set()
     stack = [initial]
     while stack:
@@ -465,41 +496,33 @@ def brute_force_best(
         if key in seen:
             continue
         seen.add(key)
-        for pair, f, s, _, tree in state:
+        for pair, f, s, ser, tree in state:
             if pair == span and s >= min_success:
-                best = _better(best, tree, CostVector(f, s))
+                best = _better(best, (f, s, ser, tree))
         n = len(state)
         for i in range(n):
             for j in range(i + 1, n):
-                pa, fa, sa, _, ta = state[i]
-                pb, fb, sb, _, tb = state[j]
+                pa, fa, sa, sera, ta = state[i]
+                pb, fb, sb, serb, tb = state[j]
+                join = _pair_join(pa, pb, roles)
+                if join is None:
+                    continue
+                merged_pair, kind = join
                 ca = CostVector(fa, sa)
                 cb = CostVector(fb, sb)
-                if pa == pb:
+                if kind is Purify:
                     denom = fa * fb + (1.0 - fa) * (1.0 - fb)
                     if denom <= 1e-12:
                         continue
                     cost = purify_cost(ca, cb, g.op_costs)
-                    tree = Purify(ta, tb)
-                    merged_pair = pa
                 else:
-                    shared = set(pa) & set(pb)
-                    if len(shared) != 1:
-                        continue
-                    (y,) = shared
-                    if roles.get(y) is not NodeRole.ROUTER:
-                        continue
-                    x = pa[0] if pa[1] == y else pa[1]
-                    z = pb[0] if pb[1] == y else pb[1]
                     cost = swap_cost(ca, cb, g.op_costs)
-                    tree = Swap(ta, tb)
-                    merged_pair = tuple(sorted((x, z)))
                 merged = (
                     merged_pair,
                     cost.fidelity,
                     cost.success,
-                    serialize_strategy(tree),
-                    tree,
+                    serialize_composite(kind, sera, serb),
+                    kind(ta, tb),
                 )
                 rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
                 stack.append(tuple(sorted(rest + (merged,))))
@@ -507,4 +530,5 @@ def brute_force_best(
         raise InfeasibleRouteError(
             f"no strategy reaches success {min_success!r}"
         )
-    return best
+    fid, succ, _, tree = best
+    return tree, CostVector(fid, succ)

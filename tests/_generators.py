@@ -148,11 +148,12 @@ def reduce_random_order(g, rng):
     return channel.cost
 
 
-def random_connected_graph(rng, max_channels=8):
+def random_connected_graph(rng, max_channels=8, fidelity=(0.55, 0.95)):
     """Connected multigraph with endpoints A, B and 1-4 routers.
 
-    Costs are drawn with fidelities in [0.55, 0.95] and successes in
-    [0.5, 1.0]; operation costs vary per graph, acceptance included.
+    Costs are drawn with fidelities uniform in the `fidelity` interval and
+    successes in [0.5, 1.0]; operation costs vary per graph, acceptance
+    included.
     """
     n_routers = rng.randint(1, 4)
     names = ["A", "B"] + [f"m{i}" for i in range(n_routers)]
@@ -172,7 +173,7 @@ def random_connected_graph(rng, max_channels=8):
             f"c{i}",
             a,
             b,
-            CostVector(rng.uniform(0.55, 0.95), rng.uniform(0.5, 1.0)),
+            CostVector(rng.uniform(*fidelity), rng.uniform(0.5, 1.0)),
         )
         for i, (a, b) in enumerate(spans)
     ]

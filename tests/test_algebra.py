@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from _generators import build_graph
 from qnet import (
     AlgebraDomainError,
     CostVector,
@@ -16,6 +17,7 @@ from qnet import (
     purify_acceptance,
     purify_chain,
     purify_fidelity,
+    reduce_to_fixpoint,
     swap_chain,
     swap_fidelity,
     swap_inverse,
@@ -354,3 +356,16 @@ def test_dephasing_fidelity_fixed_points():
 @given(unit)
 def test_dephasing_fidelity_linear_form(p):
     assert dephasing_bell_fidelity(p) == (1.0 + p) / 2.0
+
+
+@pytest.mark.parametrize("strategy", list(GridStrategy))
+def test_grid_cost_survives_underflowing_chain_products(strategy):
+    # prod(F) = 0.57**100 and prod(1 - F) = 0.43**100 sum to about 4e-25,
+    # far below the singular threshold, yet the pairwise reduction of the
+    # same 100 parallel channels purifies without trouble.
+    spec = GridSpec(100, 1, 0.57, 0.9, strategy)
+    got = grid_cost(spec)
+    g = build_graph([(f"c{i:03d}", "A", "B", 0.57, 0.9) for i in range(100)])
+    (want,) = reduce_to_fixpoint(g).graph.channels.values()
+    assert abs(got.fidelity - want.cost.fidelity) <= 1e-12
+    assert abs(got.success - want.cost.success) <= 1e-9 * want.cost.success

@@ -158,6 +158,19 @@ def test_bad_request_values_exit_one(two_path_doc):
     assert proc.returncode == 1
 
 
+def test_route_search_below_half_fidelity_exits_one(tmp_path):
+    path = tmp_path / "bridge.json"
+    path.write_bytes(serialize_graph(bridge_graph(bridge_fidelity=0.3)))
+    proc = run_cli(
+        ["route", str(path), "--source", "A", "--target", "B", "--min-success", "0.3"]
+    )
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 1
+    assert "e5" in doc["message"]
+    assert proc.stderr.startswith("error: ")
+
+
 def test_simulate_route_driven(two_path_doc):
     proc = run_cli(
         [

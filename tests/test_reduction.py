@@ -2,6 +2,7 @@
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from _generators import (
     bridge_graph,
@@ -31,7 +32,12 @@ from qnet import (
     replay_trace,
     series_step,
 )
-from qnet.reduction import StepKind, serialize_strategy, strategy_leaves
+from qnet.reduction import (
+    StepKind,
+    serialize_composite,
+    serialize_strategy,
+    strategy_leaves,
+)
 
 
 def test_series_step_swaps_through_router():
@@ -290,3 +296,21 @@ def test_fixpoint_scales_near_linearly():
         timings[n] = best
     assert timings[2000] <= 2.5 * timings[1000]
     assert timings[4000] <= 2.5 * timings[2000]
+
+
+strategy_trees = st.recursive(
+    st.builds(Leaf, st.text(min_size=1)),
+    lambda children: st.builds(Swap, children, children)
+    | st.builds(Purify, children, children),
+    max_leaves=12,
+)
+
+
+@given(strategy_trees)
+def test_composed_serialization_matches_full_serialization(tree):
+    def composed(t):
+        if isinstance(t, Leaf):
+            return serialize_strategy(t)
+        return serialize_composite(type(t), composed(t.left), composed(t.right))
+
+    assert composed(tree) == serialize_strategy(tree)

@@ -1,4 +1,7 @@
 """Path harvesting, route planning, and the brute-force reference search."""
+import json
+import pathlib
+
 import pytest
 
 from _generators import (
@@ -9,6 +12,7 @@ from _generators import (
     two_path_graph,
 )
 from qnet import (
+    AlgebraDomainError,
     CostVector,
     GraphFormatError,
     InfeasibleRouteError,
@@ -23,6 +27,7 @@ from qnet import (
     evaluate_strategy,
     route,
 )
+from qnet.cli import run
 from qnet.routing import harvest_paths, residual_search
 from qnet.reduction import serialize_strategy, strategy_leaves
 
@@ -271,3 +276,74 @@ def test_raising_threshold_never_raises_fidelity():
             if previous is not None:
                 assert result.cost.fidelity <= previous + 1e-12
             previous = result.cost.fidelity
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "route_golden.json"
+
+
+def test_route_reports_match_pinned_search_results(tmp_path, capsys):
+    """`route` reproduces pinned exhaustive-search reports byte for byte.
+
+    The data holds the 16 documents of the benchmark's kernel-search
+    workload at seed 1 (Wheatstone bridges with 4-6 parallel duplicates,
+    9-11 channels) and two bridges whose channels all share one cost
+    vector, so that exact (fidelity, success) ties pick the strategy.  Each
+    report, candidates_evaluated included, was produced by the search
+    before it composed serializations from its children.
+    """
+    cases = json.loads(GOLDEN.read_text())["cases"]
+    assert len(cases) == 18
+    for case in cases:
+        path = tmp_path / f"{case['name']}.json"
+        path.write_text(json.dumps(case["doc"]))
+        assert run(["route", str(path), *case["args"]]) == 0
+        out, _ = capsys.readouterr()
+        assert out == case["report"], case["name"]
+
+
+def test_search_refuses_fidelity_below_half():
+    """Pareto pruning is unsound once a fidelity is below 1/2.
+
+    Swapping gives 1/2 + 2(f1 - 1/2)(f2 - 1/2), which decreases in one
+    operand while the other is below 1/2, so a dominated partial strategy
+    can be the better operand.  On these 400 graphs with fidelities drawn
+    from [0.02, 0.98] an unguarded search falls short of the oracle on
+    seeds 5021, 5108 and 5398.  The search must refuse exactly the graphs
+    holding a channel below 1/2 and match the oracle on every other one.
+    """
+    short, low_graphs, refused = [], 0, 0
+    for seed in range(5000, 5400):
+        g = random_connected_graph(
+            seeded(seed), max_channels=7, fidelity=(0.02, 0.98)
+        )
+        low = min(c.cost.fidelity for c in g.channels.values()) < 0.5
+        low_graphs += low
+        try:
+            found = residual_search(g, "A", "B", 1e-6)
+        except AlgebraDomainError:
+            assert low, seed
+            refused += 1
+            continue
+        except InfeasibleRouteError:
+            found = None
+        try:
+            oracle = brute_force_best(g, "A", "B", 1e-6)
+        except InfeasibleRouteError:
+            oracle = None
+        if (found is None) != (oracle is None) or (
+            found is not None
+            and abs(found[1].fidelity - oracle[1].fidelity) > 1e-9
+        ):
+            short.append(seed)
+    assert short == []
+    assert refused == low_graphs
+    assert 0 < low_graphs < 400
+
+
+def test_route_refuses_low_fidelity_kernel():
+    g = bridge_graph(bridge_fidelity=0.3)
+    with pytest.raises(AlgebraDomainError, match="e5"):
+        route(g, RouteRequest("A", "B", 0.3))
+    # a graph the reduction collapses never reaches the search
+    collapsed = route(two_path_graph(fidelity=0.3), RouteRequest("A", "B", 0.05))
+    assert collapsed.search is SearchKind.FULLY_REDUCED
