@@ -32,7 +32,6 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .montecarlo import DensityMatrix4, McEstimate, bell_fidelity, dephase_bell, estimate
 from .reduction import (
     Leaf,
     Purify,
@@ -58,6 +57,18 @@ from .routing import (
 )
 
 __version__ = "0.1.0"
+
+# montecarlo imports numpy (about 14 MB and 0.2 s); its names load on first
+# use, so that planning without sampling never pays for it.
+_MONTECARLO = ("DensityMatrix4", "McEstimate", "bell_fidelity", "dephase_bell", "estimate")
+
+
+def __getattr__(name: str):
+    if name not in _MONTECARLO:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import montecarlo
+
+    return getattr(montecarlo, name)
 
 __all__ = [
     "AlgebraDomainError",

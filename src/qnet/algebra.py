@@ -242,7 +242,8 @@ def purify_cost(c1: CostVector, c2: CostVector, ops: OperationCosts) -> CostVect
     f = purify_value(c1.fidelity, c2.fidelity)
     s = c1.success * c2.success * ops.purify_success
     if ops.physical_acceptance:
-        s *= purify_acceptance(c1.fidelity, c2.fidelity)
+        # purify_acceptance without re-checking fields CostVector validated
+        s *= swap_value(c1.fidelity, c2.fidelity)
     return CostVector(f, s)
 
 

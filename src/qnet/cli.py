@@ -21,15 +21,14 @@ from .algebra import (
     grid_cost,
 )
 from .graph import GraphFormatError, NetworkGraph, graph_to_obj, parse_graph
-from .jsonutil import canonical_dumps
-from .montecarlo import McEstimate, estimate
+from .jsonutil import RawJSON, canonical_dumps
 from .reduction import (
     ReductionError,
     StrategyTree,
     evaluate_strategy,
     reduce_to_fixpoint,
+    serialize_strategy,
     strategy_from_obj,
-    strategy_to_obj,
 )
 from .routing import (
     InfeasibleRouteError,
@@ -171,7 +170,7 @@ def _cmd_reduce(args) -> int:
                 "id": c.id,
                 "fidelity": c.cost.fidelity,
                 "success": c.cost.success,
-                "strategy": strategy_to_obj(result.strategies[c.id]),
+                "strategy": RawJSON(serialize_strategy(result.strategies[c.id])),
             }
             for c in sorted(result.graph.channels.values(), key=lambda c: c.id)
         ],
@@ -201,7 +200,7 @@ def _route_obj(result: RouteResult) -> dict:
         "cost": None if result.cost is None else _cost_obj(result.cost),
         "strategy": None
         if result.strategy is None
-        else strategy_to_obj(result.strategy),
+        else RawJSON(serialize_strategy(result.strategy)),
         "paths_harvested": result.paths_harvested,
         "subgraph": graph_to_obj(result.subgraph),
         "diagnostics": {
@@ -252,7 +251,8 @@ def _simulation_strategy(g: NetworkGraph, args) -> StrategyTree:
 
         try:
             obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nested deeper than the JSON parser allows
             raise GraphFormatError(f"bad strategy document: {exc}") from None
         try:
             return strategy_from_obj(obj)
@@ -271,7 +271,14 @@ def _simulation_strategy(g: NetworkGraph, args) -> StrategyTree:
     return _default_strategy(g)
 
 
-def _estimate_obj(est: McEstimate) -> dict:
+def estimate(*args, **kwargs):
+    """montecarlo.estimate, imported on first use: only simulate needs numpy."""
+    from .montecarlo import estimate as run_estimate
+
+    return run_estimate(*args, **kwargs)
+
+
+def _estimate_obj(est) -> dict:
     return {
         "fidelity_hat": est.fidelity_hat,
         "success_hat": est.success_hat,
@@ -295,7 +302,7 @@ def _cmd_simulate(args) -> int:
             "command": "simulate",
             "estimate": _estimate_obj(est),
             "analytic": _cost_obj(analytic),
-            "strategy": strategy_to_obj(tree),
+            "strategy": RawJSON(serialize_strategy(tree)),
         }
     )
     return int(ExitCode.OK)

@@ -218,7 +218,8 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
             raise GraphFormatError(f"document is not valid UTF-8: {exc}") from None
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the JSON parser allows
         raise GraphFormatError(f"document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be an object")

@@ -10,8 +10,15 @@ import json
 import math
 
 
+class RawJSON(str):
+    """Canonical JSON text, such as a serialized strategy tree, that
+    canonical_dumps embeds as it stands."""
+
+
 def _emit(obj, out: list[str]) -> None:
-    if obj is None:
+    if isinstance(obj, RawJSON):
+        out.append(obj)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")

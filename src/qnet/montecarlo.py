@@ -1,11 +1,12 @@
 """Monte-Carlo validation of the cost algebra.
 
-Pairs are tracked as (delivered, phase_flipped) samples: a channel delivers
-with its success probability and arrives phase-flipped with probability
-1 - fidelity.  Swapping XORs the flip bits of its inputs, purification
-post-selects on agreement.  Estimates tally delivery and flip rates over
-many samples; a 4x4 density-matrix path provides an independent quantum
-mechanical check for the dephasing channel.
+One vectorised executor runs a strategy tree over many samples at once.
+Each sample tracks a (delivered, phase_flipped) pair per node: a channel
+delivers with its success probability and arrives phase-flipped with
+probability 1 - fidelity.  Swapping XORs the flip bits of its inputs,
+purification post-selects on agreement.  Estimates tally delivery and flip
+rates over the samples; a 4x4 density-matrix path provides an independent
+quantum mechanical check for the dephasing channel.
 
 Sample i always consumes the same counter-indexed slice of the Philox
 stream keyed by the seed, so estimates are bit-identical no matter how the
@@ -19,28 +20,22 @@ from math import sqrt
 
 import numpy as np
 
-from .algebra import AlgebraDomainError, CostVector
+from .algebra import AlgebraDomainError
 from .graph import NetworkGraph
-from .reduction import Leaf, Purify, StrategyTree, Swap, strategy_leaves
+from .reduction import Leaf, StrategyTree, Swap, check_strategy, postorder
 
 __all__ = [
     "DensityMatrix4",
     "McEstimate",
-    "PairSample",
     "bell_fidelity",
     "dephase_bell",
     "estimate",
-    "execute_strategy",
-    "sample_channel",
 ]
 
-_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class PairSample:
-    delivered: bool
-    phase_flipped: bool
+# A chunk holds at most this many samples and this many bytes of draws, so
+# a thread's memory stays bounded whatever the size of the tree.
+_CHUNK_SAMPLES = 1 << 16
+_CHUNK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -53,106 +48,45 @@ class McEstimate:
     seed: int
 
 
-def sample_channel(cost: CostVector, rng: np.random.Generator) -> PairSample:
-    """Draw one pair from a channel: delivery, then a possible phase flip."""
-    delivered = rng.random() < cost.success
-    flipped = rng.random() < (1.0 - cost.fidelity)
-    return PairSample(bool(delivered), bool(delivered and flipped))
-
-
-def _check_tree(tree: StrategyTree, g: NetworkGraph) -> None:
-    leaves = strategy_leaves(tree)
-    if len(set(leaves)) != len(leaves):
-        raise ValueError("strategy consumes a channel more than once")
-    for cid in leaves:
-        g.channel(cid)
-
-
-def execute_strategy(
-    tree: StrategyTree, g: NetworkGraph, rng: np.random.Generator
-) -> PairSample:
-    """Run one shot of a strategy tree against a graph's channels."""
-    _check_tree(tree, g)
-    ops = g.op_costs
-
-    def walk(t: StrategyTree) -> tuple[bool, bool]:
-        if isinstance(t, Leaf):
-            s = sample_channel(g.channel(t.channel).cost, rng)
-            return s.delivered, s.phase_flipped
-        da, za = walk(t.left)
-        db, zb = walk(t.right)
-        if isinstance(t, Swap):
-            ok = da and db and rng.random() < ops.swap_success
-            return ok, za != zb
-        ok = da and db and rng.random() < ops.purify_success
-        if ops.physical_acceptance:
-            ok = ok and za == zb
-        return ok, za
-
-    delivered, flipped = walk(tree)
-    return PairSample(delivered, delivered and flipped)
-
-
-def _slot_layout(tree: StrategyTree) -> tuple[list, int]:
-    """Pre-order slot assignment: 2 draws per leaf, 1 per operation."""
-    program: list = []
-    counter = 0
-
-    def assign(t: StrategyTree) -> None:
-        nonlocal counter
-        if isinstance(t, Leaf):
-            program.append(("leaf", t.channel, counter))
-            counter += 2
-            return
-        program.append(("begin", None, None))
-        assign(t.left)
-        assign(t.right)
-        program.append(
-            ("swap" if isinstance(t, Swap) else "purify", None, counter)
-        )
-        counter += 1
-
-    assign(tree)
-    return program, counter
-
-
 def _run_chunk(
-    tree: StrategyTree,
+    nodes: list[StrategyTree],
     g: NetworkGraph,
     seed: int,
     start: int,
     count: int,
-    slots: int,
+    width: int,
 ) -> tuple[int, int]:
-    """Delivered / delivered-and-unflipped tallies for samples [start, start+count)."""
-    slots4 = -(-slots // 4) * 4
-    bits = np.random.Philox(key=seed)
-    bits.advance((start * slots4) // 4)
-    draws = np.random.Generator(bits).random(count * slots4)
-    draws = draws.reshape(count, slots4)
-    ops = g.op_costs
+    """Delivered / delivered-and-unflipped tallies for samples [start, start+count).
 
-    def walk(t: StrategyTree, base: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(t, Leaf):
-            col = base[0]
-            base[0] += 2
-            cost = g.channel(t.channel).cost
+    Each sample owns width draws; their columns follow the post-order
+    nodes: two per leaf, one per operation.
+    """
+    bits = np.random.Philox(key=seed)
+    bits.advance(start * width // 4)
+    draws = np.random.Generator(bits).random(count * width).reshape(count, width)
+    ops = g.op_costs
+    values: list[tuple[np.ndarray, np.ndarray]] = []
+    col = 0
+    for node in nodes:
+        if isinstance(node, Leaf):
+            cost = g.channel(node.channel).cost
             delivered = draws[:, col] < cost.success
             flipped = draws[:, col + 1] < (1.0 - cost.fidelity)
-            return delivered, flipped
-        da, za = walk(t.left, base)
-        db, zb = walk(t.right, base)
-        col = base[0]
-        base[0] += 1
-        if isinstance(t, Swap):
+            values.append((delivered, flipped))
+            col += 2
+            continue
+        db, zb = values.pop()
+        da, za = values.pop()
+        if isinstance(node, Swap):
             ok = da & db & (draws[:, col] < ops.swap_success)
-            return ok, za ^ zb
-        ok = da & db & (draws[:, col] < ops.purify_success)
-        if ops.physical_acceptance:
-            ok = ok & (za == zb)
-        return ok, za
-
-    delivered, flipped = walk(tree, [0])
+            values.append((ok, za ^ zb))
+        else:
+            ok = da & db & (draws[:, col] < ops.purify_success)
+            if ops.physical_acceptance:
+                ok = ok & (za == zb)
+            values.append((ok, za))
+        col += 1
+    ((delivered, flipped),) = values
     n_delivered = int(np.count_nonzero(delivered))
     n_unflipped = int(np.count_nonzero(delivered & ~flipped))
     return n_delivered, n_unflipped
@@ -174,25 +108,20 @@ def estimate(
         raise ValueError("samples must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    _check_tree(tree, g)
-    _, slots = _slot_layout(tree)
+    check_strategy(tree, g)
+    nodes = postorder(tree)
+    leaves = (len(nodes) + 1) // 2
+    # 3 * leaves - 1 draws, padded to whole 4-draw blocks of the Philox stream
+    width = -(-(3 * leaves - 1) // 4) * 4
+    chunk = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // (8 * width)))
     ranges = [
-        (start, min(_CHUNK, samples - start))
-        for start in range(0, samples, _CHUNK)
+        (start, min(chunk, samples - start))
+        for start in range(0, samples, chunk)
     ]
-    if threads == 1 or len(ranges) == 1:
-        tallies = [
-            _run_chunk(tree, g, seed, start, count, slots)
-            for start, count in ranges
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(
-                pool.map(
-                    lambda rc: _run_chunk(tree, g, seed, rc[0], rc[1], slots),
-                    ranges,
-                )
-            )
+    with ThreadPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
+        tallies = list(
+            pool.map(lambda rc: _run_chunk(nodes, g, seed, *rc, width), ranges)
+        )
     delivered = sum(t[0] for t in tallies)
     unflipped = sum(t[1] for t in tallies)
 

@@ -12,6 +12,7 @@ strategy tree saying which physical operations build it.
 from __future__ import annotations
 
 import heapq
+import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +20,6 @@ from typing import Union
 
 from .algebra import CostVector, purify_cost, swap_cost
 from .graph import Channel, GraphFormatError, NetworkGraph, Node, NodeRole
-from .jsonutil import canonical_dumps
 
 __all__ = [
     "Leaf",
@@ -31,15 +31,17 @@ __all__ = [
     "StepKind",
     "StrategyTree",
     "Swap",
+    "check_strategy",
     "evaluate_strategy",
+    "fold",
     "is_fully_reduced_pair",
     "parallel_step",
+    "postorder",
     "reduce_to_fixpoint",
     "replay_trace",
     "series_step",
     "strategy_from_obj",
     "strategy_leaves",
-    "strategy_to_obj",
     "serialize_composite",
     "serialize_strategy",
 ]
@@ -71,52 +73,94 @@ class Purify:
 StrategyTree = Union[Leaf, Swap, Purify]
 
 
-def strategy_to_obj(tree: StrategyTree) -> dict:
-    if isinstance(tree, Leaf):
-        return {"op": "leaf", "channel": tree.channel}
-    op = "swap" if isinstance(tree, Swap) else "purify"
-    return {
-        "op": op,
-        "left": strategy_to_obj(tree.left),
-        "right": strategy_to_obj(tree.right),
-    }
+def postorder(tree: StrategyTree) -> list[StrategyTree]:
+    """Every node of tree, children before parents, left before right.
+
+    Strategy walks run over this list instead of recursing, so trees of any
+    depth work.
+    """
+    nodes: list[StrategyTree] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not isinstance(node, Leaf):
+            stack += (node.left, node.right)
+    nodes.reverse()
+    return nodes
+
+
+def fold(tree: StrategyTree, leaf, swap, purify):
+    """Value of tree: leaf(channel) at leaves, swap or purify(left, right) above."""
+    values: list = []
+    for node in postorder(tree):
+        if isinstance(node, Leaf):
+            values.append(leaf(node.channel))
+        else:
+            right = values.pop()
+            op = swap if isinstance(node, Swap) else purify
+            values[-1] = op(values[-1], right)
+    return values[0]
 
 
 def strategy_from_obj(obj) -> StrategyTree:
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ValueError("strategy node must be an object with an 'op' field")
-    op = obj["op"]
-    if op == "leaf":
-        if set(obj) != {"op", "channel"} or not isinstance(obj["channel"], str):
-            raise ValueError("leaf node needs exactly a string 'channel' field")
-        return Leaf(obj["channel"])
-    if op in ("swap", "purify"):
-        if set(obj) != {"op", "left", "right"}:
-            raise ValueError(f"{op} node needs exactly 'left' and 'right'")
-        left = strategy_from_obj(obj["left"])
-        right = strategy_from_obj(obj["right"])
-        return Swap(left, right) if op == "swap" else Purify(left, right)
-    raise ValueError(f"unknown strategy op {op!r}")
+    # Validate in document order, then build bottom-up.
+    preorder: list = []
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict) or "op" not in node:
+            raise ValueError("strategy node must be an object with an 'op' field")
+        op = node["op"]
+        if op == "leaf":
+            if set(node) != {"op", "channel"} or not isinstance(node["channel"], str):
+                raise ValueError("leaf node needs exactly a string 'channel' field")
+            preorder.append(Leaf(node["channel"]))
+        elif op in ("swap", "purify"):
+            if set(node) != {"op", "left", "right"}:
+                raise ValueError(f"{op} node needs exactly 'left' and 'right'")
+            preorder.append(Swap if op == "swap" else Purify)
+            stack += (node["right"], node["left"])
+        else:
+            raise ValueError(f"unknown strategy op {op!r}")
+    built: list[StrategyTree] = []
+    for item in reversed(preorder):
+        # an operation's left child is on top, its right child below
+        built.append(item if isinstance(item, Leaf) else item(built.pop(), built.pop()))
+    return built[0]
+
+
+_OPEN = '{"left":'
+_MIDDLE = {Swap: ',"op":"swap","right":', Purify: ',"op":"purify","right":'}
 
 
 def serialize_strategy(tree: StrategyTree) -> str:
-    """Canonical text form; used for deterministic tie-breaking."""
-    return canonical_dumps(strategy_to_obj(tree))
+    """Canonical JSON text of a tree (as canonical_dumps would write its
+    object form); used in reports and for tie-breaking."""
+    out: list[str] = []
+    stack: list = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            out.append('{"channel":%s,"op":"leaf"}' % json.dumps(item.channel))
+        else:
+            out.append(_OPEN)
+            stack += ("}", item.right, _MIDDLE[type(item)], item.left)
+    return "".join(out)
 
 
 def serialize_composite(
     kind: type[Swap] | type[Purify], left: str, right: str
 ) -> str:
     """serialize_strategy(kind(l, r)), given the serializations of l and r."""
-    op = "swap" if kind is Swap else "purify"
-    return f'{{"left":{left},"op":"{op}","right":{right}}}'
+    return _OPEN + left + _MIDDLE[kind] + right + "}"
 
 
 def strategy_leaves(tree: StrategyTree) -> list[str]:
     """Channel ids at the leaves, left to right."""
-    if isinstance(tree, Leaf):
-        return [tree.channel]
-    return strategy_leaves(tree.left) + strategy_leaves(tree.right)
+    return [n.channel for n in postorder(tree) if isinstance(n, Leaf)]
 
 
 class StepKind(Enum):
@@ -449,24 +493,26 @@ def is_fully_reduced_pair(g: NetworkGraph, source: str, target: str) -> bool:
     return c.pair == frozenset((source, target))
 
 
+def check_strategy(tree: StrategyTree, g: NetworkGraph) -> None:
+    """Every leaf must name a channel of g, and no channel may appear twice."""
+    seen = set()
+    for cid in strategy_leaves(tree):
+        g.channel(cid)
+        if cid in seen:
+            raise ReductionError(f"channel {cid!r} consumed twice by strategy")
+        seen.add(cid)
+
+
 def evaluate_strategy(tree: StrategyTree, g: NetworkGraph) -> CostVector:
     """Cost of executing a strategy tree against a graph's channels.
 
     Each channel may be consumed by at most one leaf.
     """
-    leaves = strategy_leaves(tree)
-    seen = set()
-    for cid in leaves:
-        if cid in seen:
-            raise ReductionError(f"channel {cid!r} consumed twice by strategy")
-        seen.add(cid)
-
-    def walk(t: StrategyTree) -> CostVector:
-        if isinstance(t, Leaf):
-            return g.channel(t.channel).cost
-        left, right = walk(t.left), walk(t.right)
-        if isinstance(t, Swap):
-            return swap_cost(left, right, g.op_costs)
-        return purify_cost(left, right, g.op_costs)
-
-    return walk(tree)
+    check_strategy(tree, g)
+    ops = g.op_costs
+    return fold(
+        tree,
+        lambda cid: g.channel(cid).cost,
+        lambda a, b: swap_cost(a, b, ops),
+        lambda a, b: purify_cost(a, b, ops),
+    )

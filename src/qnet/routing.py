@@ -28,6 +28,7 @@ from .reduction import (
     Purify,
     StrategyTree,
     Swap,
+    fold,
     is_fully_reduced_pair,
     reduce_to_fixpoint,
     serialize_composite,
@@ -201,14 +202,6 @@ def _induced_subgraph(
         c for c in g.channels.values() if c.a in keep and c.b in keep
     ]
     return NetworkGraph(nodes, channels, g.op_costs)
-
-
-def _substitute(tree: StrategyTree, mapping: dict[str, StrategyTree]) -> StrategyTree:
-    if isinstance(tree, Leaf):
-        return mapping.get(tree.channel, tree)
-    left = _substitute(tree.left, mapping)
-    right = _substitute(tree.right, mapping)
-    return Swap(left, right) if isinstance(tree, Swap) else Purify(left, right)
 
 
 def _better(best: tuple | None, cand: tuple) -> tuple:
@@ -446,7 +439,8 @@ def route(g: NetworkGraph, request: RouteRequest) -> RouteResult:
             diagnostics=diagnostics,
         )
     tree, cost = best
-    tree = _substitute(tree, kernel.strategies)
+    # Expand each kernel channel into the swap chain that built it.
+    tree = fold(tree, kernel.strategies.__getitem__, Swap, Purify)
     return RouteResult(
         subgraph=sub,
         strategy=tree,

@@ -70,6 +70,21 @@ def bridge_graph(fidelity=0.9, success=0.9, bridge_fidelity=None, ops=None):
     )
 
 
+def series_chain(n, fidelity=0.99999, success=0.99999):
+    """A-B chain of channels c0..c{n-1} and the left-deep swap tree over it.
+
+    The tree swaps the channels in order and is n - 1 levels deep.
+    """
+    hops = ["A"] + [f"m{i}" for i in range(1, n)] + ["B"]
+    g = build_graph(
+        [(f"c{i}", hops[i], hops[i + 1], fidelity, success) for i in range(n)]
+    )
+    tree = Leaf("c0")
+    for i in range(1, n):
+        tree = Swap(tree, Leaf(f"c{i}"))
+    return g, tree
+
+
 def random_ops(rng):
     return OperationCosts(
         swap_success=rng.uniform(0.8, 1.0),

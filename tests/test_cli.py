@@ -7,7 +7,16 @@ import sys
 import pytest
 
 from _generators import bridge_graph, build_graph, two_path_graph
-from qnet import GridSpec, GridStrategy, OperationCosts, grid_cost, serialize_graph
+from qnet import (
+    GridSpec,
+    GridStrategy,
+    OperationCosts,
+    evaluate_strategy,
+    grid_cost,
+    reduce_to_fixpoint,
+    serialize_graph,
+    serialize_strategy,
+)
 
 
 def run_cli(args, env=None):
@@ -89,6 +98,62 @@ def test_invalid_document_fails_cleanly(tmp_path):
     proc = run_cli(["reduce", str(bad)])
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["code"] == 1
+
+
+def test_deeply_nested_documents_fail_cleanly(tmp_path, two_path_doc):
+    graph = tmp_path / "deep_graph.json"
+    graph.write_text(
+        '{"version": 1, "edges": [], "nodes": ' + "[" * 100000 + "]" * 100000 + "}"
+    )
+    strategy = tmp_path / "deep_strategy.json"
+    strategy.write_text(
+        '{"op": "swap", "left": ' * 3000
+        + '{"op": "leaf", "channel": "c1"}'
+        + ', "right": {"op": "leaf", "channel": "c2"}}' * 3000
+    )
+    for args in (
+        ["reduce", str(graph)],
+        ["simulate", two_path_doc, "--samples", "10", "--strategy", str(strategy)],
+    ):
+        proc = run_cli(args)
+        assert proc.returncode == 1
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout)["code"] == 1
+
+
+def test_commands_handle_a_3000_rung_ladder(tmp_path):
+    rungs = 3000
+    hops = ["A"] + [f"m{i}" for i in range(1, rungs)] + ["B"]
+    edges = []
+    for i in range(rungs):
+        edges.append((f"c{2 * i}", hops[i], hops[i + 1], 0.99, 0.999))
+        edges.append((f"c{2 * i + 1}", hops[i], hops[i + 1], 0.98, 0.998))
+    g = build_graph(edges)
+    path = tmp_path / "ladder.json"
+    path.write_bytes(serialize_graph(g))
+    (tree,) = reduce_to_fixpoint(g).strategies.values()
+    want = evaluate_strategy(tree, g)
+    # The reported strategy nests deeper than json.loads allows at the
+    # default recursion limit: find it as text, then parse the rest.
+    strategy = serialize_strategy(tree)
+    route_args = ["--source", "A", "--target", "B", "--min-success", "1e-60"]
+    for args, cost_of in (
+        (["reduce", str(path), "--trace"], lambda doc: doc["channels"][0]),
+        (["route", str(path), *route_args], lambda doc: doc["cost"]),
+        (["simulate", str(path), "--samples", "200"], lambda doc: doc["analytic"]),
+    ):
+        proc = run_cli(args)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout.count("\n") == 1
+        assert proc.stdout.count(strategy) == 1
+        doc = json.loads(proc.stdout.replace(strategy, "null"))
+        cost = cost_of(doc)
+        assert (cost["fidelity"], cost["success"]) == (want.fidelity, want.success)
+
+
+def test_planning_does_not_import_numpy():
+    code = "import sys, qnet, qnet.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_route_report(two_path_doc):

@@ -81,6 +81,8 @@ def test_parse_rejects_bad_json():
         parse_graph(b"\xff\xfe")
     with pytest.raises(GraphFormatError):
         parse_graph("[1, 2]")
+    with pytest.raises(GraphFormatError):
+        parse_graph('{"version": 1, "edges": [], "nodes": ' + "[" * 100000 + "]" * 100000 + "}")
 
 
 def test_parse_rejects_unknown_and_missing_fields():

@@ -1,16 +1,22 @@
-"""Stochastic sampler: channel draws, strategy execution, estimates, density matrices."""
+"""Stochastic sampler: vectorised strategy execution, estimates, density matrices."""
 import numpy as np
 import pytest
 from scipy import stats
 
-from _generators import build_graph, random_strategy_tree, seeded, two_path_graph
+from _generators import (
+    build_graph,
+    random_strategy_tree,
+    seeded,
+    series_chain,
+    two_path_graph,
+)
 from qnet import (
-    CostVector,
     DensityMatrix4,
     GraphFormatError,
     Leaf,
     OperationCosts,
     Purify,
+    ReductionError,
     Swap,
     bell_fidelity,
     dephase_bell,
@@ -18,57 +24,35 @@ from qnet import (
     evaluate_strategy,
     swap_fidelity,
 )
-from qnet.montecarlo import execute_strategy, sample_channel
+from qnet import montecarlo
 
 
-def test_sample_channel_rates():
-    rng = np.random.default_rng(0)
-    cost = CostVector(0.7, 0.5)
+def test_estimate_leaf_rates():
+    g = build_graph([("c1", "A", "B", 0.7, 0.5)])
     n = 20000
-    draws = [sample_channel(cost, rng) for _ in range(n)]
-    delivered = sum(s.delivered for s in draws)
-    flipped = sum(s.phase_flipped for s in draws)
-    assert abs(delivered / n - 0.5) <= 3 * (0.25 / n) ** 0.5
-    # flips are only reported on delivered pairs
-    assert abs(flipped / delivered - 0.3) <= 3 * (0.3 * 0.7 / delivered) ** 0.5
-    assert all(s.delivered or not s.phase_flipped for s in draws)
+    est = estimate(Leaf("c1"), g, n, seed=0)
+    assert abs(est.success_hat - 0.5) <= 3 * (0.25 / n) ** 0.5
+    # flips are only counted on delivered pairs
+    delivered = round(est.success_hat * n)
+    assert abs(est.fidelity_hat - 0.7) <= 3 * (0.3 * 0.7 / delivered) ** 0.5
 
 
-def test_sample_channel_ideal_is_certain():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        s = sample_channel(CostVector(1.0, 1.0), rng)
-        assert s.delivered and not s.phase_flipped
-
-
-def test_execute_strategy_deterministic_extremes():
-    rng = np.random.default_rng(2)
+def test_estimate_deterministic_extremes():
     # two fully flipped channels cancel through a swap
     g = build_graph(
         [("c1", "A", "B", 0.0, 1.0), ("c2", "A", "B", 0.0, 1.0)]
     )
-    for _ in range(50):
-        s = execute_strategy(Swap(Leaf("c1"), Leaf("c2")), g, rng)
-        assert s.delivered and not s.phase_flipped
+    est = estimate(Swap(Leaf("c1"), Leaf("c2")), g, 50, seed=2)
+    assert est.success_hat == 1.0 and est.fidelity_hat == 1.0
     # purifying two flipped channels accepts (the flips agree) but stays flipped
-    for _ in range(50):
-        s = execute_strategy(Purify(Leaf("c1"), Leaf("c2")), g, rng)
-        assert s.delivered and s.phase_flipped
+    est = estimate(Purify(Leaf("c1"), Leaf("c2")), g, 50, seed=2)
+    assert est.success_hat == 1.0 and est.fidelity_hat == 0.0
     # disagreeing inputs never pass physical acceptance
     g2 = build_graph(
         [("c1", "A", "B", 1.0, 1.0), ("c2", "A", "B", 0.0, 1.0)]
     )
-    for _ in range(50):
-        assert not execute_strategy(Purify(Leaf("c1"), Leaf("c2")), g2, rng).delivered
-
-
-def test_execute_strategy_requires_distinct_channels():
-    g = build_graph([("c1", "A", "B", 0.9, 0.9)])
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        execute_strategy(Swap(Leaf("c1"), Leaf("c1")), g, rng)
-    with pytest.raises(GraphFormatError):
-        execute_strategy(Leaf("ghost"), g, rng)
+    est = estimate(Purify(Leaf("c1"), Leaf("c2")), g2, 50, seed=2)
+    assert est.success_hat == 0.0 and est.fidelity_hat is None
 
 
 def test_estimate_swap_example():
@@ -132,6 +116,8 @@ def test_estimate_validation():
         estimate(Leaf("c1"), g, 100, seed=0, threads=0)
     with pytest.raises(GraphFormatError):
         estimate(Leaf("missing"), g, 100, seed=0)
+    with pytest.raises(ReductionError):
+        estimate(Swap(Leaf("c1"), Leaf("c1")), g, 100, seed=0)
 
 
 def test_estimate_thread_count_never_changes_numbers():
@@ -142,6 +128,34 @@ def test_estimate_thread_count_never_changes_numbers():
     multi = estimate(tree, g, 200001, seed=9, threads=4)
     assert single == multi
     assert estimate(tree, g, 200001, seed=9, threads=2) == single
+
+
+def test_chunk_budget_bounds_memory_and_never_changes_numbers(monkeypatch):
+    g = two_path_graph()
+    tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
+    counts = []
+    run_chunk = montecarlo._run_chunk
+
+    def recording(*args):
+        counts.append(args[4])
+        return run_chunk(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", recording)
+    whole = estimate(tree, g, 5000, seed=12)
+    assert counts == [5000]
+    # 4 leaves take 11 draws per sample, padded to 12: 96 bytes a sample
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 96 * 777)
+    counts.clear()
+    assert estimate(tree, g, 5000, seed=12, threads=2) == whole
+    assert max(counts) == 777 and sum(counts) == 5000
+
+
+def test_estimate_runs_a_20000_deep_chain():
+    g, tree = series_chain(20001)
+    analytic = evaluate_strategy(tree, g)
+    est = estimate(tree, g, 300, seed=13)
+    assert abs(est.success_hat - analytic.success) <= 5 * est.std_error_success
+    assert abs(est.fidelity_hat - analytic.fidelity) <= 5 * est.std_error_fidelity
 
 
 def test_estimate_is_reproducible_per_seed():

@@ -1,4 +1,6 @@
 """Rewrite engine: step semantics, fixpoint reduction, traces, strategies."""
+import gc
+import json
 import time
 
 import pytest
@@ -10,6 +12,7 @@ from _generators import (
     random_sp_graph,
     reduce_random_order,
     seeded,
+    series_chain,
     two_path_graph,
 )
 from qnet import (
@@ -31,11 +34,15 @@ from qnet import (
     reduce_to_fixpoint,
     replay_trace,
     series_step,
+    swap_chain,
 )
+from qnet.jsonutil import canonical_dumps
 from qnet.reduction import (
     StepKind,
+    fold,
     serialize_composite,
     serialize_strategy,
+    strategy_from_obj,
     strategy_leaves,
 )
 
@@ -289,9 +296,18 @@ def test_fixpoint_scales_near_linearly():
         g = _ladder(n)
         best = float("inf")
         for _ in range(5):
-            t0 = time.perf_counter()
-            result = reduce_to_fixpoint(g)
-            best = min(best, time.perf_counter() - t0)
+            # A full collection over the suite's heap inside the timed
+            # region would decide the ratio; keep the collector out of it.
+            gc.collect()
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                result = reduce_to_fixpoint(g)
+                best = min(best, time.perf_counter() - t0)
+            finally:
+                if enabled:
+                    gc.enable()
         assert len(result.graph.channels) == 1
         timings[n] = best
     assert timings[2000] <= 2.5 * timings[1000]
@@ -313,4 +329,33 @@ def test_composed_serialization_matches_full_serialization(tree):
             return serialize_strategy(t)
         return serialize_composite(type(t), composed(t.left), composed(t.right))
 
-    assert composed(tree) == serialize_strategy(tree)
+    text = serialize_strategy(tree)
+    assert composed(tree) == text
+    # the text is canonical JSON of the tree's object form
+    assert canonical_dumps(json.loads(text)) == text
+    assert serialize_strategy(strategy_from_obj(json.loads(text))) == text
+
+
+def test_strategy_walks_handle_a_20000_deep_chain():
+    n = 20001
+    g, tree = series_chain(n)
+    ids = [f"c{i}" for i in range(n)]
+    assert strategy_leaves(tree) == ids
+    text = serialize_strategy(tree)
+    assert text == '{"left":' * (n - 1) + '{"channel":"c0","op":"leaf"}' + "".join(
+        f',"op":"swap","right":{{"channel":"c{i}","op":"leaf"}}}}' for i in range(1, n)
+    )
+    cost = evaluate_strategy(tree, g)
+    assert cost.fidelity == swap_chain([0.99999] * n)
+    assert cost.success == pytest.approx(0.99999**n, rel=1e-9)
+    obj = fold(
+        tree,
+        lambda cid: {"op": "leaf", "channel": cid},
+        lambda a, b: {"op": "swap", "left": a, "right": b},
+        lambda a, b: {"op": "purify", "left": a, "right": b},
+    )
+    assert serialize_strategy(strategy_from_obj(obj)) == text
+    # the mirror image grows the walks' stacks instead of keeping them short
+    mirror = fold(tree, Leaf, lambda a, b: Swap(b, a), lambda a, b: Purify(b, a))
+    assert strategy_leaves(mirror) == ids[::-1]
+    assert evaluate_strategy(mirror, g).fidelity == pytest.approx(cost.fidelity)

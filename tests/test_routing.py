@@ -278,25 +278,33 @@ def test_raising_threshold_never_raises_fidelity():
             previous = result.cost.fidelity
 
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "route_golden.json"
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_reports.json"
 
 
-def test_route_reports_match_pinned_search_results(tmp_path, capsys):
-    """`route` reproduces pinned exhaustive-search reports byte for byte.
+def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch):
+    """Commands reproduce pinned reports byte for byte.
 
-    The data holds the 16 documents of the benchmark's kernel-search
-    workload at seed 1 (Wheatstone bridges with 4-6 parallel duplicates,
-    9-11 channels) and two bridges whose channels all share one cost
-    vector, so that exact (fidelity, success) ties pick the strategy.  Each
-    report, candidates_evaluated included, was produced by the search
-    before it composed serializations from its children.
+    Each case carries its argv ("{doc}" stands for the document path), the
+    QNET_THREADS value and the report.  The 18 route cases hold the 16
+    documents of the benchmark's kernel-search workload at seed 1
+    (Wheatstone bridges with 4-6 parallel duplicates, 9-11 channels) and two
+    bridges whose channels all share one cost vector, so that exact
+    (fidelity, success) ties pick the strategy; their reports,
+    candidates_evaluated included, were produced by the search before it
+    composed serializations from its children.  The reduce --trace cases
+    (README document, bridge, 100-rung ladder) and the simulate cases
+    (2-, 10- and 100-leaf trees, acceptance on and off, 20,000 samples,
+    1 and 2 threads) were produced before strategy trees were walked
+    iteratively and Monte Carlo chunks were sized by bytes.
     """
     cases = json.loads(GOLDEN.read_text())["cases"]
-    assert len(cases) == 18
+    assert len(cases) == 33
     for case in cases:
         path = tmp_path / f"{case['name']}.json"
         path.write_text(json.dumps(case["doc"]))
-        assert run(["route", str(path), *case["args"]]) == 0
+        monkeypatch.setenv("QNET_THREADS", str(case["threads"]))
+        argv = [str(path) if a == "{doc}" else a for a in case["argv"]]
+        assert run(argv) == 0, case["name"]
         out, _ = capsys.readouterr()
         assert out == case["report"], case["name"]
 
