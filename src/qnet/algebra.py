@@ -169,6 +169,37 @@ def swap_chain(fs: Iterable[float | Fidelity]) -> float:
     return acc
 
 
+# Running products prod(F) and prod(1 - F) of a purification chain, each as
+# a mantissa in [1/2, 1) and a power of two: (kept, kept_exp, lost, lost_exp).
+_ChainState = tuple[float, int, float, int]
+_CHAIN_START: _ChainState = (1.0, 0, 1.0, 0)
+
+
+def _chain_step(state: _ChainState, v: float) -> _ChainState:
+    """Multiply one more fidelity into both running products."""
+    kept, kept_exp, lost, lost_exp = state
+    kept, e = math.frexp(kept * v)
+    kept_exp += e
+    lost, e = math.frexp(lost * (1.0 - v))
+    lost_exp += e
+    return kept, kept_exp, lost, lost_exp
+
+
+def _chain_value(state: _ChainState) -> float:
+    """prod(F) / (prod(F) + prod(1-F)) of the products in state."""
+    kept, kept_exp, lost, lost_exp = state
+    if kept == 0.0 or lost == 0.0:
+        if kept == lost:
+            raise AlgebraDomainError("singular purification input in chain")
+        return 0.0 if kept == 0.0 else 1.0
+    # Move the larger product into [1, 2); plain products are at most 1,
+    # so this never scales below them.
+    top = max(kept_exp, lost_exp) - 1
+    kept = math.ldexp(kept, kept_exp - top)
+    lost = math.ldexp(lost, lost_exp - top)
+    return kept / (kept + lost)
+
+
 def purify_chain(fs: Iterable[float | Fidelity]) -> float:
     """Fidelity of purifying n pairs down to one: prod(F) / (prod(F) + prod(1-F)).
 
@@ -180,23 +211,10 @@ def purify_chain(fs: Iterable[float | Fidelity]) -> float:
     vals = [_physical(f) for f in fs]
     if not vals:
         raise AlgebraDomainError("purify_chain of empty sequence")
-    kept, kept_exp = 1.0, 0
-    lost, lost_exp = 1.0, 0
+    state = _CHAIN_START
     for v in vals:
-        kept, e = math.frexp(kept * v)
-        kept_exp += e
-        lost, e = math.frexp(lost * (1.0 - v))
-        lost_exp += e
-    if kept == 0.0 or lost == 0.0:
-        if kept == lost:
-            raise AlgebraDomainError("singular purification input in chain")
-        return 0.0 if kept == 0.0 else 1.0
-    # Move the larger product into [1, 2); plain products are at most 1,
-    # so this never scales below them.
-    top = max(kept_exp, lost_exp) - 1
-    kept = math.ldexp(kept, kept_exp - top)
-    lost = math.ldexp(lost, lost_exp - top)
-    return kept / (kept + lost)
+        state = _chain_step(state, v)
+    return _chain_value(state)
 
 
 def compose_success(ps: Iterable[float]) -> float:
@@ -285,10 +303,17 @@ class GridSpec:
 
 
 def _acceptance_product(base: float, count: int) -> float:
-    """Product of acceptance probabilities when purifying count copies of base."""
+    """Product of acceptance probabilities when purifying count copies of base.
+
+    Round i purifies the chain of i copies, purify_chain([base] * i),
+    against one more copy; the chain's running products carry over from
+    round to round, so the cost is linear in count.
+    """
     total = 1.0
-    for i in range(1, count):
-        total *= purify_acceptance(purify_chain([base] * i), base)
+    state = _CHAIN_START
+    for _ in range(1, count):
+        state = _chain_step(state, base)
+        total *= purify_acceptance(_chain_value(state), base)
     return total
 
 

@@ -12,6 +12,7 @@ the reference optimum for small graphs.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,58 +110,6 @@ def _check_endpoints(g: NetworkGraph, source: str, target: str) -> None:
             raise GraphFormatError(f"node {nid!r} is not an endpoint")
 
 
-def _dijkstra(
-    g: NetworkGraph,
-    alive: set[str],
-    source: str,
-    target: str,
-    swap_loss: float,
-) -> tuple[list[str], float] | None:
-    """Cheapest swap-only path by log-loss, or None if target is unreachable.
-
-    Edge weight is the channel's log-loss; every interior node adds the
-    swap operation's log-loss.  Only the source and repeater nodes may be
-    traversed, so no foreign endpoint ever sits inside a path.
-    """
-    dist: dict[str, float] = {source: 0.0}
-    parent: dict[str, tuple[str, str]] = {}
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == target:
-            break
-        if u != source and g.node(u).role is not NodeRole.ROUTER:
-            continue
-        hop = swap_loss if u != source else 0.0
-        for cid, v in g.neighbors(u):
-            if cid not in alive or v in done:
-                continue
-            nd = d + hop + to_log_loss(g.channel(cid).cost.success)
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                parent[v] = (cid, u)
-                heapq.heappush(heap, (nd, v))
-    if target not in done:
-        return None
-    path: list[str] = []
-    node = target
-    while node != source:
-        cid, prev = parent[node]
-        path.append(cid)
-        node = prev
-    path.reverse()
-    success = 1.0
-    for cid in path:
-        success *= g.channel(cid).cost.success
-    for _ in range(len(path) - 1):
-        success *= g.op_costs.swap_success
-    return path, success
-
-
 def harvest_paths(
     g: NetworkGraph, request: RouteRequest
 ) -> tuple[list[tuple[str, ...]], int]:
@@ -169,23 +118,80 @@ def harvest_paths(
     Repeats Dijkstra, withdrawing each found path's channels, until the
     graph is exhausted, the best remaining path falls below min_success,
     or max_paths is reached.  Returns (paths, sweeps run).
+
+    Edge weight is the channel's log-loss; every interior node adds the
+    swap operation's log-loss.  Only the source and repeater nodes get
+    out-edges, so no foreign endpoint ever sits inside a path.  Nodes are
+    numbered in id order, so (distance, index) heap keys break ties as
+    (distance, id) would, and out-edges are kept in channel-id order.
     """
     _check_endpoints(g, request.source, request.target)
-    alive = set(g.channels)
-    swap_loss = to_log_loss(g.op_costs.swap_success)
+    nodes = g.nodes
+    channels = g.channels
+    ids = sorted(nodes)
+    index = {nid: i for i, nid in enumerate(ids)}
+    source, target = index[request.source], index[request.target]
+    swap_success = g.op_costs.swap_success
+    swap_loss = to_log_loss(swap_success)
+    hop = [swap_loss] * len(ids)
+    hop[source] = 0.0
+    traversed = [
+        i == source or nodes[nid].role is NodeRole.ROUTER
+        for i, nid in enumerate(ids)
+    ]
+    # out[u]: (far index, log-loss, channel id) of every remaining channel.
+    out: list[list[tuple[int, float, str]]] = [[] for _ in ids]
+    for cid, c in sorted(channels.items()):
+        a, b = index[c.a], index[c.b]
+        w = to_log_loss(c.cost.success)
+        if traversed[a]:
+            out[a].append((b, w, cid))
+        if traversed[b]:
+            out[b].append((a, w, cid))
     paths: list[tuple[str, ...]] = []
-    examined = 0
+    sweeps = 0
     while len(paths) < request.max_paths:
-        examined += 1
-        found = _dijkstra(g, alive, request.source, request.target, swap_loss)
-        if found is None:
+        sweeps += 1
+        dist = [math.inf] * len(ids)
+        parent: list[tuple[str, int] | None] = [None] * len(ids)
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            # Weights are non-negative, so a settled node is never improved
+            # and every later entry for it is stale.
+            if d > dist[u]:
+                continue
+            if u == target:
+                break
+            base = d + hop[u]
+            for v, w, cid in out[u]:
+                nd = base + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (cid, u)
+                    heapq.heappush(heap, (nd, v))
+        else:  # the target is unreachable
             break
-        path, success = found
+        path: list[str] = []
+        node = target
+        while node != source:
+            cid, node = parent[node]
+            path.append(cid)
+        path.reverse()
+        success = 1.0
+        for cid in path:
+            success *= channels[cid].cost.success
+        for _ in range(len(path) - 1):
+            success *= swap_success
         if success < request.min_success:
             break
         paths.append(tuple(path))
-        alive.difference_update(path)
-    return paths, examined
+        for cid in path:
+            c = channels[cid]
+            for end in (index[c.a], index[c.b]):
+                out[end] = [e for e in out[end] if e[2] != cid]
+    return paths, sweeps
 
 
 def _induced_subgraph(

@@ -1,5 +1,6 @@
 """Cost-vector algebra: group laws, chains, log-loss, grids, dephasing."""
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -23,6 +24,7 @@ from qnet import (
     swap_inverse,
 )
 from qnet.algebra import (
+    _acceptance_product,
     add_log_loss,
     compose_success,
     from_log_loss,
@@ -369,3 +371,29 @@ def test_grid_cost_survives_underflowing_chain_products(strategy):
     (want,) = reduce_to_fixpoint(g).graph.channels.values()
     assert abs(got.fidelity - want.cost.fidelity) <= 1e-12
     assert abs(got.success - want.cost.success) <= 1e-9 * want.cost.success
+
+
+def _per_round_acceptance_product(base, count):
+    """The acceptance product as first written: a fresh chain every round."""
+    total = 1.0
+    for i in range(1, count):
+        total *= purify_acceptance(purify_chain([base] * i), base)
+    return total
+
+
+def test_acceptance_product_matches_per_round_chains():
+    rng = random.Random(4242)
+    cases = [(base, 200) for base in (0.0, 0.5, 1.0, 0.57, 0.999)]
+    cases += [(rng.random(), rng.randint(1, 200)) for _ in range(60)]
+    cases += [(rng.uniform(0.5, 1.0), rng.randint(1, 200)) for _ in range(60)]
+    for base, count in cases:
+        got = _acceptance_product(base, count)
+        want = _per_round_acceptance_product(base, count)
+        assert got == want, (base, count)
+
+
+def test_grid_cost_is_linear_in_breadth():
+    # 20,000 rounds of acceptance; one chain per round would take minutes.
+    got = grid_cost(GridSpec(20_000, 2, 0.9, 0.99))
+    assert got.fidelity == 1.0
+    assert got.success == 0.0

@@ -11,12 +11,17 @@ from _generators import (
     seeded,
     two_path_graph,
 )
+from _reference import reference_harvest_paths
 from qnet import (
     AlgebraDomainError,
+    Channel,
     CostVector,
     GraphFormatError,
     InfeasibleRouteError,
     Leaf,
+    NetworkGraph,
+    Node,
+    NodeRole,
     OperationCosts,
     Purify,
     RouteRequest,
@@ -28,7 +33,7 @@ from qnet import (
     route,
 )
 from qnet.cli import run
-from qnet.routing import harvest_paths, residual_search
+from qnet.routing import UNBOUNDED_PATHS, harvest_paths, residual_search
 from qnet.reduction import serialize_strategy, strategy_leaves
 
 TWO_PATH_COST = CostVector(0.9540295119182747, 0.46241928000000015)
@@ -77,6 +82,60 @@ def test_harvest_never_routes_through_foreign_endpoints():
     )
     paths, _ = harvest_paths(g, RouteRequest("A", "B", 0.1))
     assert paths == [("c3", "c4")]
+
+
+def _random_harvest_case(rng):
+    """Small multigraph with a foreign endpoint, parallel channels and ties.
+
+    Node and channel ids are drawn so that their sorted order differs from
+    creation order; successes come from {0, 1/2, 1, uniform} and the swap
+    success from {0, 0.9, 1, uniform}, so log-losses tie, vanish or are
+    infinite.  Returns (graph, request).
+    """
+    routers = [f"m{k}" for k in rng.sample(range(40), rng.randint(0, 6))]
+    names = ["A", "B", "C"] + routers
+    channels = []
+    spans = []
+    for k in rng.sample(range(200), rng.randint(1, 24)):
+        if spans and rng.random() < 0.3:
+            a, b = rng.choice(spans)
+        else:
+            a, b = rng.sample(names, 2)
+        spans.append((a, b))
+        success = rng.choice([0.0, 0.5, 1.0, rng.random()])
+        channels.append((f"c{k}", a, b, rng.uniform(0.5, 1.0), success))
+    ops = OperationCosts(
+        swap_success=rng.choice([0.0, 0.9, 1.0, rng.random()]),
+        physical_acceptance=rng.random() < 0.5,
+    )
+    nodes = [Node(n, NodeRole.ENDPOINT) for n in names[:3]] + [
+        Node(n, NodeRole.ROUTER) for n in routers
+    ]
+    g = NetworkGraph(
+        nodes,
+        [Channel(cid, a, b, CostVector(f, s)) for cid, a, b, f, s in channels],
+        ops,
+    )
+    source, target = rng.sample(["A", "B", "C"], 2)
+    floor = rng.choice([1e-12, 0.25, 1.0, rng.uniform(1e-6, 1.0)])
+    max_paths = rng.choice([1, 2, UNBOUNDED_PATHS])
+    return g, RouteRequest(source, target, floor, max_paths=max_paths)
+
+
+def test_harvest_matches_reference_harvester():
+    """The compiled harvest returns exactly the restart-Dijkstra result.
+
+    Same paths in the same order and the same sweep count, over random
+    multigraphs where zero-weight edges and equal distances make the
+    lexicographic pop order decide which path comes out.
+    """
+    several = 0
+    for seed in range(3000):
+        g, request = _random_harvest_case(seeded(9000 + seed))
+        expected = reference_harvest_paths(g, request)
+        assert harvest_paths(g, request) == expected, seed
+        several += len(expected[0]) > 1
+    assert several > 300
 
 
 def test_route_infeasible_when_only_endpoint_paths_exist():
@@ -295,10 +354,14 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch
     (README document, bridge, 100-rung ladder) and the simulate cases
     (2-, 10- and 100-leaf trees, acceptance on and off, 20,000 samples,
     1 and 2 threads) were produced before strategy trees were walked
-    iteratively and Monte Carlo chunks were sized by bytes.
+    iteratively and Monte Carlo chunks were sized by bytes.  The last three
+    route cases pin bulk-shaped harvests, produced before the harvest ran
+    over a compiled adjacency: a uniform 10x10 grid, where every sweep ties;
+    the same grid with lossless channels and operations, where every
+    distance is 0 and node order alone decides; and a 100-rung double ladder.
     """
     cases = json.loads(GOLDEN.read_text())["cases"]
-    assert len(cases) == 33
+    assert len(cases) == 36
     for case in cases:
         path = tmp_path / f"{case['name']}.json"
         path.write_text(json.dumps(case["doc"]))
