@@ -68,7 +68,7 @@ def _physical(f: float | Fidelity, what: str = "fidelity") -> float:
     if isinstance(f, Fidelity):
         if f.formal:
             raise AlgebraDomainError(f"formal {what} {f.value!r} rejected")
-        return f.value
+        return float(f.value)
     x = float(f)
     if not 0.0 <= x <= 1.0:
         raise AlgebraDomainError(f"{what} {x!r} outside [0, 1]")

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from enum import IntEnum
+from functools import partial
 
 from .algebra import (
     AlgebraDomainError,
@@ -20,8 +21,8 @@ from .algebra import (
     OperationCosts,
     grid_cost,
 )
-from .graph import GraphFormatError, NetworkGraph, graph_to_obj, parse_graph
-from .jsonutil import RawJSON, canonical_dumps
+from .graph import GraphFormatError, NetworkGraph, parse_graph, write_graph
+from .jsonutil import Deferred, RawJSON, canonical_dumps, float_text, quote
 from .reduction import (
     ReductionError,
     StrategyTree,
@@ -147,15 +148,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _step_obj(step) -> dict:
-    return {
-        "kind": step.kind.value,
-        "consumed": list(step.consumed),
-        "eliminated": step.eliminated,
-        "produced": step.produced,
-        "fidelity": step.cost.fidelity,
-        "success": step.cost.success,
-    }
+_STEP = '{"consumed":[%s],"eliminated":%s,"fidelity":%s,"kind":%s,"produced":%s,"success":%s}'
+
+
+def _write_trace(steps, out: list[str]) -> None:
+    """Append the canonical JSON array of a reduction trace to out."""
+    out.append("[")
+    out.append(",".join([
+        _STEP % (
+            ",".join(map(quote, s.consumed)),
+            "null" if s.eliminated is None else quote(s.eliminated),
+            float_text(s.cost.fidelity),
+            quote(s.kind.value),
+            quote(s.produced),
+            float_text(s.cost.success),
+        )
+        for s in steps
+    ]))
+    out.append("]")
 
 
 def _cmd_reduce(args) -> int:
@@ -164,7 +174,7 @@ def _cmd_reduce(args) -> int:
     doc = {
         "command": "reduce",
         "steps": len(result.trace.steps),
-        "terminal": graph_to_obj(result.graph),
+        "terminal": Deferred(partial(write_graph, result.graph)),
         "channels": [
             {
                 "id": c.id,
@@ -176,7 +186,7 @@ def _cmd_reduce(args) -> int:
         ],
     }
     if args.trace:
-        doc["trace"] = [_step_obj(s) for s in result.trace.steps]
+        doc["trace"] = Deferred(partial(_write_trace, result.trace.steps))
     _emit(doc)
     return int(ExitCode.OK)
 
@@ -202,7 +212,7 @@ def _route_obj(result: RouteResult) -> dict:
         if result.strategy is None
         else RawJSON(serialize_strategy(result.strategy)),
         "paths_harvested": result.paths_harvested,
-        "subgraph": graph_to_obj(result.subgraph),
+        "subgraph": Deferred(partial(write_graph, result.subgraph)),
         "diagnostics": {
             "paths_examined": result.diagnostics.paths_examined,
             "candidates_evaluated": result.diagnostics.candidates_evaluated,

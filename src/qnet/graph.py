@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
 from .algebra import CostVector, OperationCosts
-from .jsonutil import canonical_dumps
+from .jsonutil import canonical_dumps, float_text, quote
 
 __all__ = [
     "Channel",
@@ -25,6 +25,7 @@ __all__ = [
     "graph_to_obj",
     "parse_graph",
     "serialize_graph",
+    "write_graph",
 ]
 
 _ID_RE = re.compile(r"^\S{1,64}$")
@@ -40,13 +41,13 @@ class NodeRole(Enum):
     ROUTER = "router"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     role: NodeRole
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Channel:
     """Undirected channel; endpoints are stored in sorted order."""
 
@@ -54,16 +55,14 @@ class Channel:
     a: str
     b: str
     cost: CostVector
+    pair: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.b < self.a:
             a, b = self.b, self.a
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
-
-    @property
-    def pair(self) -> frozenset[str]:
-        return frozenset((self.a, self.b))
+        object.__setattr__(self, "pair", frozenset((self.a, self.b)))
 
     def other(self, node_id: str) -> str:
         if node_id == self.a:
@@ -189,6 +188,11 @@ class NetworkGraph:
         )
 
 
+_ROLES = {role.value: role for role in NodeRole}
+_NODE_FIELDS = {"id": True, "role": True}
+_EDGE_FIELDS = dict.fromkeys(("id", "a", "b", "fidelity", "success"), True)
+
+
 def _require_keys(obj: dict, allowed: dict[str, bool], where: str) -> None:
     for key in obj:
         if key not in allowed:
@@ -262,23 +266,23 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         raise GraphFormatError("nodes must be an array")
     nodes = []
     for i, entry in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
         if not isinstance(entry, dict):
-            raise GraphFormatError(f"{where} must be an object")
-        _require_keys(entry, {"id": True, "role": True}, where)
+            raise GraphFormatError(f"nodes[{i}] must be an object")
+        if entry.keys() != _NODE_FIELDS.keys():
+            _require_keys(entry, _NODE_FIELDS, f"nodes[{i}]")
         nid = entry["id"]
         if not isinstance(nid, str):
-            raise GraphFormatError(f"{where}: id must be a string")
+            raise GraphFormatError(f"nodes[{i}]: id must be a string")
         if _SYNTHETIC_RE.match(nid):
             raise GraphFormatError(
-                f"{where}: id {nid!r} uses the reserved synthetic namespace "
+                f"nodes[{i}]: id {nid!r} uses the reserved synthetic namespace "
                 "('r' followed by a digit)"
             )
         try:
-            role = NodeRole(entry["role"])
-        except ValueError:
+            role = _ROLES[entry["role"]]
+        except (KeyError, TypeError):  # TypeError: an unhashable role
             raise GraphFormatError(
-                f"{where}: role {entry['role']!r} must be 'endpoint' or 'router'"
+                f"nodes[{i}]: role {entry['role']!r} must be 'endpoint' or 'router'"
             ) from None
         nodes.append(Node(nid, role))
 
@@ -286,32 +290,29 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         raise GraphFormatError("edges must be an array")
     channels = []
     for i, entry in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
         if not isinstance(entry, dict):
-            raise GraphFormatError(f"{where} must be an object")
-        _require_keys(
-            entry,
-            {"id": True, "a": True, "b": True, "fidelity": True, "success": True},
-            where,
-        )
+            raise GraphFormatError(f"edges[{i}] must be an object")
+        if entry.keys() != _EDGE_FIELDS.keys():
+            _require_keys(entry, _EDGE_FIELDS, f"edges[{i}]")
         cid = entry["id"]
         if not isinstance(cid, str):
-            raise GraphFormatError(f"{where}: id must be a string")
+            raise GraphFormatError(f"edges[{i}]: id must be a string")
         if _SYNTHETIC_RE.match(cid):
             raise GraphFormatError(
-                f"{where}: id {cid!r} uses the reserved synthetic namespace "
+                f"edges[{i}]: id {cid!r} uses the reserved synthetic namespace "
                 "('r' followed by a digit)"
             )
         for end in ("a", "b"):
             if not isinstance(entry[end], str):
-                raise GraphFormatError(f"{where}: {end} must be a string")
+                raise GraphFormatError(f"edges[{i}]: {end} must be a string")
+        fidelity, success = entry["fidelity"], entry["success"]
         try:
-            cost = CostVector(
-                _number(entry, "fidelity", where),
-                _number(entry, "success", where),
-            )
+            if type(fidelity) is not float or type(success) is not float:
+                fidelity = _number(entry, "fidelity", f"edges[{i}]")
+                success = _number(entry, "success", f"edges[{i}]")
+            cost = CostVector(fidelity, success)
         except ValueError as exc:
-            raise GraphFormatError(f"{where}: {exc}") from None
+            raise GraphFormatError(f"edges[{i}]: {exc}") from None
         channels.append(Channel(cid, entry["a"], entry["b"], cost))
 
     try:
@@ -348,6 +349,36 @@ def graph_to_obj(g: NetworkGraph) -> dict:
     }
 
 
+def write_graph(g: NetworkGraph, out: list[str]) -> None:
+    """Append canonical_dumps(graph_to_obj(g)) to out, one template per record."""
+    out.append('{"edges":[')
+    out.append(",".join([
+        '{"a":%s,"b":%s,"fidelity":%s,"id":%s,"success":%s}' % (
+            quote(c.a),
+            quote(c.b),
+            float_text(c.cost.fidelity),
+            quote(cid),
+            float_text(c.cost.success),
+        )
+        for cid, c in sorted(g._channels.items())
+    ]))
+    out.append('],"nodes":[')
+    out.append(",".join([
+        '{"id":%s,"role":%s}' % (quote(nid), quote(n.role.value))
+        for nid, n in sorted(g._nodes.items())
+    ]))
+    out.append('],"op_costs":')
+    ops = g.op_costs
+    out.append(canonical_dumps({
+        "swap_success": ops.swap_success,
+        "purify_success": ops.purify_success,
+        "physical_acceptance": ops.physical_acceptance,
+    }))
+    out.append(',"version":1}')
+
+
 def serialize_graph(g: NetworkGraph) -> bytes:
     """Canonical UTF-8 document; parse_graph(serialize_graph(g)) == g."""
-    return canonical_dumps(graph_to_obj(g)).encode("utf-8")
+    out: list[str] = []
+    write_graph(g, out)
+    return "".join(out).encode("utf-8")

@@ -2,12 +2,17 @@
 
 The stdlib encoder always uses repr() for floats, which is shortest-round-trip
 rather than fixed-width; reports need byte-stable output, so this tiny emitter
-formats floats with '%.17g' (which round-trips any float64 exactly).
+formats floats with '%.17g' (which round-trips any float64 exactly).  Strings
+are quoted by the stdlib's C quoting function, exactly as
+json.dumps(s, ensure_ascii=True) quotes them.
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as quote
+from typing import Callable
+
+__all__ = ["Deferred", "RawJSON", "canonical_dumps", "float_text", "quote"]
 
 
 class RawJSON(str):
@@ -15,8 +20,57 @@ class RawJSON(str):
     canonical_dumps embeds as it stands."""
 
 
+class Deferred:
+    """A value that canonical_dumps writes by calling write(out), where out
+    is its list of output fragments.
+
+    Large parts of a report (graphs, reduction traces) are written from
+    fixed templates this way, without building one dict per record, and
+    still inside the canonical_dumps call.
+    """
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[list[str]], None]) -> None:
+        self.write = write
+
+
+def float_text(x: float) -> str:
+    """'%.17g' text of a finite float; -0.0 is written as 0."""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite float {x!r} has no JSON form")
+    return "%.17g" % (x + 0.0)
+
+
 def _emit(obj, out: list[str]) -> None:
-    if isinstance(obj, RawJSON):
+    # The common exact types first.  The order of the other checks does not
+    # matter: no type is both a dict and a list, a string or a number.
+    t = type(obj)
+    if t is str:
+        out.append(quote(obj))
+    elif t is float:
+        out.append(float_text(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key {key!r}")
+            if i:
+                out.append(",")
+            out.append(quote(key))
+            out.append(":")
+            _emit(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
+    elif t is Deferred:
+        obj.write(out)
+    elif isinstance(obj, RawJSON):
         out.append(obj)
     elif obj is None:
         out.append("null")
@@ -25,31 +79,11 @@ def _emit(obj, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(quote(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float {obj!r} has no JSON form")
-        out.append("%.17g" % (obj + 0.0))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
+        out.append(float_text(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

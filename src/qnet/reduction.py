@@ -12,7 +12,6 @@ strategy tree saying which physical operations build it.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +19,7 @@ from typing import Union
 
 from .algebra import CostVector, purify_cost, swap_cost
 from .graph import Channel, GraphFormatError, NetworkGraph, Node, NodeRole
+from .jsonutil import quote
 
 __all__ = [
     "Leaf",
@@ -144,7 +144,7 @@ def serialize_strategy(tree: StrategyTree) -> str:
         if isinstance(item, str):
             out.append(item)
         elif isinstance(item, Leaf):
-            out.append('{"channel":%s,"op":"leaf"}' % json.dumps(item.channel))
+            out.append('{"channel":%s,"op":"leaf"}' % quote(item.channel))
         else:
             out.append(_OPEN)
             stack += ("}", item.right, _MIDDLE[type(item)], item.left)

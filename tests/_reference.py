@@ -5,13 +5,22 @@ written: every sweep walks the graph's own adjacency, re-reads each channel
 and converts its success to log-loss on every relaxation, and keeps a set of
 live channel ids.  It is slow but obviously right, and the compiled
 harvest_paths must return exactly what it returns.
+
+reference_canonical_dumps is the canonical JSON emitter as first written:
+one isinstance chain per value and one json.dumps call per string and per
+key.  reference_step_obj is the plain-data form a reduction step had in
+reports.  Whatever qnet.jsonutil.canonical_dumps and the report templates
+write must equal what these give.
 """
 from __future__ import annotations
 
 import heapq
+import json
+import math
 
 from qnet.algebra import to_log_loss
 from qnet.graph import NetworkGraph, NodeRole
+from qnet.jsonutil import RawJSON
 from qnet.routing import RouteRequest, _check_endpoints
 
 
@@ -92,3 +101,60 @@ def reference_harvest_paths(
         paths.append(tuple(path))
         alive.difference_update(path)
     return paths, examined
+
+
+def _emit(obj, out: list[str]) -> None:
+    if isinstance(obj, RawJSON):
+        out.append(obj)
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj!r} has no JSON form")
+        out.append("%.17g" % (obj + 0.0))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(":")
+            _emit(obj[key], out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_canonical_dumps(obj) -> str:
+    """Serialize to canonical JSON text (no trailing newline)."""
+    out: list[str] = []
+    _emit(obj, out)
+    return "".join(out)
+
+
+def reference_step_obj(step) -> dict:
+    return {
+        "kind": step.kind.value,
+        "consumed": list(step.consumed),
+        "eliminated": step.eliminated,
+        "produced": step.produced,
+        "fidelity": step.cost.fidelity,
+        "success": step.cost.success,
+    }

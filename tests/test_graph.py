@@ -239,3 +239,62 @@ def test_graph_equality_tracks_costs():
     assert g1 != build_graph(
         [("c1", "A", "B", 0.9, 0.9)], ops=OperationCosts(swap_success=0.5)
     )
+
+
+_DROP = object()
+
+# (path into the doc() object, new value or _DROP, exact error message)
+_MALFORMED = [
+    (("extra",), 1, "unknown field 'extra' in document"),
+    (("nodes",), _DROP, "missing field 'nodes' in document"),
+    (("op_costs",), 0.5, "op_costs must be an object"),
+    (("op_costs", "latency"), 1, "unknown field 'latency' in op_costs"),
+    (("op_costs", "swap_success"), "0.9", "field 'swap_success' in op_costs must be a number"),
+    (("op_costs", "physical_acceptance"), 1, "physical_acceptance must be a boolean"),
+    (("version",), 2, "unsupported version 2"),
+    (("nodes",), {}, "nodes must be an array"),
+    (("nodes", 0, "x"), 1, "unknown field 'x' in nodes[0]"),
+    (("nodes", 1, "role"), _DROP, "missing field 'role' in nodes[1]"),
+    (("edges", 1, "weight"), 3, "unknown field 'weight' in edges[1]"),
+    (("edges", 0, "success"), _DROP, "missing field 'success' in edges[0]"),
+    (("nodes", 2), "mid", "nodes[2] must be an object"),
+    (("edges", 0), [1], "edges[0] must be an object"),
+    (("nodes", 0, "id"), 7, "nodes[0]: id must be a string"),
+    (("edges", 1, "id"), None, "edges[1]: id must be a string"),
+    (("edges", 0, "a"), 1, "edges[0]: a must be a string"),
+    (("edges", 1, "b"), ["B"], "edges[1]: b must be a string"),
+    (("edges", 0, "fidelity"), True,
+     "edges[0]: field 'fidelity' in edges[0] must be a number"),
+    (("edges", 1, "success"), "0.8",
+     "edges[1]: field 'success' in edges[1] must be a number"),
+    (("edges", 0, "fidelity"), 1.5, "edges[0]: fidelity 1.5 outside [0, 1]"),
+    (("edges", 1, "success"), -0.25,
+     "edges[1]: success probability -0.25 outside [0, 1]"),
+    (("nodes", 2, "id"), "r2",
+     "nodes[2]: id 'r2' uses the reserved synthetic namespace ('r' followed by a digit)"),
+    (("edges", 0, "id"), "r0extra",
+     "edges[0]: id 'r0extra' uses the reserved synthetic namespace ('r' followed by a digit)"),
+    (("nodes", 0, "role"), "client", "nodes[0]: role 'client' must be 'endpoint' or 'router'"),
+    (("nodes", 1, "role"), [], "nodes[1]: role [] must be 'endpoint' or 'router'"),
+    (("nodes", 1, "id"), "A", "duplicate node id 'A'"),
+    (("edges", 1, "id"), "c1", "duplicate channel id 'c1'"),
+    (("edges", 0, "b"), "A", "channel 'c1' is a self-loop"),
+    (("edges", 1, "a"), "ghost", "channel 'c2' references unknown node"),
+    (("nodes", 2, "id"), "m d", "node id 'm d' must be 1-64 non-whitespace characters"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", _MALFORMED)
+def test_parse_error_messages_are_pinned(path, value, message):
+    raw = json.loads(doc())
+    *head, last = path
+    target = raw
+    for key in head:
+        target = target[key]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(json.dumps(raw))
+    assert str(info.value) == message

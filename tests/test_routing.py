@@ -359,9 +359,14 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch
     over a compiled adjacency: a uniform 10x10 grid, where every sweep ties;
     the same grid with lossless channels and operations, where every
     distance is 0 and node order alone decides; and a 100-rung double ladder.
+    The last three cases were produced before graphs and trace steps were
+    written from templates: reduce --trace and route on a document whose
+    node and channel ids hold a quote, a backslash, a control character,
+    non-ASCII and astral characters and "</s>", and reduce --trace on the
+    uniform 10x10 grid.
     """
     cases = json.loads(GOLDEN.read_text())["cases"]
-    assert len(cases) == 36
+    assert len(cases) == 39
     for case in cases:
         path = tmp_path / f"{case['name']}.json"
         path.write_text(json.dumps(case["doc"]))
