@@ -32,10 +32,13 @@ __all__ = [
     "estimate",
 ]
 
-# A chunk holds at most this many samples and this many bytes of draws, so
-# a thread's memory stays bounded whatever the size of the tree.
+# A chunk holds at most this many samples, and a worker at most this many
+# bytes: 8 of draws and 1 of compare results per draw (the transposed rows
+# reuse the bytes of the draws), so a thread's memory stays bounded whatever
+# the size of the tree.
 _CHUNK_SAMPLES = 1 << 16
 _CHUNK_BYTES = 32 << 20
+_CELL_BYTES = 9
 
 
 @dataclass(frozen=True)
@@ -48,47 +51,83 @@ class McEstimate:
     seed: int
 
 
-def _run_chunk(
-    nodes: list[StrategyTree],
-    g: NetworkGraph,
-    seed: int,
-    start: int,
-    count: int,
-    width: int,
-) -> tuple[int, int]:
-    """Delivered / delivered-and-unflipped tallies for samples [start, start+count).
+def _probabilities(
+    nodes: list[StrategyTree], g: NetworkGraph, width: int
+) -> np.ndarray:
+    """The row each sample's draws are compared against, column by column.
 
-    Each sample owns width draws; their columns follow the post-order
-    nodes: two per leaf, one per operation.
+    Columns follow the post-order nodes: a leaf's success and flip
+    probability, then one column per operation for its success; the
+    padding columns are never read.
     """
-    bits = np.random.Philox(key=seed)
-    bits.advance(start * width // 4)
-    draws = np.random.Generator(bits).random(count * width).reshape(count, width)
     ops = g.op_costs
-    values: list[tuple[np.ndarray, np.ndarray]] = []
-    col = 0
+    probs: list[float] = []
     for node in nodes:
         if isinstance(node, Leaf):
             cost = g.channel(node.channel).cost
-            delivered = draws[:, col] < cost.success
-            flipped = draws[:, col + 1] < (1.0 - cost.fidelity)
-            values.append((delivered, flipped))
-            col += 2
-            continue
-        db, zb = values.pop()
-        da, za = values.pop()
-        if isinstance(node, Swap):
-            ok = da & db & (draws[:, col] < ops.swap_success)
-            values.append((ok, za ^ zb))
+            probs += (cost.success, 1.0 - cost.fidelity)
+        elif isinstance(node, Swap):
+            probs.append(ops.swap_success)
         else:
-            ok = da & db & (draws[:, col] < ops.purify_success)
-            if ops.physical_acceptance:
-                ok = ok & (za == zb)
+            probs.append(ops.purify_success)
+    probs += [0.0] * (width - len(probs))
+    return np.array(probs, dtype=np.float64)
+
+
+def _run_worker(
+    nodes: list[StrategyTree],
+    probs: np.ndarray,
+    acceptance: bool,
+    seed: int,
+    ranges: list[tuple[int, int]],
+) -> tuple[int, int]:
+    """Delivered / delivered-and-unflipped tallies over the sample ranges.
+
+    Sample i's draws are the width draws of the seed's Philox stream that
+    start at draw i * width.  The buffers are allocated once, for the
+    largest range, and reused: each range is drawn, compared against probs
+    in one dense pass, and transposed so that every column is one
+    contiguous row.  The walk then combines rows in place; each row belongs
+    to exactly one node, so nothing it overwrites is read again.
+    """
+    width = len(probs)
+    cells = max(count for _, count in ranges) * width
+    draw_buf = np.empty(cells)
+    row_buf = draw_buf.view(np.bool_)  # the draws are dead once compared
+    hit_buf = np.empty(cells, dtype=np.bool_)
+    n_delivered = n_unflipped = 0
+    for start, count in ranges:
+        draws = draw_buf[: count * width].reshape(count, width)
+        hits = hit_buf[: count * width].reshape(count, width)
+        rows = row_buf[: count * width].reshape(width, count)
+        bits = np.random.Philox(key=seed)
+        bits.advance(start * width // 4)
+        np.random.Generator(bits).random(out=draws)
+        np.less(draws, probs, out=hits)
+        np.copyto(rows, hits.T)
+        values: list[tuple[np.ndarray, np.ndarray]] = []
+        col = 0
+        for node in nodes:
+            if isinstance(node, Leaf):
+                values.append((rows[col], rows[col + 1]))
+                col += 2
+                continue
+            db, zb = values.pop()
+            da, za = values.pop()
+            ok = rows[col]
+            ok &= da
+            ok &= db
+            if isinstance(node, Swap):
+                za ^= zb
+            elif acceptance:
+                np.equal(za, zb, out=zb)
+                ok &= zb
             values.append((ok, za))
-        col += 1
-    ((delivered, flipped),) = values
-    n_delivered = int(np.count_nonzero(delivered))
-    n_unflipped = int(np.count_nonzero(delivered & ~flipped))
+            col += 1
+        ((delivered, flipped),) = values
+        n_delivered += int(np.count_nonzero(delivered))
+        np.greater(delivered, flipped, out=flipped)  # delivered and unflipped
+        n_unflipped += int(np.count_nonzero(flipped))
     return n_delivered, n_unflipped
 
 
@@ -113,14 +152,22 @@ def estimate(
     leaves = (len(nodes) + 1) // 2
     # 3 * leaves - 1 draws, padded to whole 4-draw blocks of the Philox stream
     width = -(-(3 * leaves - 1) // 4) * 4
-    chunk = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // (8 * width)))
+    probs = _probabilities(nodes, g, width)
+    chunk = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // (_CELL_BYTES * width)))
     ranges = [
         (start, min(chunk, samples - start))
         for start in range(0, samples, chunk)
     ]
-    with ThreadPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
+    workers = min(threads, len(ranges))
+    acceptance = g.op_costs.physical_acceptance
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         tallies = list(
-            pool.map(lambda rc: _run_chunk(nodes, g, seed, *rc, width), ranges)
+            pool.map(
+                lambda k: _run_worker(
+                    nodes, probs, acceptance, seed, ranges[k::workers]
+                ),
+                range(workers),
+            )
         )
     delivered = sum(t[0] for t in tallies)
     unflipped = sum(t[1] for t in tallies)

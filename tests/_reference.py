@@ -11,6 +11,11 @@ one isinstance chain per value and one json.dumps call per string and per
 key.  reference_step_obj is the plain-data form a reduction step had in
 reports.  Whatever qnet.jsonutil.canonical_dumps and the report templates
 write must equal what these give.
+
+reference_run_chunk is the Monte Carlo chunk kernel as first written: it
+draws a fresh array per chunk and compares one strided column at a time.
+With acceptance on, the tallies of qnet.montecarlo's worker must equal
+the sums of its tallies; with acceptance off, its delivered count.
 """
 from __future__ import annotations
 
@@ -18,9 +23,12 @@ import heapq
 import json
 import math
 
+import numpy as np
+
 from qnet.algebra import to_log_loss
 from qnet.graph import NetworkGraph, NodeRole
 from qnet.jsonutil import RawJSON
+from qnet.reduction import Leaf, StrategyTree, Swap
 from qnet.routing import RouteRequest, _check_endpoints
 
 
@@ -158,3 +166,47 @@ def reference_step_obj(step) -> dict:
         "fidelity": step.cost.fidelity,
         "success": step.cost.success,
     }
+
+
+def reference_run_chunk(
+    nodes: list[StrategyTree],
+    g: NetworkGraph,
+    seed: int,
+    start: int,
+    count: int,
+    width: int,
+) -> tuple[int, int]:
+    """Delivered / delivered-and-unflipped tallies for samples [start, start+count).
+
+    Each sample owns width draws; their columns follow the post-order
+    nodes: two per leaf, one per operation.
+    """
+    bits = np.random.Philox(key=seed)
+    bits.advance(start * width // 4)
+    draws = np.random.Generator(bits).random(count * width).reshape(count, width)
+    ops = g.op_costs
+    values: list[tuple[np.ndarray, np.ndarray]] = []
+    col = 0
+    for node in nodes:
+        if isinstance(node, Leaf):
+            cost = g.channel(node.channel).cost
+            delivered = draws[:, col] < cost.success
+            flipped = draws[:, col + 1] < (1.0 - cost.fidelity)
+            values.append((delivered, flipped))
+            col += 2
+            continue
+        db, zb = values.pop()
+        da, za = values.pop()
+        if isinstance(node, Swap):
+            ok = da & db & (draws[:, col] < ops.swap_success)
+            values.append((ok, za ^ zb))
+        else:
+            ok = da & db & (draws[:, col] < ops.purify_success)
+            if ops.physical_acceptance:
+                ok = ok & (za == zb)
+            values.append((ok, za))
+        col += 1
+    ((delivered, flipped),) = values
+    n_delivered = int(np.count_nonzero(delivered))
+    n_unflipped = int(np.count_nonzero(delivered & ~flipped))
+    return n_delivered, n_unflipped

@@ -1,6 +1,10 @@
 """Stochastic sampler: vectorised strategy execution, estimates, density matrices."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from _generators import (
@@ -10,10 +14,16 @@ from _generators import (
     series_chain,
     two_path_graph,
 )
+from _reference import reference_run_chunk
 from qnet import (
+    Channel,
+    CostVector,
     DensityMatrix4,
     GraphFormatError,
     Leaf,
+    NetworkGraph,
+    Node,
+    NodeRole,
     OperationCosts,
     Purify,
     ReductionError,
@@ -25,6 +35,7 @@ from qnet import (
     swap_fidelity,
 )
 from qnet import montecarlo
+from qnet.reduction import postorder
 
 
 def test_estimate_leaf_rates():
@@ -125,29 +136,98 @@ def test_estimate_thread_count_never_changes_numbers():
     tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
     # deliberately not a multiple of the chunk size
     single = estimate(tree, g, 200001, seed=9, threads=1)
-    multi = estimate(tree, g, 200001, seed=9, threads=4)
-    assert single == multi
-    assert estimate(tree, g, 200001, seed=9, threads=2) == single
+    for threads in (2, 3, 4):
+        assert estimate(tree, g, 200001, seed=9, threads=threads) == single
 
 
 def test_chunk_budget_bounds_memory_and_never_changes_numbers(monkeypatch):
     g = two_path_graph()
     tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
     counts = []
-    run_chunk = montecarlo._run_chunk
+    run_worker = montecarlo._run_worker
 
     def recording(*args):
-        counts.append(args[4])
-        return run_chunk(*args)
+        counts.extend(count for _, count in args[-1])
+        return run_worker(*args)
 
-    monkeypatch.setattr(montecarlo, "_run_chunk", recording)
+    monkeypatch.setattr(montecarlo, "_run_worker", recording)
     whole = estimate(tree, g, 5000, seed=12)
     assert counts == [5000]
-    # 4 leaves take 11 draws per sample, padded to 12: 96 bytes a sample
-    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 96 * 777)
+    # 4 leaves take 11 draws per sample, padded to 12: 108 bytes a sample
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 108 * 777)
     counts.clear()
     assert estimate(tree, g, 5000, seed=12, threads=2) == whole
     assert max(counts) == 777 and sum(counts) == 5000
+
+
+# Probabilities at and next to the edges of [0, 1]: a draw is never below
+# 0, always below 1, below 5e-324 only when it is exactly 0, and below
+# 1 - 2**-53 unless it is the largest double under 1.
+_EDGE_PROBABILITIES = st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53])
+
+
+def _probability(draw, low):
+    """Mostly in [low, 1], so that large trees still deliver; one in 16 at an edge."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(_EDGE_PROBABILITIES)
+    return draw(st.floats(low, 1.0))
+
+
+@st.composite
+def _sampled_trees(draw):
+    n = draw(st.integers(1, 40))
+    nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
+    channels = [
+        Channel(
+            f"c{i}",
+            "A",
+            "B",
+            CostVector(_probability(draw, 0.5), _probability(draw, 0.95)),
+        )
+        for i in range(n)
+    ]
+    ops = OperationCosts(
+        swap_success=_probability(draw, 0.95),
+        purify_success=_probability(draw, 0.95),
+        physical_acceptance=draw(st.booleans()),
+    )
+    trees = [Leaf(c.id) for c in channels]
+    while len(trees) > 1:
+        i = draw(st.integers(0, len(trees) - 2))
+        kind = Swap if draw(st.booleans()) else Purify
+        trees[i : i + 2] = [kind(trees[i], trees[i + 1])]
+    return trees[0], NetworkGraph(nodes, channels, ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _sampled_trees(),
+    st.integers(1, 700),
+    st.integers(1, 97),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernel_tallies_match_reference_chunk(case, samples, chunk, threads, seed):
+    tree, g = case
+    nodes = postorder(tree)
+    width = -(-(3 * len(g.channels) - 1) // 4) * 4
+    want = reference_run_chunk(nodes, g, seed, 0, samples, width)
+    tallies = []
+    run_worker = montecarlo._run_worker
+
+    def recording(*args):
+        result = run_worker(*args)
+        tallies.append(result)
+        return result
+
+    # a budget a little over `chunk` samples still gives chunks of `chunk`
+    budget = montecarlo._CELL_BYTES * width * chunk + width
+    with mock.patch.object(montecarlo, "_run_worker", recording), \
+            mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
+        estimate(tree, g, samples, seed, threads)
+    assert len(tallies) == min(threads, -(-samples // chunk))
+    got = tuple(sum(column) for column in zip(*tallies))
+    assert got == want
 
 
 def test_estimate_runs_a_20000_deep_chain():
