@@ -8,6 +8,11 @@ purification post-selects on agreement.  Estimates tally delivery and flip
 rates over the samples; a 4x4 density-matrix path provides an independent
 quantum mechanical check for the dephasing channel.
 
+With physical acceptance off, a purification whose flips disagree still
+delivers, as the algebra charges no acceptance to success; the fidelity is
+then estimated over the delivered samples that agreed at every
+purification, the post-selected state the algebra's fidelity describes.
+
 Sample i always consumes the same counter-indexed slice of the Philox
 stream keyed by the seed, so estimates are bit-identical no matter how the
 work is chunked or how many workers run it.
@@ -80,8 +85,12 @@ def _run_worker(
     acceptance: bool,
     seed: int,
     ranges: list[tuple[int, int]],
-) -> tuple[int, int]:
-    """Delivered / delivered-and-unflipped tallies over the sample ranges.
+) -> tuple[int, int, int]:
+    """Delivered / accepted / accepted-and-unflipped tallies over the ranges.
+
+    A delivered sample is accepted when its flips agree at every
+    purification; with physical acceptance on, a disagreement already
+    fails the purification, so every delivered sample is accepted.
 
     Sample i's draws are the width draws of the seed's Philox stream that
     start at draw i * width.  The buffers are allocated once, for the
@@ -95,7 +104,7 @@ def _run_worker(
     draw_buf = np.empty(cells)
     row_buf = draw_buf.view(np.bool_)  # the draws are dead once compared
     hit_buf = np.empty(cells, dtype=np.bool_)
-    n_delivered = n_unflipped = 0
+    n_delivered = n_accepted = n_unflipped = 0
     for start, count in ranges:
         draws = draw_buf[: count * width].reshape(count, width)
         hits = hit_buf[: count * width].reshape(count, width)
@@ -106,6 +115,7 @@ def _run_worker(
         np.less(draws, probs, out=hits)
         np.copyto(rows, hits.T)
         values: list[tuple[np.ndarray, np.ndarray]] = []
+        accepted = None  # conjunction of the agreements, acceptance off
         col = 0
         for node in nodes:
             if isinstance(node, Leaf):
@@ -119,16 +129,24 @@ def _run_worker(
             ok &= db
             if isinstance(node, Swap):
                 za ^= zb
-            elif acceptance:
+            else:
                 np.equal(za, zb, out=zb)
-                ok &= zb
+                if acceptance:
+                    ok &= zb
+                elif accepted is None:
+                    accepted = zb
+                else:
+                    accepted &= zb
             values.append((ok, za))
             col += 1
         ((delivered, flipped),) = values
         n_delivered += int(np.count_nonzero(delivered))
-        np.greater(delivered, flipped, out=flipped)  # delivered and unflipped
+        if accepted is not None:
+            delivered &= accepted
+        n_accepted += int(np.count_nonzero(delivered))
+        np.greater(delivered, flipped, out=flipped)  # accepted and unflipped
         n_unflipped += int(np.count_nonzero(flipped))
-    return n_delivered, n_unflipped
+    return n_delivered, n_accepted, n_unflipped
 
 
 def estimate(
@@ -141,7 +159,8 @@ def estimate(
     """Monte-Carlo estimate of a strategy's fidelity and success probability.
 
     The estimate depends only on (tree, graph, samples, seed); the thread
-    count changes wall time, never the numbers.
+    count changes wall time, never the numbers.  fidelity_hat and its
+    standard error are None when no sample was accepted.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -169,15 +188,14 @@ def estimate(
                 range(workers),
             )
         )
-    delivered = sum(t[0] for t in tallies)
-    unflipped = sum(t[1] for t in tallies)
+    delivered, accepted, unflipped = (sum(t) for t in zip(*tallies))
 
     success_hat = delivered / samples
     se_success = sqrt(success_hat * (1.0 - success_hat) / samples)
-    if delivered == 0:
-        return McEstimate(None, 0.0, None, se_success, samples, seed)
-    fidelity_hat = unflipped / delivered
-    se_fidelity = sqrt(fidelity_hat * (1.0 - fidelity_hat) / delivered)
+    if accepted == 0:
+        return McEstimate(None, success_hat, None, se_success, samples, seed)
+    fidelity_hat = unflipped / accepted
+    se_fidelity = sqrt(fidelity_hat * (1.0 - fidelity_hat) / accepted)
     return McEstimate(
         fidelity_hat, success_hat, se_fidelity, se_success, samples, seed
     )

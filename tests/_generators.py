@@ -195,11 +195,12 @@ def random_connected_graph(rng, max_channels=8, fidelity=(0.55, 0.95)):
     return NetworkGraph(nodes, channels, random_ops(rng))
 
 
-def random_strategy_tree(rng, max_leaves=10):
+def random_strategy_tree(rng, max_leaves=10, acceptance=True):
     """Random strategy over parallel A-B channels with costs in [0.55, 1]².
 
-    Returns (tree, graph).  Acceptance stays on so the sampled fidelity of
-    a purification matches its analytic value; operation successes vary.
+    Returns (tree, graph).  Operation successes vary; `acceptance` sets
+    physical acceptance and draws nothing, so both settings give the same
+    tree and costs for the same rng.
     """
     n = rng.randint(1, max_leaves)
     nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
@@ -215,7 +216,7 @@ def random_strategy_tree(rng, max_leaves=10):
     ops = OperationCosts(
         swap_success=rng.uniform(0.7, 1.0),
         purify_success=rng.uniform(0.7, 1.0),
-        physical_acceptance=True,
+        physical_acceptance=acceptance,
     )
 
     def grow(ids):

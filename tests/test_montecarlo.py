@@ -226,8 +226,12 @@ def test_kernel_tallies_match_reference_chunk(case, samples, chunk, threads, see
             mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
         estimate(tree, g, samples, seed, threads)
     assert len(tallies) == min(threads, -(-samples // chunk))
-    got = tuple(sum(column) for column in zip(*tallies))
-    assert got == want
+    delivered, accepted, unflipped = (sum(column) for column in zip(*tallies))
+    if g.op_costs.physical_acceptance:
+        assert (delivered, unflipped) == want and accepted == delivered
+    else:
+        # the reference ignores agreement; only deliveries are shared
+        assert delivered == want[0]
 
 
 def test_estimate_runs_a_20000_deep_chain():
@@ -246,16 +250,27 @@ def test_estimate_is_reproducible_per_seed():
     assert estimate(tree, g, 50000, seed=11) == estimate(tree, g, 50000, seed=11)
 
 
-def test_acceptance_off_purify_keeps_left_marginal():
-    # without post-selection the delivered state is the unconditioned mixture,
-    # so the flip rate follows the left input alone
+def test_acceptance_off_purify_conditions_fidelity_on_agreement():
+    # every pair is delivered, but the fidelity is that of the samples
+    # whose flips agreed, as in the algebra
     ops = OperationCosts(physical_acceptance=False)
     g = build_graph(
         [("c1", "A", "B", 0.9, 1.0), ("c2", "A", "B", 0.6, 1.0)], ops=ops
     )
     est = estimate(Purify(Leaf("c1"), Leaf("c2")), g, 200000, seed=6)
     assert est.success_hat == 1.0
-    assert abs(est.fidelity_hat - 0.9) <= 4 * est.std_error_fidelity
+    want = 0.9 * 0.6 / (0.9 * 0.6 + 0.1 * 0.4)
+    assert abs(est.fidelity_hat - want) <= 4 * est.std_error_fidelity
+
+
+def test_acceptance_off_without_agreement_has_no_fidelity():
+    ops = OperationCosts(physical_acceptance=False)
+    g = build_graph(
+        [("c1", "A", "B", 1.0, 1.0), ("c2", "A", "B", 0.0, 1.0)], ops=ops
+    )
+    est = estimate(Purify(Leaf("c1"), Leaf("c2")), g, 1000, seed=6)
+    assert est.success_hat == 1.0
+    assert est.fidelity_hat is None and est.std_error_fidelity is None
 
 
 def test_swap_xor_law_chi_square():

@@ -354,7 +354,11 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch
     (README document, bridge, 100-rung ladder) and the simulate cases
     (2-, 10- and 100-leaf trees, acceptance on and off, 20,000 samples,
     1 and 2 threads) were produced before strategy trees were walked
-    iteratively and Monte Carlo chunks were sized by bytes.  The last three
+    iteratively and Monte Carlo chunks were sized by bytes; the six with
+    acceptance off were produced again once their fidelity was conditioned
+    on agreement at every purification, which changed only the 10-leaf
+    pair (the 2-leaf tree has no purification and the 100-leaf tree
+    delivers nothing), and kept every success_hat.  The last three
     route cases pin bulk-shaped harvests, produced before the harvest ran
     over a compiled adjacency: a uniform 10x10 grid, where every sweep ties;
     the same grid with lossless channels and operations, where every
