@@ -28,7 +28,7 @@ __all__ = [
     "write_graph",
 ]
 
-_ID_RE = re.compile(r"^\S{1,64}$")
+_ID_RE = re.compile(r"\S{1,64}")
 _SYNTHETIC_RE = re.compile(r"^r[0-9]")
 
 
@@ -73,7 +73,7 @@ class Channel:
 
 
 def _check_id(kind: str, value: str) -> str:
-    if not isinstance(value, str) or not _ID_RE.match(value):
+    if not isinstance(value, str) or not _ID_RE.fullmatch(value):
         raise GraphFormatError(
             f"{kind} id {value!r} must be 1-64 non-whitespace characters"
         )
@@ -306,10 +306,10 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
             if not isinstance(entry[end], str):
                 raise GraphFormatError(f"edges[{i}]: {end} must be a string")
         fidelity, success = entry["fidelity"], entry["success"]
+        if type(fidelity) is not float or type(success) is not float:
+            fidelity = _number(entry, "fidelity", f"edges[{i}]")
+            success = _number(entry, "success", f"edges[{i}]")
         try:
-            if type(fidelity) is not float or type(success) is not float:
-                fidelity = _number(entry, "fidelity", f"edges[{i}]")
-                success = _number(entry, "success", f"edges[{i}]")
             cost = CostVector(fidelity, success)
         except ValueError as exc:
             raise GraphFormatError(f"edges[{i}]: {exc}") from None

@@ -263,10 +263,8 @@ _MALFORMED = [
     (("edges", 1, "id"), None, "edges[1]: id must be a string"),
     (("edges", 0, "a"), 1, "edges[0]: a must be a string"),
     (("edges", 1, "b"), ["B"], "edges[1]: b must be a string"),
-    (("edges", 0, "fidelity"), True,
-     "edges[0]: field 'fidelity' in edges[0] must be a number"),
-    (("edges", 1, "success"), "0.8",
-     "edges[1]: field 'success' in edges[1] must be a number"),
+    (("edges", 0, "fidelity"), True, "field 'fidelity' in edges[0] must be a number"),
+    (("edges", 1, "success"), "0.8", "field 'success' in edges[1] must be a number"),
     (("edges", 0, "fidelity"), 1.5, "edges[0]: fidelity 1.5 outside [0, 1]"),
     (("edges", 1, "success"), -0.25,
      "edges[1]: success probability -0.25 outside [0, 1]"),
@@ -281,6 +279,8 @@ _MALFORMED = [
     (("edges", 0, "b"), "A", "channel 'c1' is a self-loop"),
     (("edges", 1, "a"), "ghost", "channel 'c2' references unknown node"),
     (("nodes", 2, "id"), "m d", "node id 'm d' must be 1-64 non-whitespace characters"),
+    (("nodes", 0, "id"), "A\n", "node id 'A\\n' must be 1-64 non-whitespace characters"),
+    (("edges", 0, "id"), "A\n", "channel id 'A\\n' must be 1-64 non-whitespace characters"),
 ]
 
 
