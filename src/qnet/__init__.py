@@ -52,7 +52,6 @@ from .routing import (
     RouteResult,
     SearchBoundError,
     SearchKind,
-    brute_force_best,
     route,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "SearchKind",
     "Swap",
     "bell_fidelity",
-    "brute_force_best",
     "dephase_bell",
     "dephasing_bell_fidelity",
     "estimate",

@@ -83,8 +83,7 @@ def _check_id(kind: str, value: str) -> str:
 class NetworkGraph:
     """Immutable multigraph with per-operation cost factors.
 
-    Mutating helpers return new graphs; instances should be treated as
-    frozen once constructed.
+    Instances should be treated as frozen once constructed.
     """
 
     def __init__(
@@ -158,20 +157,6 @@ class NetworkGraph:
         self.node(node_id)
         return list(self._incidence[node_id])
 
-    def rewired(
-        self,
-        drop_channels: Iterable[str] = (),
-        add_channels: Iterable[Channel] = (),
-        drop_nodes: Iterable[str] = (),
-    ) -> "NetworkGraph":
-        """New graph with the given channels/nodes removed and channels added."""
-        dropped_c = set(drop_channels)
-        dropped_n = set(drop_nodes)
-        nodes = [n for nid, n in self._nodes.items() if nid not in dropped_n]
-        chans = [c for cid, c in self._channels.items() if cid not in dropped_c]
-        chans.extend(add_channels)
-        return NetworkGraph(nodes, chans, self.op_costs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetworkGraph):
             return NotImplemented
@@ -206,7 +191,12 @@ def _number(obj: dict, key: str, where: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise GraphFormatError(f"field {key!r} in {where} must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        raise GraphFormatError(
+            f"field {key!r} in {where} is too large for a float"
+        ) from None
 
 
 def parse_graph(document: bytes | str) -> NetworkGraph:

@@ -18,7 +18,14 @@ from enum import Enum
 from typing import Union
 
 from .algebra import CostVector, purify_cost, swap_cost
-from .graph import Channel, GraphFormatError, NetworkGraph, Node, NodeRole
+from .graph import (
+    Channel,
+    GraphFormatError,
+    NetworkGraph,
+    Node,
+    NodeRole,
+    _check_id,
+)
 from .jsonutil import quote
 
 __all__ = [
@@ -200,70 +207,16 @@ def _synthetic_start(g: NetworkGraph) -> int:
     return top + 1
 
 
-def series_step(
-    g: NetworkGraph, router_id: str, produced_id: str | None = None
-) -> tuple[NetworkGraph, ReductionStep]:
-    """Eliminate a degree-2 repeater, swapping its channels into one."""
-    node = g.node(router_id)
-    if node.role is not NodeRole.ROUTER:
-        raise ReductionError(f"cannot eliminate endpoint {router_id!r}")
-    incident = g.incident(router_id)
-    if len(incident) != 2:
-        raise ReductionError(
-            f"router {router_id!r} has degree {len(incident)}, need exactly 2"
-        )
-    c1, c2 = (g.channel(cid) for cid in incident)
-    u, w = c1.other(router_id), c2.other(router_id)
-    if u == w:
-        raise ReductionError(
-            f"both channels at {router_id!r} lead to {u!r}; purify them instead"
-        )
-    if produced_id is None:
-        produced_id = f"r{_synthetic_start(g)}"
-    cost = swap_cost(c1.cost, c2.cost, g.op_costs)
-    step = ReductionStep(
-        StepKind.SERIES, (c1.id, c2.id), router_id, produced_id, cost
-    )
-    g2 = g.rewired(
-        drop_channels=(c1.id, c2.id),
-        add_channels=(Channel(produced_id, u, w, cost),),
-        drop_nodes=(router_id,),
-    )
-    return g2, step
-
-
-def parallel_step(
-    g: NetworkGraph, first_id: str, second_id: str, produced_id: str | None = None
-) -> tuple[NetworkGraph, ReductionStep]:
-    """Purify two channels spanning the same nodes into one."""
-    if first_id == second_id:
-        raise ReductionError(f"cannot purify channel {first_id!r} with itself")
-    c1, c2 = g.channel(first_id), g.channel(second_id)
-    if c1.pair != c2.pair:
-        raise ReductionError(
-            f"channels {first_id!r} and {second_id!r} are not parallel"
-        )
-    if c2.id < c1.id:
-        c1, c2 = c2, c1
-    if produced_id is None:
-        produced_id = f"r{_synthetic_start(g)}"
-    cost = purify_cost(c1.cost, c2.cost, g.op_costs)
-    step = ReductionStep(
-        StepKind.PARALLEL, (c1.id, c2.id), None, produced_id, cost
-    )
-    g2 = g.rewired(
-        drop_channels=(c1.id, c2.id),
-        add_channels=(Channel(produced_id, c1.a, c1.b, cost),),
-    )
-    return g2, step
-
-
 class _Engine:
-    """Mutable fixpoint machinery behind reduce_to_fixpoint.
+    """Mutable rewrite machinery; every reduction step runs here.
 
-    Parallel steps are exhausted before series steps; within each kind the
-    candidate carrying the lowest channel id goes first.  Heaps with lazy
-    invalidation keep the whole run at O(|E| log |E|).
+    run() reduces to a fixpoint: parallel steps are exhausted before series
+    steps, and within each kind the candidate carrying the lowest channel id
+    goes first.  Heaps with lazy invalidation keep the whole run at
+    O(|E| log |E|).  series() and parallel() apply one named step after
+    checking that it applies.  A caller uses run() or the checked steps,
+    never both: a given produced id may reuse a consumed id, which leaves
+    stale heap entries, or take an id that _fresh_id would hand out later.
     """
 
     def __init__(self, g: NetworkGraph, series_only: bool = False) -> None:
@@ -346,9 +299,8 @@ class _Engine:
         self.next_id += 1
         return cid
 
-    def _apply_parallel(self, c1: Channel, c2: Channel) -> None:
+    def _apply_parallel(self, c1: Channel, c2: Channel, produced: str) -> None:
         cost = purify_cost(c1.cost, c2.cost, self.ops)
-        produced = self._fresh_id()
         tree = Purify(self.trees[c1.id], self.trees[c2.id])
         self.steps.append(
             ReductionStep(
@@ -361,12 +313,11 @@ class _Engine:
         self._maybe_series_candidate(c1.a)
         self._maybe_series_candidate(c1.b)
 
-    def _apply_series(self, nid: str) -> None:
+    def _apply_series(self, nid: str, produced: str) -> None:
         cid1, cid2 = sorted(self.inc[nid])
         c1, c2 = self.chan[cid1], self.chan[cid2]
         u, w = c1.other(nid), c2.other(nid)
         cost = swap_cost(c1.cost, c2.cost, self.ops)
-        produced = self._fresh_id()
         tree = Swap(self.trees[cid1], self.trees[cid2])
         self.steps.append(
             ReductionStep(StepKind.SERIES, (cid1, cid2), nid, produced, cost)
@@ -425,13 +376,60 @@ class _Engine:
             if not self.series_only:
                 pick = self._next_parallel()
                 if pick is not None:
-                    self._apply_parallel(*pick)
+                    self._apply_parallel(*pick, self._fresh_id())
                     continue
             nid = self._next_series()
             if nid is not None:
-                self._apply_series(nid)
+                self._apply_series(nid, self._fresh_id())
                 continue
             break
+
+    def _produced_id(self, produced: str | None, consumed: tuple[str, str]) -> str:
+        if produced is None:
+            return self._fresh_id()
+        _check_id("channel", produced)
+        if produced in self.chan and produced not in consumed:
+            # the channel dict would silently replace a live channel
+            raise GraphFormatError(f"duplicate channel id {produced!r}")
+        return produced
+
+    def series(self, router: str, produced: str | None = None) -> ReductionStep:
+        """Eliminate a degree-2 repeater, swapping its channels into one."""
+        role = self.roles.get(router)
+        if role is None:
+            raise GraphFormatError(f"unknown node {router!r}")
+        if role is not NodeRole.ROUTER:
+            raise ReductionError(f"cannot eliminate endpoint {router!r}")
+        incident = self.inc[router]
+        if len(incident) != 2:
+            raise ReductionError(
+                f"router {router!r} has degree {len(incident)}, need exactly 2"
+            )
+        consumed = tuple(sorted(incident))
+        u, w = (self.chan[cid].other(router) for cid in consumed)
+        if u == w:
+            raise ReductionError(
+                f"both channels at {router!r} lead to {u!r}; purify them instead"
+            )
+        self._apply_series(router, self._produced_id(produced, consumed))
+        return self.steps[-1]
+
+    def parallel(
+        self, first: str, second: str, produced: str | None = None
+    ) -> ReductionStep:
+        """Purify two channels spanning the same nodes into one."""
+        if first == second:
+            raise ReductionError(f"cannot purify channel {first!r} with itself")
+        for cid in (first, second):
+            if cid not in self.chan:
+                raise GraphFormatError(f"unknown channel {cid!r}")
+        c1, c2 = sorted((self.chan[first], self.chan[second]), key=lambda c: c.id)
+        if c1.pair != c2.pair:
+            raise ReductionError(
+                f"channels {first!r} and {second!r} are not parallel"
+            )
+        self._apply_parallel(c1, c2, self._produced_id(produced, (c1.id, c2.id)))
+        return self.steps[-1]
 
     def result(self) -> ReductionResult:
         nodes = [Node(nid, role) for nid, role in self.roles.items()]
@@ -459,23 +457,37 @@ def reduce_to_fixpoint(
     return engine.result()
 
 
+def series_step(
+    g: NetworkGraph, router_id: str, produced_id: str | None = None
+) -> tuple[NetworkGraph, ReductionStep]:
+    """Eliminate a degree-2 repeater, swapping its channels into one."""
+    engine = _Engine(g)
+    step = engine.series(router_id, produced_id)
+    return engine.result().graph, step
+
+
+def parallel_step(
+    g: NetworkGraph, first_id: str, second_id: str, produced_id: str | None = None
+) -> tuple[NetworkGraph, ReductionStep]:
+    """Purify two channels spanning the same nodes into one."""
+    engine = _Engine(g)
+    step = engine.parallel(first_id, second_id, produced_id)
+    return engine.result().graph, step
+
+
 def replay_trace(g: NetworkGraph, trace: ReductionTrace) -> NetworkGraph:
-    """Re-apply a recorded trace step by step via the public step functions."""
-    current = g
+    """Re-apply a recorded trace step by step, checking each step applies."""
+    engine = _Engine(g)
     for step in trace.steps:
         if step.kind is StepKind.SERIES:
-            current, replayed = series_step(
-                current, step.eliminated, produced_id=step.produced
-            )
+            replayed = engine.series(step.eliminated, step.produced)
         else:
-            current, replayed = parallel_step(
-                current, *step.consumed, produced_id=step.produced
-            )
+            replayed = engine.parallel(*step.consumed, step.produced)
         if replayed.consumed != step.consumed:
             raise ReductionError(
                 f"trace step {step!r} consumed {replayed.consumed} on replay"
             )
-    return current
+    return engine.result().graph
 
 
 def is_fully_reduced_pair(g: NetworkGraph, source: str, target: str) -> bool:

@@ -6,8 +6,7 @@ nodes, and tries to collapse it by series-parallel reduction.  A feasible
 full collapse is the answer; anything else falls back to an exhaustive
 search over the swap-collapsed kernel that considers every series/parallel
 combination of every channel subset, not just the combinations the greedy
-reduction would pick.  A reduction-free brute-force enumerator serves as
-the reference optimum for small graphs.
+reduction would pick.
 """
 from __future__ import annotations
 
@@ -43,7 +42,6 @@ __all__ = [
     "RouteResult",
     "SearchBoundError",
     "SearchKind",
-    "brute_force_best",
     "harvest_paths",
     "residual_search",
     "route",
@@ -455,80 +453,3 @@ def route(g: NetworkGraph, request: RouteRequest) -> RouteResult:
         search=SearchKind.EXHAUSTIVE_SEARCH,
         diagnostics=diagnostics,
     )
-
-
-def brute_force_best(
-    g: NetworkGraph, source: str, target: str, min_success: float
-) -> tuple[StrategyTree, CostVector]:
-    """Reference optimum by exhaustive merging, independent of the reducer.
-
-    Explores every way of combining channels two at a time (purify on equal
-    node pairs, swap through repeaters) and keeps the best feasible pair
-    spanning source-target.  Limited to 8 channels.
-    """
-    _check_endpoints(g, source, target)
-    if len(g.channels) > 8:
-        raise SearchBoundError(
-            f"{len(g.channels)} channels exceed the brute-force bound of 8"
-        )
-    roles = {nid: n.role for nid, n in g.nodes.items()}
-    span = tuple(sorted((source, target)))
-
-    # virtual pair: (node pair, fidelity, success, serialization, tree)
-    initial = tuple(
-        sorted(
-            (
-                tuple(sorted((c.a, c.b))),
-                c.cost.fidelity,
-                c.cost.success,
-                serialize_strategy(Leaf(c.id)),
-                Leaf(c.id),
-            )
-            for c in g.channels.values()
-        )
-    )
-    best = None
-    seen: set = set()
-    stack = [initial]
-    while stack:
-        state = stack.pop()
-        key = tuple(v[:3] for v in state)
-        if key in seen:
-            continue
-        seen.add(key)
-        for pair, f, s, ser, tree in state:
-            if pair == span and s >= min_success:
-                best = _better(best, (f, s, ser, tree))
-        n = len(state)
-        for i in range(n):
-            for j in range(i + 1, n):
-                pa, fa, sa, sera, ta = state[i]
-                pb, fb, sb, serb, tb = state[j]
-                join = _pair_join(pa, pb, roles)
-                if join is None:
-                    continue
-                merged_pair, kind = join
-                ca = CostVector(fa, sa)
-                cb = CostVector(fb, sb)
-                if kind is Purify:
-                    denom = fa * fb + (1.0 - fa) * (1.0 - fb)
-                    if denom <= 1e-12:
-                        continue
-                    cost = purify_cost(ca, cb, g.op_costs)
-                else:
-                    cost = swap_cost(ca, cb, g.op_costs)
-                merged = (
-                    merged_pair,
-                    cost.fidelity,
-                    cost.success,
-                    serialize_composite(kind, sera, serb),
-                    kind(ta, tb),
-                )
-                rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
-                stack.append(tuple(sorted(rest + (merged,))))
-    if best is None:
-        raise InfeasibleRouteError(
-            f"no strategy reaches success {min_success!r}"
-        )
-    fid, succ, _, tree = best
-    return tree, CostVector(fid, succ)

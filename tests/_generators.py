@@ -1,5 +1,6 @@
 """Random graph and strategy builders shared across test modules."""
 import random
+from itertools import combinations
 
 from qnet import (
     Channel,
@@ -11,9 +12,8 @@ from qnet import (
     OperationCosts,
     Purify,
     Swap,
-    parallel_step,
-    series_step,
 )
+from qnet.reduction import _Engine
 
 
 def build_graph(edges, endpoints=("A", "B"), ops=None):
@@ -126,40 +126,33 @@ def random_sp_graph(rng, max_edges=40):
     )
 
 
-def legal_moves(g):
-    """Every applicable rewrite: ("par", id1, id2) and ("ser", router)."""
-    moves = []
-    members = {}
-    for c in g.channels.values():
-        members.setdefault(c.pair, []).append(c.id)
-    for ids in members.values():
-        ids.sort()
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                moves.append(("par", ids[i], ids[j]))
-    for nid, node in g.nodes.items():
-        if node.role is NodeRole.ROUTER and g.degree(nid) == 2:
-            c1, c2 = (g.channel(cid) for cid in g.incident(nid))
-            if c1.other(nid) != c2.other(nid):
-                moves.append(("ser", nid))
-    return moves
-
-
 def reduce_random_order(g, rng):
     """Drive reduction by uniformly random legal steps; terminal cost vector.
 
-    Only meaningful on graphs that collapse to a single channel.
+    Only meaningful on graphs that collapse to a single channel.  Moves are
+    listed in the engine's insertion order with each pair's channel ids
+    sorted, so the draws depend on nothing but the rng.
     """
+    engine = _Engine(g)
     while True:
-        moves = legal_moves(g)
+        moves = []
+        for members in engine.pair_members.values():
+            if len(members) > 1:
+                moves += [("par", a, b) for a, b in combinations(sorted(members), 2)]
+        for nid, role in engine.roles.items():
+            incident = engine.inc[nid]
+            if role is NodeRole.ROUTER and len(incident) == 2:
+                c1, c2 = (engine.chan[cid] for cid in incident)
+                if c1.other(nid) != c2.other(nid):
+                    moves.append(("ser", nid))
         if not moves:
             break
         move = rng.choice(moves)
         if move[0] == "par":
-            g, _ = parallel_step(g, move[1], move[2])
+            engine.parallel(move[1], move[2])
         else:
-            g, _ = series_step(g, move[1])
-    (channel,) = g.channels.values()
+            engine.series(move[1])
+    (channel,) = engine.chan.values()
     return channel.cost
 
 

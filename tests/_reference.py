@@ -16,6 +16,12 @@ reference_run_chunk is the Monte Carlo chunk kernel as first written: it
 draws a fresh array per chunk and compares one strided column at a time.
 With acceptance on, the tallies of qnet.montecarlo's worker must equal
 the sums of its tallies; with acceptance off, its delivered count.
+
+brute_force_best is the reference optimum for graphs of up to 8 channels:
+it merges virtual pairs two at a time in every order, without reduction,
+sharing only the pair-merge rule and tie-break of qnet.routing.  route
+must match it whenever its subgraph holds every channel the oracle used,
+and never beat it.
 """
 from __future__ import annotations
 
@@ -25,11 +31,25 @@ import math
 
 import numpy as np
 
-from qnet.algebra import to_log_loss
+from qnet.algebra import CostVector, purify_cost, swap_cost, to_log_loss
 from qnet.graph import NetworkGraph, NodeRole
 from qnet.jsonutil import RawJSON
-from qnet.reduction import Leaf, StrategyTree, Swap
-from qnet.routing import RouteRequest, _check_endpoints
+from qnet.reduction import (
+    Leaf,
+    Purify,
+    StrategyTree,
+    Swap,
+    serialize_composite,
+    serialize_strategy,
+)
+from qnet.routing import (
+    InfeasibleRouteError,
+    RouteRequest,
+    SearchBoundError,
+    _better,
+    _check_endpoints,
+    _pair_join,
+)
 
 
 def _dijkstra(
@@ -210,3 +230,80 @@ def reference_run_chunk(
     n_delivered = int(np.count_nonzero(delivered))
     n_unflipped = int(np.count_nonzero(delivered & ~flipped))
     return n_delivered, n_unflipped
+
+
+def brute_force_best(
+    g: NetworkGraph, source: str, target: str, min_success: float
+) -> tuple[StrategyTree, CostVector]:
+    """Reference optimum by exhaustive merging, independent of the reducer.
+
+    Explores every way of combining channels two at a time (purify on equal
+    node pairs, swap through repeaters) and keeps the best feasible pair
+    spanning source-target.  Limited to 8 channels.
+    """
+    _check_endpoints(g, source, target)
+    if len(g.channels) > 8:
+        raise SearchBoundError(
+            f"{len(g.channels)} channels exceed the brute-force bound of 8"
+        )
+    roles = {nid: n.role for nid, n in g.nodes.items()}
+    span = tuple(sorted((source, target)))
+
+    # virtual pair: (node pair, fidelity, success, serialization, tree)
+    initial = tuple(
+        sorted(
+            (
+                tuple(sorted((c.a, c.b))),
+                c.cost.fidelity,
+                c.cost.success,
+                serialize_strategy(Leaf(c.id)),
+                Leaf(c.id),
+            )
+            for c in g.channels.values()
+        )
+    )
+    best = None
+    seen: set = set()
+    stack = [initial]
+    while stack:
+        state = stack.pop()
+        key = tuple(v[:3] for v in state)
+        if key in seen:
+            continue
+        seen.add(key)
+        for pair, f, s, ser, tree in state:
+            if pair == span and s >= min_success:
+                best = _better(best, (f, s, ser, tree))
+        n = len(state)
+        for i in range(n):
+            for j in range(i + 1, n):
+                pa, fa, sa, sera, ta = state[i]
+                pb, fb, sb, serb, tb = state[j]
+                join = _pair_join(pa, pb, roles)
+                if join is None:
+                    continue
+                merged_pair, kind = join
+                ca = CostVector(fa, sa)
+                cb = CostVector(fb, sb)
+                if kind is Purify:
+                    denom = fa * fb + (1.0 - fa) * (1.0 - fb)
+                    if denom <= 1e-12:
+                        continue
+                    cost = purify_cost(ca, cb, g.op_costs)
+                else:
+                    cost = swap_cost(ca, cb, g.op_costs)
+                merged = (
+                    merged_pair,
+                    cost.fidelity,
+                    cost.success,
+                    serialize_composite(kind, sera, serb),
+                    kind(ta, tb),
+                )
+                rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
+                stack.append(tuple(sorted(rest + (merged,))))
+    if best is None:
+        raise InfeasibleRouteError(
+            f"no strategy reaches success {min_success!r}"
+        )
+    fid, succ, _, tree = best
+    return tree, CostVector(fid, succ)

@@ -4,8 +4,10 @@ Each test prints a single summary line on success (visible with -s or -rP);
 pytest's own verdict line is the pass/fail signal.  Budgets are asserted so a
 performance regression shows up as a test failure rather than a slow suite.
 """
+import importlib
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -21,6 +23,8 @@ from _generators import (
     seeded,
     two_path_graph,
 )
+from _reference import brute_force_best
+import qnet
 from qnet import (
     GridSpec,
     GridStrategy,
@@ -32,7 +36,6 @@ from qnet import (
     SearchKind,
     Swap,
     bell_fidelity,
-    brute_force_best,
     dephase_bell,
     dephasing_bell_fidelity,
     estimate,
@@ -302,3 +305,19 @@ def test_reports_are_deterministic(tmp_path):
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     print(f"PASS determinism: 3 commands x 3 runs byte-identical, {elapsed:.1f}s")
+
+
+def test_public_names_resolve():
+    started = time.perf_counter()
+    modules = [qnet] + [
+        importlib.import_module(f"qnet.{info.name}")
+        for info in pkgutil.iter_modules(qnet.__path__)
+        if not info.name.startswith("_")  # __main__ runs the CLI on import
+    ]
+    checked = 0
+    for module in modules:
+        for name in module.__all__:
+            getattr(module, name)  # AttributeError for a dangling export
+            checked += 1
+    elapsed = time.perf_counter() - started
+    print(f"PASS public names: {checked} names in {len(modules)} modules resolve, {elapsed:.2f}s")

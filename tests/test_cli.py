@@ -100,6 +100,18 @@ def test_invalid_document_fails_cleanly(tmp_path):
     assert json.loads(proc.stdout)["code"] == 1
 
 
+def test_oversized_integer_cost_fails_cleanly(tmp_path):
+    doc = json.loads(serialize_graph(two_path_graph()))
+    doc["edges"][0]["fidelity"] = 10**400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli(["reduce", str(bad)])
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["message"] == (
+        "field 'fidelity' in edges[0] is too large for a float"
+    )
+
+
 def test_deeply_nested_documents_fail_cleanly(tmp_path, two_path_doc):
     graph = tmp_path / "deep_graph.json"
     graph.write_text(

@@ -1,4 +1,5 @@
 """Rewrite engine: step semantics, fixpoint reduction, traces, strategies."""
+import dataclasses
 import gc
 import json
 import statistics
@@ -199,10 +200,55 @@ def test_synthetic_ids_continue_after_partial_reduction():
 
 
 def test_trace_replay_reproduces_terminal_graph():
-    for seed in range(10):
-        g = random_sp_graph(seeded(seed), max_edges=20)
+    graphs = [random_sp_graph(seeded(seed), max_edges=20) for seed in range(10)]
+    # 3,000 rungs: a replay that rebuilds the whole graph at every step is
+    # quadratic and takes tens of seconds on it
+    graphs.append(_ladder(6000))
+    for g in graphs:
         result = reduce_to_fixpoint(g)
         assert replay_trace(g, result.trace) == result.graph
+
+
+def _tampered(trace, index, **changes):
+    steps = list(trace.steps)
+    steps[index] = dataclasses.replace(steps[index], **changes)
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
+def test_trace_replay_rejects_tampered_steps():
+    g = two_path_graph()
+    trace = reduce_to_fixpoint(g).trace
+    # m1's channels are c1 and c2, whatever the step claims
+    with pytest.raises(ReductionError, match="consumed"):
+        replay_trace(g, _tampered(trace, 0, consumed=("c3", "c4")))
+    # a parallel step normalizes its channel order on replay
+    with pytest.raises(ReductionError, match="consumed"):
+        replay_trace(g, _tampered(trace, 2, consumed=("r1", "r0")))
+    with pytest.raises(GraphFormatError, match="unknown node 'ghost'"):
+        replay_trace(g, _tampered(trace, 1, eliminated="ghost"))
+    with pytest.raises(GraphFormatError, match="unknown channel 'r9'"):
+        replay_trace(g, _tampered(trace, 2, consumed=("r0", "r9")))
+    with pytest.raises(GraphFormatError, match="duplicate channel id 'c3'"):
+        replay_trace(g, _tampered(trace, 0, produced="c3"))
+    with pytest.raises(GraphFormatError, match="1-64 non-whitespace"):
+        replay_trace(g, _tampered(trace, 0, produced="r 0"))
+
+
+def test_step_functions_check_produced_ids():
+    g = two_path_graph()
+    # a produced id may reuse one the step consumes
+    g2, step = series_step(g, "m1", produced_id="c1")
+    assert step.produced == "c1"
+    assert set(g2.channels) == {"c1", "c3", "c4"}
+    assert g2.channel("c1").pair == frozenset(("A", "B"))
+    with pytest.raises(GraphFormatError, match="duplicate channel id 'c4'"):
+        series_step(g, "m1", produced_id="c4")
+    g3, _ = series_step(g2, "m2", produced_id="r7")
+    _, step = parallel_step(g3, "r7", "c1")
+    assert step.consumed == ("c1", "r7")
+    assert step.produced == "r8"
+    with pytest.raises(GraphFormatError, match="must be 1-64"):
+        parallel_step(g3, "c1", "r7", produced_id="")
 
 
 def test_strategies_evaluate_to_terminal_costs():

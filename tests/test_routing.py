@@ -11,7 +11,7 @@ from _generators import (
     seeded,
     two_path_graph,
 )
-from _reference import reference_harvest_paths
+from _reference import brute_force_best, reference_harvest_paths
 from qnet import (
     AlgebraDomainError,
     Channel,
@@ -28,7 +28,6 @@ from qnet import (
     SearchBoundError,
     SearchKind,
     Swap,
-    brute_force_best,
     evaluate_strategy,
     route,
 )
