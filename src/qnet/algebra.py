@@ -28,10 +28,12 @@ __all__ = [
     "purify_chain",
     "purify_cost",
     "purify_fidelity",
+    "purify_floats",
     "purify_value",
     "swap_chain",
     "swap_cost",
     "swap_fidelity",
+    "swap_floats",
     "swap_inverse",
     "swap_value",
     "to_log_loss",
@@ -138,13 +140,15 @@ def swap_inverse(f: float | Fidelity) -> Fidelity:
     return Fidelity(g, formal=not 0.0 <= g <= 1.0)
 
 
+def _singular(f1: float, f2: float) -> AlgebraDomainError:
+    return AlgebraDomainError(f"singular purification input ({f1!r}, {f2!r})")
+
+
 def purify_value(f1: float, f2: float) -> float:
     """Raw purification quotient, checking only the singular denominator."""
     denom = f1 * f2 + (1.0 - f1) * (1.0 - f2)
     if abs(denom) <= SINGULAR_EPS:
-        raise AlgebraDomainError(
-            f"singular purification input ({f1!r}, {f2!r})"
-        )
+        raise _singular(f1, f2)
     return (f1 * f2) / denom
 
 def purify_fidelity(f1: float | Fidelity, f2: float | Fidelity) -> float:
@@ -247,22 +251,43 @@ def add_log_loss(a: float, b: float) -> float:
     return a + b
 
 
+def swap_floats(
+    f1: float, s1: float, f2: float, s2: float, ops: OperationCosts
+) -> tuple[float, float]:
+    """(fidelity, success) of swap_cost on plain floats, without range checks."""
+    return f1 * f2 + (1.0 - f1) * (1.0 - f2), s1 * s2 * ops.swap_success
+
+
+def purify_floats(
+    f1: float, s1: float, f2: float, s2: float, ops: OperationCosts
+) -> tuple[float, float]:
+    """(fidelity, success) of purify_cost on plain floats.
+
+    Raises AlgebraDomainError on a singular input, as purify_value does, but
+    checks no range.
+    """
+    agree = f1 * f2 + (1.0 - f1) * (1.0 - f2)
+    if abs(agree) <= SINGULAR_EPS:
+        raise _singular(f1, f2)
+    s = s1 * s2 * ops.purify_success
+    if ops.physical_acceptance:
+        # the acceptance probability is the agreement itself
+        s *= agree
+    return (f1 * f2) / agree, s
+
+
 def swap_cost(c1: CostVector, c2: CostVector, ops: OperationCosts) -> CostVector:
     """Cost vector of swapping two pairs at a shared repeater."""
     return CostVector(
-        swap_value(c1.fidelity, c2.fidelity),
-        c1.success * c2.success * ops.swap_success,
+        *swap_floats(c1.fidelity, c1.success, c2.fidelity, c2.success, ops)
     )
 
 
 def purify_cost(c1: CostVector, c2: CostVector, ops: OperationCosts) -> CostVector:
     """Cost vector of purifying two pairs spanning the same nodes."""
-    f = purify_value(c1.fidelity, c2.fidelity)
-    s = c1.success * c2.success * ops.purify_success
-    if ops.physical_acceptance:
-        # purify_acceptance without re-checking fields CostVector validated
-        s *= swap_value(c1.fidelity, c2.fidelity)
-    return CostVector(f, s)
+    return CostVector(
+        *purify_floats(c1.fidelity, c1.success, c2.fidelity, c2.success, ops)
+    )
 
 
 def dephasing_bell_fidelity(p: float) -> float:

@@ -291,7 +291,11 @@ class _Engine:
         c = self.chan.pop(cid)
         self.inc[c.a].discard(cid)
         self.inc[c.b].discard(cid)
-        self.pair_members[c.pair].discard(cid)
+        members = self.pair_members[c.pair]
+        members.discard(cid)
+        if not members:
+            del self.pair_members[c.pair]
+            del self.pair_heap[c.pair]
         del self.trees[cid]
 
     def _fresh_id(self) -> str:
@@ -361,8 +365,8 @@ class _Engine:
                 continue
             cid1, cid2 = sorted(self.inc[nid])
             if key != cid1:
+                # the change that moved the key pushed a current entry
                 heapq.heappop(self.ser_heap)
-                heapq.heappush(self.ser_heap, (cid1, nid))
                 continue
             c1, c2 = self.chan[cid1], self.chan[cid2]
             if c1.other(nid) == c2.other(nid):

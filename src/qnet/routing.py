@@ -18,8 +18,8 @@ from enum import Enum
 from .algebra import (
     AlgebraDomainError,
     CostVector,
-    purify_cost,
-    swap_cost,
+    purify_floats,
+    swap_floats,
     to_log_loss,
 )
 from .graph import GraphFormatError, NetworkGraph, NodeRole
@@ -242,53 +242,22 @@ def _pair_join(
     return tuple(sorted((x, z))), Swap
 
 
-# Frontier entry: (fidelity, success, serialization, tree, cost).
-_Entry = tuple[float, float, str, StrategyTree, CostVector]
+# Frontier entry: (fidelity, success, serialization, tree).
+_Entry = tuple[float, float, str, StrategyTree]
 
 
 def _compose(
-    cost: CostVector, kind: type[Swap] | type[Purify], a: _Entry, b: _Entry
+    fid: float,
+    succ: float,
+    kind: type[Swap] | type[Purify],
+    a: _Entry,
+    b: _Entry,
 ) -> _Entry:
     """Entry for kind(a, b), children ordered by serialization."""
     if b[2] < a[2]:
         a, b = b, a
     ser = serialize_composite(kind, a[2], b[2])
-    return cost.fidelity, cost.success, ser, kind(a[3], b[3]), cost
-
-
-def _frontier_add(
-    entries: list[_Entry],
-    cost: CostVector,
-    kind: type[Swap] | type[Purify],
-    a: _Entry,
-    b: _Entry,
-) -> None:
-    """Insert the candidate kind(a, b) into a Pareto frontier over (F, s).
-
-    A candidate weakly dominated by an entry is dropped, except that an
-    exact (fidelity, success) tie keeps whichever of the two has the
-    lexicographically smaller serialization; a surviving candidate evicts
-    every entry it weakly dominates.  The candidate's serialization (the
-    children's stored strings, composed in serialization order) and its
-    tree node are built only when it survives or ties exactly; most
-    candidates are dominated and never need either.
-
-    Pruning is sound because both operations are monotone in each
-    operand's fidelity, and in success, while every fidelity is at least
-    1/2.  Swapping gives 1/2 + 2(f1 - 1/2)(f2 - 1/2), which decreases in
-    one operand once the other is below 1/2, so callers must guarantee
-    F >= 1/2 on every channel; swap and purify preserve it.
-    """
-    fid, succ = cost.fidelity, cost.success
-    for k, e in enumerate(entries):
-        if e[0] >= fid and e[1] >= succ:
-            if e[0] == fid and e[1] == succ:
-                cand = _compose(cost, kind, a, b)
-                if cand[2] < e[2]:
-                    entries[k] = cand
-            return
-    entries[:] = [e for e in entries if not (fid >= e[0] and succ >= e[1])]
-    entries.append(_compose(cost, kind, a, b))
+    return fid, succ, ser, kind(a[3], b[3])
 
 
 def _exhaustive_search(
@@ -301,18 +270,38 @@ def _exhaustive_search(
     subset.  Swapping joins two disjoint subsets sharing one router (the
     router may serve other subsets again, which plain graph reduction
     cannot express); purification joins two disjoint subsets over the
-    same pair.  Returns (best, candidate trees evaluated).
+    same pair.  Returns (best, candidates evaluated).
 
-    Raises AlgebraDomainError for a channel of fidelity below 1/2, where
-    Pareto pruning would be unsound (see _frontier_add).
+    Frontiers hold (fidelity, success) over a Pareto antichain: a candidate
+    weakly dominated by an entry is dropped, except that an exact tie keeps
+    the smaller serialization, and a survivor evicts every entry it weakly
+    dominates.  Each candidate is scored on plain floats by swap_floats or
+    purify_floats, with CostVector's range check; its serialization (the
+    children's strings, composed in serialization order) and its tree node
+    are built only when it survives or ties exactly.  Dominance pruning is
+    sound because both operations are monotone in each operand's fidelity,
+    and in success, while every fidelity is at least 1/2.  Swapping gives
+    1/2 + 2(f1 - 1/2)(f2 - 1/2), which decreases in one operand once the
+    other is below 1/2, so a channel of fidelity below 1/2 raises
+    AlgebraDomainError; swap and purify preserve F >= 1/2.
+
+    A leaf or candidate whose success is below min_success never enters a
+    frontier (such a candidate still counts as evaluated).  Both operations
+    multiply success by factors in [0, 1], and x*y <= x in IEEE arithmetic
+    for y in [0, 1], so nothing built on it could reach the floor; an entry
+    dominating a feasible one is feasible itself, so the feasible part of
+    every frontier, and the answer, are what they would be without this
+    pruning.  A final frontier is the Pareto set of its candidates whatever
+    the order of insertion, and both operations are bit-symmetric in their
+    operands, so each unordered split is taken once, with the lowest
+    channel in its first part.
     """
     ids = sorted(g.channels)
     roles = {nid: n.role for nid, n in g.nodes.items()}
     ops = g.op_costs
-    span = tuple(sorted((source, target)))
-    frontiers: list[dict[tuple[str, str], list[_Entry]]] = [
-        {} for _ in range(1 << len(ids))
-    ]
+    joins: dict = {}
+    # frontiers[mask]: (node pair, entries) of every non-empty state.
+    frontiers: list[list] = [[]] * (1 << len(ids))
     for i, cid in enumerate(ids):
         c = g.channel(cid)
         if c.cost.fidelity < 0.5:
@@ -321,46 +310,70 @@ def _exhaustive_search(
                 "below 1/2; the exhaustive search is exact only for "
                 "fidelities >= 1/2"
             )
-        tree = Leaf(cid)
-        ser = serialize_strategy(tree)
-        frontiers[1 << i][(c.a, c.b)] = [
-            (c.cost.fidelity, c.cost.success, ser, tree, c.cost)
-        ]
-    joins: dict = {}
+        if c.cost.success >= min_success:
+            tree = Leaf(cid)
+            ser = serialize_strategy(tree)
+            entry = (c.cost.fidelity, c.cost.success, ser, tree)
+            frontiers[1 << i] = [((c.a, c.b), [entry])]
     evaluated = 0
     for mask in range(3, 1 << len(ids)):
-        if mask & (mask - 1) == 0:
+        low = mask & -mask
+        rest = mask ^ low
+        if not rest:
             continue
-        frontier = frontiers[mask]
-        sub = (mask - 1) & mask
+        frontier: dict[tuple[str, str], list[_Entry]] = {}
+        sub = rest
         while sub:
-            other = mask ^ sub
-            if sub < other and frontiers[sub] and frontiers[other]:
-                for pa, ea in frontiers[sub].items():
-                    for pb, eb in frontiers[other].items():
-                        key = (pa, pb)
-                        if key not in joins:
-                            joins[key] = _pair_join(pa, pb, roles)
-                        join = joins[key]
-                        if join is None:
-                            continue
-                        produced, kind = join
-                        merge = purify_cost if kind is Purify else swap_cost
-                        bucket = frontier.setdefault(produced, [])
-                        for a in ea:
-                            for b in eb:
-                                cost = merge(a[4], b[4], ops)
-                                evaluated += 1
-                                _frontier_add(bucket, cost, kind, a, b)
-            sub = (sub - 1) & mask
+            sub = (sub - 1) & rest
+            first = frontiers[low | sub]
+            if not first:
+                continue
+            second = frontiers[rest ^ sub]
+            for pa, ea in first:
+                for pb, eb in second:
+                    key = (pa, pb)
+                    if key not in joins:
+                        joins[key] = _pair_join(pa, pb, roles)
+                    join = joins[key]
+                    if join is None:
+                        continue
+                    produced, kind = join
+                    merge = purify_floats if kind is Purify else swap_floats
+                    evaluated += len(ea) * len(eb)
+                    bucket = frontier.setdefault(produced, [])
+                    for a in ea:
+                        fa, sa = a[0], a[1]
+                        for b in eb:
+                            fid, succ = merge(fa, sa, b[0], b[1], ops)
+                            if not (0.0 <= fid <= 1.0 and 0.0 <= succ <= 1.0):
+                                CostVector(fid, succ)  # raises its range error
+                            if succ < min_success:
+                                continue
+                            for k, e in enumerate(bucket):
+                                if e[0] >= fid and e[1] >= succ:
+                                    if e[0] == fid and e[1] == succ:
+                                        cand = _compose(fid, succ, kind, a, b)
+                                        if cand[2] < e[2]:
+                                            bucket[k] = cand
+                                    break
+                            else:
+                                bucket[:] = [
+                                    e
+                                    for e in bucket
+                                    if not (fid >= e[0] and succ >= e[1])
+                                ]
+                                bucket.append(_compose(fid, succ, kind, a, b))
+        frontiers[mask] = [(p, es) for p, es in frontier.items() if es]
+    span = tuple(sorted((source, target)))
     best: _Entry | None = None
-    for mask in range(1, 1 << len(ids)):
-        for entry in frontiers[mask].get(span, []):
-            if entry[1] >= min_success:
-                best = _better(best, entry)
+    for states in frontiers:
+        for p, entries in states:
+            if p == span:
+                for entry in entries:
+                    best = _better(best, entry)
     if best is None:
         return None, evaluated
-    return (best[3], best[4]), evaluated
+    return (best[3], CostVector(best[0], best[1])), evaluated
 
 
 def residual_search(
@@ -372,7 +385,9 @@ def residual_search(
 ) -> tuple[StrategyTree, CostVector]:
     """Exhaustive subset search for graphs the reduction could not collapse.
 
-    Raises AlgebraDomainError when a channel's fidelity is below 1/2.
+    Partial strategies whose success is already below min_success are
+    dropped as they appear, which never changes the answer.  Raises
+    AlgebraDomainError when a channel's fidelity is below 1/2.
     """
     if len(g.channels) > max_channels:
         raise SearchBoundError(

@@ -17,6 +17,13 @@ draws a fresh array per chunk and compares one strided column at a time.
 With acceptance on, the tallies of qnet.montecarlo's worker must equal
 the sums of its tallies; with acceptance off, its delivered count.
 
+reference_exhaustive_search is the kernel subset search as it was before
+it pruned partial strategies below the success floor: every candidate is
+scored through swap_cost/purify_cost into a CostVector, and every split of a
+subset is taken in the order (sub, other) with sub < other.
+qnet.routing._exhaustive_search must return the same strategy and cost, or
+None, and never evaluate more candidates.
+
 brute_force_best is the reference optimum for graphs of up to 8 channels:
 it merges virtual pairs two at a time in every order, without reduction,
 sharing only the pair-merge rule and tie-break of qnet.routing.  route
@@ -31,7 +38,13 @@ import math
 
 import numpy as np
 
-from qnet.algebra import CostVector, purify_cost, swap_cost, to_log_loss
+from qnet.algebra import (
+    AlgebraDomainError,
+    CostVector,
+    purify_cost,
+    swap_cost,
+    to_log_loss,
+)
 from qnet.graph import NetworkGraph, NodeRole
 from qnet.jsonutil import RawJSON
 from qnet.reduction import (
@@ -230,6 +243,127 @@ def reference_run_chunk(
     n_delivered = int(np.count_nonzero(delivered))
     n_unflipped = int(np.count_nonzero(delivered & ~flipped))
     return n_delivered, n_unflipped
+
+
+# Frontier entry: (fidelity, success, serialization, tree, cost).
+_Entry = tuple[float, float, str, StrategyTree, CostVector]
+
+
+def _compose(
+    cost: CostVector, kind: type[Swap] | type[Purify], a: _Entry, b: _Entry
+) -> _Entry:
+    """Entry for kind(a, b), children ordered by serialization."""
+    if b[2] < a[2]:
+        a, b = b, a
+    ser = serialize_composite(kind, a[2], b[2])
+    return cost.fidelity, cost.success, ser, kind(a[3], b[3]), cost
+
+
+def _frontier_add(
+    entries: list[_Entry],
+    cost: CostVector,
+    kind: type[Swap] | type[Purify],
+    a: _Entry,
+    b: _Entry,
+) -> None:
+    """Insert the candidate kind(a, b) into a Pareto frontier over (F, s).
+
+    A candidate weakly dominated by an entry is dropped, except that an
+    exact (fidelity, success) tie keeps whichever of the two has the
+    lexicographically smaller serialization; a surviving candidate evicts
+    every entry it weakly dominates.  The candidate's serialization (the
+    children's stored strings, composed in serialization order) and its
+    tree node are built only when it survives or ties exactly; most
+    candidates are dominated and never need either.
+
+    Pruning is sound because both operations are monotone in each
+    operand's fidelity, and in success, while every fidelity is at least
+    1/2.  Swapping gives 1/2 + 2(f1 - 1/2)(f2 - 1/2), which decreases in
+    one operand once the other is below 1/2, so callers must guarantee
+    F >= 1/2 on every channel; swap and purify preserve it.
+    """
+    fid, succ = cost.fidelity, cost.success
+    for k, e in enumerate(entries):
+        if e[0] >= fid and e[1] >= succ:
+            if e[0] == fid and e[1] == succ:
+                cand = _compose(cost, kind, a, b)
+                if cand[2] < e[2]:
+                    entries[k] = cand
+            return
+    entries[:] = [e for e in entries if not (fid >= e[0] and succ >= e[1])]
+    entries.append(_compose(cost, kind, a, b))
+
+
+def reference_exhaustive_search(
+    g: NetworkGraph, source: str, target: str, min_success: float
+) -> tuple[tuple[StrategyTree, CostVector] | None, int]:
+    """Best feasible strategy over every series/parallel composition.
+
+    Dynamic programming over (channel subset, node pair): each state keeps
+    the Pareto-optimal ways to build one virtual pair from exactly that
+    subset.  Swapping joins two disjoint subsets sharing one router (the
+    router may serve other subsets again, which plain graph reduction
+    cannot express); purification joins two disjoint subsets over the
+    same pair.  Returns (best, candidate trees evaluated).
+
+    Raises AlgebraDomainError for a channel of fidelity below 1/2, where
+    Pareto pruning would be unsound (see _frontier_add).
+    """
+    ids = sorted(g.channels)
+    roles = {nid: n.role for nid, n in g.nodes.items()}
+    ops = g.op_costs
+    span = tuple(sorted((source, target)))
+    frontiers: list[dict[tuple[str, str], list[_Entry]]] = [
+        {} for _ in range(1 << len(ids))
+    ]
+    for i, cid in enumerate(ids):
+        c = g.channel(cid)
+        if c.cost.fidelity < 0.5:
+            raise AlgebraDomainError(
+                f"kernel channel {cid!r} has fidelity {c.cost.fidelity!r} "
+                "below 1/2; the exhaustive search is exact only for "
+                "fidelities >= 1/2"
+            )
+        tree = Leaf(cid)
+        ser = serialize_strategy(tree)
+        frontiers[1 << i][(c.a, c.b)] = [
+            (c.cost.fidelity, c.cost.success, ser, tree, c.cost)
+        ]
+    joins: dict = {}
+    evaluated = 0
+    for mask in range(3, 1 << len(ids)):
+        if mask & (mask - 1) == 0:
+            continue
+        frontier = frontiers[mask]
+        sub = (mask - 1) & mask
+        while sub:
+            other = mask ^ sub
+            if sub < other and frontiers[sub] and frontiers[other]:
+                for pa, ea in frontiers[sub].items():
+                    for pb, eb in frontiers[other].items():
+                        key = (pa, pb)
+                        if key not in joins:
+                            joins[key] = _pair_join(pa, pb, roles)
+                        join = joins[key]
+                        if join is None:
+                            continue
+                        produced, kind = join
+                        merge = purify_cost if kind is Purify else swap_cost
+                        bucket = frontier.setdefault(produced, [])
+                        for a in ea:
+                            for b in eb:
+                                cost = merge(a[4], b[4], ops)
+                                evaluated += 1
+                                _frontier_add(bucket, cost, kind, a, b)
+            sub = (sub - 1) & mask
+    best: _Entry | None = None
+    for mask in range(1, 1 << len(ids)):
+        for entry in frontiers[mask].get(span, []):
+            if entry[1] >= min_success:
+                best = _better(best, entry)
+    if best is None:
+        return None, evaluated
+    return (best[3], best[4]), evaluated
 
 
 def brute_force_best(

@@ -1,9 +1,11 @@
 """Rewrite engine: step semantics, fixpoint reduction, traces, strategies."""
 import dataclasses
 import gc
+import heapq
 import json
 import statistics
 import time
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,9 +41,11 @@ from qnet import (
     series_step,
     swap_chain,
 )
+from qnet import reduction
 from qnet.jsonutil import canonical_dumps
 from qnet.reduction import (
     StepKind,
+    _Engine,
     fold,
     serialize_composite,
     serialize_strategy,
@@ -367,6 +371,56 @@ def test_fixpoint_scales_near_linearly():
         ratios[4000].append(elapsed[4000] / elapsed[2000])
     assert statistics.median(ratios[2000]) <= 2.5, ratios
     assert statistics.median(ratios[4000]) <= 2.5, ratios
+
+
+def _rung_ladder(rungs):
+    """A-B chain of rungs hops, each two parallel channels h{j}_0 and h{j}_1.
+
+    The ids sort unlike the chain (h10_0 before h2_0), and the synthetic ids
+    of the purified rungs (r0, r1, ...) do too, so the lowest channel at a
+    router changes while it waits in the series heap.
+    """
+    hops = ["A"] + [f"l{j}" for j in range(1, rungs)] + ["B"]
+    nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
+    nodes += [Node(nid, NodeRole.ROUTER) for nid in hops[1:-1]]
+    chans = [
+        Channel(f"h{j}_{k}", hops[j], hops[j + 1], CostVector(0.99, 0.999))
+        for j in range(rungs)
+        for k in (0, 1)
+    ]
+    return NetworkGraph(nodes, chans)
+
+
+def test_series_heap_pushes_stay_linear(monkeypatch):
+    """A series entry whose key went stale is dropped, not pushed back.
+
+    Every change at a router pushes a fresh entry, so the heap needs at most
+    one push per router and two per step; pushing stale entries back made
+    the 750-rung ladder take about 47 heap pops per step.
+    """
+    pushes = 0
+
+    def heappush(heap, item):
+        nonlocal pushes
+        pushes += isinstance(item, tuple)  # series entries are (key, router)
+        heapq.heappush(heap, item)
+
+    shim = types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+    monkeypatch.setattr(reduction, "heapq", shim)
+    g = _rung_ladder(750)
+    result = reduce_to_fixpoint(g)
+    assert len(result.graph.channels) == 1
+    routers = len(g.nodes) - 2
+    assert pushes <= routers + 2 * len(result.trace.steps), pushes
+
+
+def test_engine_keeps_only_live_node_pairs():
+    engine = _Engine(_ladder(2000))
+    engine.run()
+    live = {c.pair for c in engine.chan.values()}
+    assert len(live) == 1
+    assert set(engine.pair_members) == live
+    assert set(engine.pair_heap) == live
 
 
 strategy_trees = st.recursive(

@@ -1,6 +1,8 @@
 """Path harvesting, route planning, and the brute-force reference search."""
 import json
+import math
 import pathlib
+import re
 
 import pytest
 
@@ -11,7 +13,11 @@ from _generators import (
     seeded,
     two_path_graph,
 )
-from _reference import brute_force_best, reference_harvest_paths
+from _reference import (
+    brute_force_best,
+    reference_exhaustive_search,
+    reference_harvest_paths,
+)
 from qnet import (
     AlgebraDomainError,
     Channel,
@@ -32,7 +38,12 @@ from qnet import (
     route,
 )
 from qnet.cli import run
-from qnet.routing import UNBOUNDED_PATHS, harvest_paths, residual_search
+from qnet.routing import (
+    UNBOUNDED_PATHS,
+    _exhaustive_search,
+    harvest_paths,
+    residual_search,
+)
 from qnet.reduction import serialize_strategy, strategy_leaves
 
 TWO_PATH_COST = CostVector(0.9540295119182747, 0.46241928000000015)
@@ -366,7 +377,11 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch
     written from templates: reduce --trace and route on a document whose
     node and channel ids hold a quote, a backslash, a control character,
     non-ASCII and astral characters and "</s>", and reduce --trace on the
-    uniform 10x10 grid.
+    uniform 10x10 grid.  Once the search dropped partial strategies below
+    the success floor, the 17 route cases where it drops some (the 16
+    kernel-search documents and the lossless grid) were pinned again with
+    candidates_evaluated alone changed, each count lower than before; the
+    two tie bridges and every other case kept their bytes.
     """
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) == 39
@@ -426,3 +441,76 @@ def test_route_refuses_low_fidelity_kernel():
     # a graph the reduction collapses never reaches the search
     collapsed = route(two_path_graph(fidelity=0.3), RouteRequest("A", "B", 0.05))
     assert collapsed.search is SearchKind.FULLY_REDUCED
+
+
+def _search_agrees_with_reference(g, floor):
+    """Compare the search with the reference; return what the case showed."""
+    try:
+        expected, reference_count = reference_exhaustive_search(g, "A", "B", floor)
+    except AlgebraDomainError as refused:
+        with pytest.raises(AlgebraDomainError, match=re.escape(str(refused))):
+            _exhaustive_search(g, "A", "B", floor)
+        return "refused"
+    found, count = _exhaustive_search(g, "A", "B", floor)
+    assert count <= reference_count
+    if expected is None:
+        assert found is None
+        return "infeasible"
+    assert found is not None
+    assert serialize_strategy(found[0]) == serialize_strategy(expected[0])
+    assert found[1] == expected[1]
+    return "pruned" if count < reference_count else "found"
+
+
+def test_exhaustive_search_matches_reference_oracle():
+    """The floor-pruned search answers as the unpruned reference does.
+
+    Random kernels of up to 7 channels with fidelities from [0.47, 0.98], so
+    that some hold a channel below 1/2, which both must refuse with the same
+    message.  Each is searched with its own operation costs and with swap
+    and purify successes of 0 or 1, acceptance on or off, and some channel
+    successes set to exactly 1.  Floors: 1e-6, 1.0, a channel's success, a
+    floor just above every channel, and the success of the best strategy at
+    1e-6, each exactly attainable, so only strictly lower entries may go.
+    The strategy, its cost, or None must match bit for bit, and the count
+    of evaluated candidates may only fall; above every channel it is 0.
+    """
+    rng = seeded(8100)
+    seen = {"refused": 0, "infeasible": 0, "found": 0, "pruned": 0}
+    exact = 0
+    for seed in range(8100, 8300):
+        base = random_connected_graph(
+            seeded(seed), max_channels=7, fidelity=(0.47, 0.98)
+        )
+        extreme = OperationCosts(
+            swap_success=rng.choice((0.0, 1.0)),
+            purify_success=rng.choice((0.0, 1.0)),
+            physical_acceptance=rng.random() < 0.5,
+        )
+        for ops in (base.op_costs, extreme):
+            channels = [
+                c
+                if rng.random() < 0.7
+                else Channel(c.id, c.a, c.b, CostVector(c.cost.fidelity, 1.0))
+                for c in base.channels.values()
+            ]
+            g = NetworkGraph(base.nodes.values(), channels, ops)
+            successes = sorted(c.cost.success for c in channels)
+            floors = [1e-6, 1.0, rng.choice(successes)]
+            if successes[-1] < 1.0:
+                above = math.nextafter(successes[-1], 1.0)
+                floors.append(above)
+                if min(c.cost.fidelity for c in channels) >= 0.5:
+                    assert _exhaustive_search(g, "A", "B", above) == (None, 0)
+            try:
+                best, _ = reference_exhaustive_search(g, "A", "B", 1e-6)
+            except AlgebraDomainError:
+                best = None
+            if best is not None:
+                floors.append(best[1].success)
+            for floor in floors:
+                outcome = _search_agrees_with_reference(g, floor)
+                seen[outcome] += 1
+                exact += best is not None and floor == best[1].success
+    assert min(seen.values()) > 0, seen
+    assert exact > 0
