@@ -114,8 +114,6 @@ def _build_parser() -> _Parser:
     p_route.add_argument("--source", required=True)
     p_route.add_argument("--target", required=True)
     p_route.add_argument("--min-success", type=float, required=True)
-    p_route.add_argument("--max-paths", type=int, default=None)
-    p_route.add_argument("--max-bruteforce-edges", type=int, default=12)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo check of a strategy")
     p_sim.add_argument("graph")
@@ -125,8 +123,13 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--source")
     p_sim.add_argument("--target")
     p_sim.add_argument("--min-success", type=float)
-    p_sim.add_argument("--max-paths", type=int, default=None)
-    p_sim.add_argument("--max-bruteforce-edges", type=int, default=12)
+    for p in (p_route, p_sim):
+        p.add_argument("--max-paths", type=int, default=RouteRequest.max_paths)
+        p.add_argument(
+            "--max-bruteforce-edges",
+            type=int,
+            default=RouteRequest.max_bruteforce_edges,
+        )
 
     p_grid = sub.add_parser("grid", help="cost of a breadth x depth grid")
     p_grid.add_argument("--breadth", type=int, required=True)
@@ -192,15 +195,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _route_request(args) -> RouteRequest:
-    kwargs = {
-        "source": args.source,
-        "target": args.target,
-        "min_success": args.min_success,
-        "max_bruteforce_edges": args.max_bruteforce_edges,
-    }
-    if args.max_paths is not None:
-        kwargs["max_paths"] = args.max_paths
-    return RouteRequest(**kwargs)
+    return RouteRequest(
+        args.source, args.target, args.min_success,
+        args.max_paths, args.max_bruteforce_edges,
+    )
 
 
 def _route_obj(result: RouteResult) -> dict:

@@ -22,7 +22,6 @@ __all__ = [
     "NetworkGraph",
     "Node",
     "NodeRole",
-    "graph_to_obj",
     "parse_graph",
     "serialize_graph",
     "write_graph",
@@ -313,34 +312,13 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         raise GraphFormatError(str(exc)) from None
 
 
-def graph_to_obj(g: NetworkGraph) -> dict:
-    """Plain-data form of a graph (the version-1 document layout)."""
-    return {
-        "version": 1,
-        "op_costs": {
-            "swap_success": g.op_costs.swap_success,
-            "purify_success": g.op_costs.purify_success,
-            "physical_acceptance": g.op_costs.physical_acceptance,
-        },
-        "nodes": [
-            {"id": n.id, "role": n.role.value}
-            for n in sorted(g.nodes.values(), key=lambda n: n.id)
-        ],
-        "edges": [
-            {
-                "id": c.id,
-                "a": c.a,
-                "b": c.b,
-                "fidelity": c.cost.fidelity,
-                "success": c.cost.success,
-            }
-            for c in sorted(g.channels.values(), key=lambda c: c.id)
-        ],
-    }
-
-
 def write_graph(g: NetworkGraph, out: list[str]) -> None:
-    """Append canonical_dumps(graph_to_obj(g)) to out, one template per record."""
+    """Append g's canonical version-1 document to out.
+
+    The document holds edges (a, b, fidelity, id, success) and nodes (id,
+    role), each sorted by id, op_costs and "version": 1, with the sorted
+    keys and float text of canonical_dumps; one template per record.
+    """
     out.append('{"edges":[')
     out.append(",".join([
         '{"a":%s,"b":%s,"fidelity":%s,"id":%s,"success":%s}' % (

@@ -43,7 +43,6 @@ __all__ = [
     "SearchBoundError",
     "SearchKind",
     "harvest_paths",
-    "residual_search",
     "route",
 ]
 
@@ -376,95 +375,54 @@ def _exhaustive_search(
     return (best[3], CostVector(best[0], best[1])), evaluated
 
 
-def residual_search(
-    g: NetworkGraph,
-    source: str,
-    target: str,
-    min_success: float,
-    max_channels: int = 12,
-) -> tuple[StrategyTree, CostVector]:
-    """Exhaustive subset search for graphs the reduction could not collapse.
-
-    Partial strategies whose success is already below min_success are
-    dropped as they appear, which never changes the answer.  Raises
-    AlgebraDomainError when a channel's fidelity is below 1/2.
-    """
-    if len(g.channels) > max_channels:
-        raise SearchBoundError(
-            f"{len(g.channels)} channels exceed the search bound {max_channels}"
-        )
-    best, _ = _exhaustive_search(g, source, target, min_success)
-    if best is None:
-        raise InfeasibleRouteError(
-            f"no strategy reaches success {min_success!r}"
-        )
-    return best
-
-
 def route(g: NetworkGraph, request: RouteRequest) -> RouteResult:
     """Plan the best strategy between two endpoints under a success floor.
 
     Maximizes fidelity subject to cost.success >= min_success; ties break
-    toward higher success, then the smallest strategy serialization.  The
-    exhaustive-search fallback raises AlgebraDomainError when a kernel
-    channel's fidelity is below 1/2.
+    toward higher success, then the smallest strategy serialization.  A
+    request nothing satisfies gives an Infeasible result.  Raises
+    GraphFormatError for a bad endpoint, SearchBoundError when the kernel
+    left by series reduction has more than max_bruteforce_edges channels,
+    and AlgebraDomainError when a kernel channel's fidelity is below 1/2.
     """
-    _check_endpoints(g, request.source, request.target)
     source, target = request.source, request.target
     paths, examined = harvest_paths(g, request)
+    strategy = cost = None
+    search = SearchKind.INFEASIBLE
+    evaluated = steps = 0
     if not paths:
-        empty = NetworkGraph(
-            [g.node(source), g.node(target)], [], g.op_costs
-        )
-        return RouteResult(
-            subgraph=empty,
-            strategy=None,
-            cost=None,
-            paths_harvested=0,
-            search=SearchKind.INFEASIBLE,
-            diagnostics=RouteDiagnostics(examined, 0, 0),
-        )
-    sub = _induced_subgraph(g, paths, source, target)
-    collapsed = reduce_to_fixpoint(sub)
-    steps = len(collapsed.trace.steps)
-    if is_fully_reduced_pair(collapsed.graph, source, target):
-        (channel,) = collapsed.graph.channels.values()
-        if channel.cost.success >= request.min_success:
-            return RouteResult(
-                subgraph=sub,
-                strategy=collapsed.strategies[channel.id],
-                cost=channel.cost,
-                paths_harvested=len(paths),
-                search=SearchKind.FULLY_REDUCED,
-                diagnostics=RouteDiagnostics(examined, 1, steps),
+        # Only the endpoints: a direct channel below the floor stays out.
+        sub = NetworkGraph([g.node(source), g.node(target)], [], g.op_costs)
+    else:
+        sub = _induced_subgraph(g, paths, source, target)
+        collapsed = reduce_to_fixpoint(sub)
+        steps = len(collapsed.trace.steps)
+        if is_fully_reduced_pair(collapsed.graph, source, target):
+            (channel,) = collapsed.graph.channels.values()
+            if channel.cost.success >= request.min_success:
+                strategy, cost = collapsed.strategies[channel.id], channel.cost
+                search, evaluated = SearchKind.FULLY_REDUCED, 1
+        if strategy is None:
+            kernel = reduce_to_fixpoint(sub, series_only=True)
+            if len(kernel.graph.channels) > request.max_bruteforce_edges:
+                raise SearchBoundError(
+                    f"irreducible remainder of {len(kernel.graph.channels)} "
+                    "channels exceeds "
+                    f"max_bruteforce_edges={request.max_bruteforce_edges}"
+                )
+            best, evaluated = _exhaustive_search(
+                kernel.graph, source, target, request.min_success
             )
-    kernel = reduce_to_fixpoint(sub, series_only=True)
-    if len(kernel.graph.channels) > request.max_bruteforce_edges:
-        raise SearchBoundError(
-            f"irreducible remainder of {len(kernel.graph.channels)} channels "
-            f"exceeds max_bruteforce_edges={request.max_bruteforce_edges}"
-        )
-    best, evaluated = _exhaustive_search(
-        kernel.graph, source, target, request.min_success
-    )
-    diagnostics = RouteDiagnostics(examined, evaluated, steps)
-    if best is None:
-        return RouteResult(
-            subgraph=sub,
-            strategy=None,
-            cost=None,
-            paths_harvested=len(paths),
-            search=SearchKind.INFEASIBLE,
-            diagnostics=diagnostics,
-        )
-    tree, cost = best
-    # Expand each kernel channel into the swap chain that built it.
-    tree = fold(tree, kernel.strategies.__getitem__, Swap, Purify)
+            if best is not None:
+                tree, cost = best
+                # Expand each kernel channel into the swap chain that built it.
+                strategy = fold(tree, kernel.strategies.__getitem__, Swap, Purify)
+                search = SearchKind.EXHAUSTIVE_SEARCH
     return RouteResult(
         subgraph=sub,
-        strategy=tree,
+        strategy=strategy,
         cost=cost,
         paths_harvested=len(paths),
-        search=SearchKind.EXHAUSTIVE_SEARCH,
-        diagnostics=diagnostics,
+        search=search,
+        diagnostics=RouteDiagnostics(examined, evaluated, steps),
     )

@@ -9,8 +9,9 @@ harvest_paths must return exactly what it returns.
 reference_canonical_dumps is the canonical JSON emitter as first written:
 one isinstance chain per value and one json.dumps call per string and per
 key.  reference_step_obj is the plain-data form a reduction step had in
-reports.  Whatever qnet.jsonutil.canonical_dumps and the report templates
-write must equal what these give.
+reports, and graph_to_obj that of a version-1 graph document.  Whatever
+qnet.jsonutil.canonical_dumps and the report templates write must equal
+what these give.
 
 reference_run_chunk is the Monte Carlo chunk kernel as first written: it
 draws a fresh array per chunk and compares one strided column at a time.
@@ -198,6 +199,32 @@ def reference_step_obj(step) -> dict:
         "produced": step.produced,
         "fidelity": step.cost.fidelity,
         "success": step.cost.success,
+    }
+
+
+def graph_to_obj(g: NetworkGraph) -> dict:
+    """Plain-data form of a graph (the version-1 document layout)."""
+    return {
+        "version": 1,
+        "op_costs": {
+            "swap_success": g.op_costs.swap_success,
+            "purify_success": g.op_costs.purify_success,
+            "physical_acceptance": g.op_costs.physical_acceptance,
+        },
+        "nodes": [
+            {"id": n.id, "role": n.role.value}
+            for n in sorted(g.nodes.values(), key=lambda n: n.id)
+        ],
+        "edges": [
+            {
+                "id": c.id,
+                "a": c.a,
+                "b": c.b,
+                "fidelity": c.cost.fidelity,
+                "success": c.cost.success,
+            }
+            for c in sorted(g.channels.values(), key=lambda c: c.id)
+        ],
     }
 
 

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import random_sp_graph
-from _reference import reference_canonical_dumps, reference_step_obj
+from _reference import (
+    graph_to_obj,
+    reference_canonical_dumps,
+    reference_step_obj,
+)
 from qnet import (
     Channel,
     CostVector,
@@ -21,7 +25,7 @@ from qnet import (
     serialize_graph,
 )
 from qnet.cli import _write_trace
-from qnet.graph import graph_to_obj, write_graph
+from qnet.graph import write_graph
 from qnet.jsonutil import Deferred, RawJSON, canonical_dumps
 
 # Characters whose JSON form is an escape: quote, backslash, controls,

@@ -40,9 +40,9 @@ from qnet import (
 from qnet.cli import run
 from qnet.routing import (
     UNBOUNDED_PATHS,
+    RouteDiagnostics,
     _exhaustive_search,
     harvest_paths,
-    residual_search,
 )
 from qnet.reduction import serialize_strategy, strategy_leaves
 
@@ -187,6 +187,22 @@ def test_route_infeasible_threshold():
     result = route(two_path_graph(), RouteRequest("A", "B", 0.9))
     assert result.search is SearchKind.INFEASIBLE
     assert result.paths_harvested == 0
+    # no path reaches the floor: the subgraph is the bare endpoints, without
+    # the direct channel below the floor
+    g = build_graph(
+        [
+            ("d", "A", "B", 0.9, 0.5),
+            ("p1", "A", "m", 0.9, 0.6),
+            ("p2", "m", "B", 0.9, 0.6),
+        ]
+    )
+    result = route(g, RouteRequest("A", "B", 0.9))
+    assert result.search is SearchKind.INFEASIBLE
+    assert sorted(result.subgraph.nodes) == ["A", "B"]
+    assert result.subgraph.channels == {}
+    assert result.diagnostics == RouteDiagnostics(1, 0, 0)
+    assert result.paths_harvested == 0
+    assert result.strategy is None and result.cost is None
 
 
 def test_route_bridge_matches_brute_force_exactly():
@@ -269,14 +285,12 @@ def test_route_endpoint_validation():
         route(g, RouteRequest("A", "ghost", 0.5))
 
 
-def test_residual_search_directly():
-    tree, cost = residual_search(two_path_graph(), "A", "B", 0.3)
+def test_exhaustive_search_directly():
+    (tree, cost), _ = _exhaustive_search(two_path_graph(), "A", "B", 0.3)
     assert cost == TWO_PATH_COST
     assert serialize_strategy(tree) == serialize_strategy(TWO_PATH_TREE)
-    with pytest.raises(SearchBoundError):
-        residual_search(two_path_graph(), "A", "B", 0.3, max_channels=3)
-    with pytest.raises(InfeasibleRouteError):
-        residual_search(two_path_graph(), "A", "B", 0.99)
+    found, _ = _exhaustive_search(two_path_graph(), "A", "B", 0.99)
+    assert found is None
 
 
 def test_brute_force_reference_behaviour():
@@ -413,13 +427,11 @@ def test_search_refuses_fidelity_below_half():
         low = min(c.cost.fidelity for c in g.channels.values()) < 0.5
         low_graphs += low
         try:
-            found = residual_search(g, "A", "B", 1e-6)
+            found, _ = _exhaustive_search(g, "A", "B", 1e-6)
         except AlgebraDomainError:
             assert low, seed
             refused += 1
             continue
-        except InfeasibleRouteError:
-            found = None
         try:
             oracle = brute_force_best(g, "A", "B", 1e-6)
         except InfeasibleRouteError:
