@@ -1,21 +1,24 @@
 """Monte-Carlo validation of the cost algebra.
 
 One vectorised executor runs a strategy tree over many samples at once.
-Each sample tracks a (delivered, phase_flipped) pair per node: a channel
-delivers with its success probability and arrives phase-flipped with
-probability 1 - fidelity.  Swapping XORs the flip bits of its inputs,
-purification post-selects on agreement.  Estimates tally delivery and flip
-rates over the samples; a 4x4 density-matrix path provides an independent
-quantum mechanical check for the dephasing channel.
+Each sample tracks a (delivered, phase_flipped) pair per node.  A channel
+reads one uniform u: it delivers if u < success and arrives phase-flipped
+if u < success * (1 - fidelity), so a delivered pair is flipped with
+probability 1 - fidelity.  An operation reads one more uniform for its own
+success.  Swapping XORs the flip bits of its inputs, purification
+post-selects on agreement.  Estimates tally delivery and flip rates over
+the samples; a 4x4 density-matrix path provides an independent quantum
+mechanical check for the dephasing channel.
 
 With physical acceptance off, a purification whose flips disagree still
 delivers, as the algebra charges no acceptance to success; the fidelity is
 then estimated over the delivered samples that agreed at every
 purification, the post-selected state the algebra's fidelity describes.
 
-Sample i always consumes the same counter-indexed slice of the Philox
-stream keyed by the seed, so estimates are bit-identical no matter how the
-work is chunked or how many workers run it.
+Sample i always consumes draws [i * width, (i + 1) * width) of the
+PCG64DXSM stream seeded by the seed, width = 2 * leaves - 1, reached by
+jumping ahead; so estimates are bit-identical no matter how the work is
+chunked or how many workers run it.
 """
 from __future__ import annotations
 
@@ -38,12 +41,16 @@ __all__ = [
 ]
 
 # A chunk holds at most this many samples, and a worker at most this many
-# bytes: 8 of draws and 1 of compare results per draw (the transposed rows
-# reuse the bytes of the draws), so a thread's memory stays bounded whatever
-# the size of the tree.
+# bytes: 8 of draws and 1 of compare results per draw and 1 more per leaf
+# for its flip compare (the transposed rows reuse the bytes of the draws),
+# plus _SPARE_BYTES for the iteration buffers numpy allocates inside a
+# compare (np.getbufsize() elements of each of its three operands, about
+# 136 KiB) and the walk's array views.  A thread's memory stays bounded
+# whatever the size of the tree.
 _CHUNK_SAMPLES = 1 << 16
 _CHUNK_BYTES = 32 << 20
 _CELL_BYTES = 9
+_SPARE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -56,32 +63,36 @@ class McEstimate:
     seed: int
 
 
-def _probabilities(
-    nodes: list[StrategyTree], g: NetworkGraph, width: int
-) -> np.ndarray:
-    """The row each sample's draws are compared against, column by column.
+def _thresholds(
+    nodes: list[StrategyTree], g: NetworkGraph
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows each sample's draws are compared against.
 
-    Columns follow the post-order nodes: a leaf's success and flip
-    probability, then one column per operation for its success; the
-    padding columns are never read.
+    The first row has one column per draw: every leaf's success, in
+    post-order, then every operation's success, in post-order.  The second
+    has one column per leaf: the success times the flip probability, which
+    the leaf's draw is compared against a second time.
     """
     ops = g.op_costs
-    probs: list[float] = []
+    leaf_success: list[float] = []
+    op_success: list[float] = []
+    flip: list[float] = []
     for node in nodes:
         if isinstance(node, Leaf):
             cost = g.channel(node.channel).cost
-            probs += (cost.success, 1.0 - cost.fidelity)
+            leaf_success.append(cost.success)
+            flip.append(cost.success * (1.0 - cost.fidelity))
         elif isinstance(node, Swap):
-            probs.append(ops.swap_success)
+            op_success.append(ops.swap_success)
         else:
-            probs.append(ops.purify_success)
-    probs += [0.0] * (width - len(probs))
-    return np.array(probs, dtype=np.float64)
+            op_success.append(ops.purify_success)
+    return np.array(leaf_success + op_success), np.array(flip)
 
 
 def _run_worker(
     nodes: list[StrategyTree],
     probs: np.ndarray,
+    flip_probs: np.ndarray,
     acceptance: bool,
     seed: int,
     ranges: list[tuple[int, int]],
@@ -92,39 +103,49 @@ def _run_worker(
     purification; with physical acceptance on, a disagreement already
     fails the purification, so every delivered sample is accepted.
 
-    Sample i's draws are the width draws of the seed's Philox stream that
-    start at draw i * width.  The buffers are allocated once, for the
-    largest range, and reused: each range is drawn, compared against probs
-    in one dense pass, and transposed so that every column is one
-    contiguous row.  The walk then combines rows in place; each row belongs
-    to exactly one node, so nothing it overwrites is read again.
+    Sample i's draws are the width = 2 * leaves - 1 draws of the seed's
+    PCG64DXSM stream that start at draw i * width: one per leaf, then one
+    per operation.  A leaf delivers if its draw u is below its success s
+    and arrives flipped if u < s * (1 - fidelity); given delivery u / s is
+    uniform, and the flip of an undelivered leaf is never read.
+
+    The buffers are allocated once, for the largest range, and reused:
+    each range is drawn, compared against probs and its leaf columns
+    against flip_probs into width + leaves compare results a sample, and
+    transposed so that every column is one contiguous row.  The walk then
+    combines rows in place; each row belongs to exactly one node, so
+    nothing it overwrites is read again.
     """
     width = len(probs)
-    cells = max(count for _, count in ranges) * width
-    draw_buf = np.empty(cells)
+    leaves = len(flip_probs)
+    cols = width + leaves
+    most = max(count for _, count in ranges)
+    draw_buf = np.empty(most * width)
     row_buf = draw_buf.view(np.bool_)  # the draws are dead once compared
-    hit_buf = np.empty(cells, dtype=np.bool_)
+    hit_buf = np.empty(most * cols, dtype=np.bool_)
     n_delivered = n_accepted = n_unflipped = 0
     for start, count in ranges:
         draws = draw_buf[: count * width].reshape(count, width)
-        hits = hit_buf[: count * width].reshape(count, width)
-        rows = row_buf[: count * width].reshape(width, count)
-        bits = np.random.Philox(key=seed)
-        bits.advance(start * width // 4)
+        hits = hit_buf[: count * cols].reshape(count, cols)
+        rows = row_buf[: count * cols].reshape(cols, count)
+        bits = np.random.PCG64DXSM(seed)
+        bits.advance(start * width)
         np.random.Generator(bits).random(out=draws)
-        np.less(draws, probs, out=hits)
+        np.less(draws, probs, out=hits[:, :width])
+        np.less(draws[:, :leaves], flip_probs, out=hits[:, width:])
         np.copyto(rows, hits.T)
         values: list[tuple[np.ndarray, np.ndarray]] = []
         accepted = None  # conjunction of the agreements, acceptance off
-        col = 0
+        leaf = 0
+        op = leaves
         for node in nodes:
             if isinstance(node, Leaf):
-                values.append((rows[col], rows[col + 1]))
-                col += 2
+                values.append((rows[leaf], rows[width + leaf]))
+                leaf += 1
                 continue
             db, zb = values.pop()
             da, za = values.pop()
-            ok = rows[col]
+            ok = rows[op]
             ok &= da
             ok &= db
             if isinstance(node, Swap):
@@ -138,7 +159,7 @@ def _run_worker(
                 else:
                     accepted &= zb
             values.append((ok, za))
-            col += 1
+            op += 1
         ((delivered, flipped),) = values
         n_delivered += int(np.count_nonzero(delivered))
         if accepted is not None:
@@ -166,13 +187,14 @@ def estimate(
         raise ValueError("samples must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed {seed} outside [0, 2**128)")
     check_strategy(tree, g)
     nodes = postorder(tree)
-    leaves = (len(nodes) + 1) // 2
-    # 3 * leaves - 1 draws, padded to whole 4-draw blocks of the Philox stream
-    width = -(-(3 * leaves - 1) // 4) * 4
-    probs = _probabilities(nodes, g, width)
-    chunk = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // (_CELL_BYTES * width)))
+    probs, flip_probs = _thresholds(nodes, g)
+    sample_bytes = _CELL_BYTES * len(probs) + len(flip_probs)
+    room = (_CHUNK_BYTES - _SPARE_BYTES) // sample_bytes
+    chunk = max(1, min(_CHUNK_SAMPLES, room))
     ranges = [
         (start, min(chunk, samples - start))
         for start in range(0, samples, chunk)
@@ -183,7 +205,8 @@ def estimate(
         tallies = list(
             pool.map(
                 lambda k: _run_worker(
-                    nodes, probs, acceptance, seed, ranges[k::workers]
+                    nodes, probs, flip_probs, acceptance, seed,
+                    ranges[k::workers],
                 ),
                 range(workers),
             )

@@ -13,10 +13,18 @@ reports, and graph_to_obj that of a version-1 graph document.  Whatever
 qnet.jsonutil.canonical_dumps and the report templates write must equal
 what these give.
 
-reference_run_chunk is the Monte Carlo chunk kernel as first written: it
-draws a fresh array per chunk and compares one strided column at a time.
-With acceptance on, the tallies of qnet.montecarlo's worker must equal
-the sums of its tallies; with acceptance off, its delivered count.
+reference_run_chunk is an independent oracle for the Monte Carlo stream:
+it draws every sample's uniforms from PCG64DXSM in one call, with no
+jump-ahead and no chunking, and compares one strided column at a time.  The
+delivered / accepted / unflipped tallies of qnet.montecarlo's workers must
+sum to its tallies exactly, with physical acceptance on or off.
+
+philox_two_draw_tallies is the Monte Carlo kernel as it was before it drew
+one uniform per leaf: two Philox draws per leaf (delivery, then flip), one
+per operation, padded to whole 4-draw blocks.  It samples the same
+distribution from another stream, so it is a statistical oracle only:
+qnet.montecarlo.estimate must agree with it within a fixed number of
+standard errors.
 
 reference_exhaustive_search is the kernel subset search as it was before
 it pruned partial strategies below the success floor: every candidate is
@@ -228,48 +236,119 @@ def graph_to_obj(g: NetworkGraph) -> dict:
     }
 
 
+def _walk_tallies(
+    nodes: list[StrategyTree],
+    g: NetworkGraph,
+    leaf_bits: list[tuple[np.ndarray, np.ndarray]],
+    op_bits: list[np.ndarray],
+) -> tuple[int, int, int]:
+    """Delivered / accepted / accepted-and-unflipped counts of the samples.
+
+    leaf_bits holds every leaf's (delivered, flipped) rows in post-order,
+    op_bits every operation's success row in post-order.  Each node's value
+    is (delivered, flipped, agreed), agreed meaning that the flips agreed at
+    every purification below it; with physical acceptance on, a
+    disagreement fails the purification instead.
+    """
+    physical = g.op_costs.physical_acceptance
+    leaf_iter = iter(leaf_bits)
+    op_iter = iter(op_bits)
+    values: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for node in nodes:
+        if isinstance(node, Leaf):
+            delivered, flipped = next(leaf_iter)
+            values.append((delivered, flipped, np.ones_like(delivered)))
+            continue
+        db, zb, ab = values.pop()
+        da, za, aa = values.pop()
+        ok = da & db & next(op_iter)
+        if isinstance(node, Swap):
+            values.append((ok, za ^ zb, aa & ab))
+        elif physical:
+            values.append((ok & (za == zb), za, aa & ab))
+        else:
+            values.append((ok, za, aa & ab & (za == zb)))
+    ((delivered, flipped, agreed),) = values
+    accepted = delivered & agreed
+    return (
+        int(np.count_nonzero(delivered)),
+        int(np.count_nonzero(accepted)),
+        int(np.count_nonzero(accepted & ~flipped)),
+    )
+
+
+def _op_success(node: StrategyTree, g: NetworkGraph) -> float:
+    ops = g.op_costs
+    return ops.swap_success if isinstance(node, Swap) else ops.purify_success
+
+
 def reference_run_chunk(
     nodes: list[StrategyTree],
     g: NetworkGraph,
     seed: int,
-    start: int,
-    count: int,
-    width: int,
-) -> tuple[int, int]:
-    """Delivered / delivered-and-unflipped tallies for samples [start, start+count).
+    samples: int,
+) -> tuple[int, int, int]:
+    """Delivered / accepted / accepted-and-unflipped tallies of the samples.
 
-    Each sample owns width draws; their columns follow the post-order
-    nodes: two per leaf, one per operation.
+    Each sample owns 2 * leaves - 1 consecutive draws of the seed's
+    PCG64DXSM stream: one per leaf in post-order, then one per operation in
+    post-order.  A leaf delivers if its draw u is below its success s and
+    is flipped if u < s * (1 - fidelity).
     """
-    bits = np.random.Philox(key=seed)
-    bits.advance(start * width // 4)
-    draws = np.random.Generator(bits).random(count * width).reshape(count, width)
-    ops = g.op_costs
-    values: list[tuple[np.ndarray, np.ndarray]] = []
+    leaves = [node for node in nodes if isinstance(node, Leaf)]
+    operations = [node for node in nodes if not isinstance(node, Leaf)]
+    width = len(leaves) + len(operations)
+    draws = np.random.Generator(np.random.PCG64DXSM(seed)).random(
+        samples * width
+    ).reshape(samples, width)
+    leaf_bits = []
+    for col, leaf in enumerate(leaves):
+        cost = g.channel(leaf.channel).cost
+        u = draws[:, col]
+        leaf_bits.append(
+            (u < cost.success, u < cost.success * (1.0 - cost.fidelity))
+        )
+    op_bits = [
+        draws[:, len(leaves) + k] < _op_success(node, g)
+        for k, node in enumerate(operations)
+    ]
+    return _walk_tallies(nodes, g, leaf_bits, op_bits)
+
+
+def philox_two_draw_tallies(
+    nodes: list[StrategyTree],
+    g: NetworkGraph,
+    seed: int,
+    samples: int,
+) -> tuple[int, int, int]:
+    """The tallies of the two-draw Philox kernel, for samples [0, samples).
+
+    Each sample owns 3 * leaves - 1 draws of the Philox stream keyed by the
+    seed, padded to a multiple of 4; their columns follow the post-order
+    nodes: a leaf's delivery u1 < s and flip u2 < 1 - fidelity, then one
+    column per operation for its success.
+    """
+    leaves = (len(nodes) + 1) // 2
+    width = -(-(3 * leaves - 1) // 4) * 4
+    draws = np.random.Generator(np.random.Philox(key=seed)).random(
+        samples * width
+    ).reshape(samples, width)
+    leaf_bits, op_bits = [], []
     col = 0
     for node in nodes:
         if isinstance(node, Leaf):
             cost = g.channel(node.channel).cost
-            delivered = draws[:, col] < cost.success
-            flipped = draws[:, col + 1] < (1.0 - cost.fidelity)
-            values.append((delivered, flipped))
+            leaf_bits.append(
+                (
+                    draws[:, col] < cost.success,
+                    draws[:, col + 1] < 1.0 - cost.fidelity,
+                )
+            )
             col += 2
-            continue
-        db, zb = values.pop()
-        da, za = values.pop()
-        if isinstance(node, Swap):
-            ok = da & db & (draws[:, col] < ops.swap_success)
-            values.append((ok, za ^ zb))
         else:
-            ok = da & db & (draws[:, col] < ops.purify_success)
-            if ops.physical_acceptance:
-                ok = ok & (za == zb)
-            values.append((ok, za))
-        col += 1
-    ((delivered, flipped),) = values
-    n_delivered = int(np.count_nonzero(delivered))
-    n_unflipped = int(np.count_nonzero(delivered & ~flipped))
-    return n_delivered, n_unflipped
+            op_bits.append(draws[:, col] < _op_success(node, g))
+            col += 1
+    return _walk_tallies(nodes, g, leaf_bits, op_bits)
 
 
 # Frontier entry: (fidelity, success, serialization, tree, cost).

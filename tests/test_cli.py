@@ -275,6 +275,19 @@ def test_simulate_route_driven(two_path_doc):
     assert doc["strategy"]["op"] == "purify"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128), "0", str(2**128 - 1)])
+def test_simulate_seed_domain(two_path_doc, seed):
+    """Seeds are the integers in [0, 2**128); qnet refuses the others itself."""
+    proc = run_cli(["simulate", two_path_doc, "--samples", "100", "--seed", seed])
+    doc = json.loads(proc.stdout)
+    if 0 <= int(seed) < 2**128:
+        assert proc.returncode == 0
+        assert doc["estimate"]["seed"] == int(seed)
+    else:
+        assert proc.returncode == 1
+        assert doc["message"] == f"seed {seed} outside [0, 2**128)"
+
+
 def test_simulate_default_strategy_reduces_graph(two_path_doc):
     proc = run_cli(["simulate", two_path_doc, "--samples", "1000"])
     assert proc.returncode == 0

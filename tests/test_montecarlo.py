@@ -1,4 +1,6 @@
 """Stochastic sampler: vectorised strategy execution, estimates, density matrices."""
+import tracemalloc
+from math import sqrt
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,7 @@ from _generators import (
     series_chain,
     two_path_graph,
 )
-from _reference import reference_run_chunk
+from _reference import philox_two_draw_tallies, reference_run_chunk
 from qnet import (
     Channel,
     CostVector,
@@ -129,6 +131,9 @@ def test_estimate_validation():
         estimate(Leaf("missing"), g, 100, seed=0)
     with pytest.raises(ReductionError):
         estimate(Swap(Leaf("c1"), Leaf("c1")), g, 100, seed=0)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match=rf"^seed {seed} outside"):
+            estimate(Leaf("c1"), g, 100, seed=seed)
 
 
 def test_estimate_thread_count_never_changes_numbers():
@@ -138,6 +143,28 @@ def test_estimate_thread_count_never_changes_numbers():
     single = estimate(tree, g, 200001, seed=9, threads=1)
     for threads in (2, 3, 4):
         assert estimate(tree, g, 200001, seed=9, threads=threads) == single
+
+
+def _budget(sample_bytes, samples):
+    """A worker budget that holds chunks of exactly `samples` samples."""
+    return sample_bytes * samples + montecarlo._SPARE_BYTES
+
+
+def _worker_tallies(tree, g, samples, seed, threads=1, budget=None):
+    """The (delivered, accepted, unflipped) tallies of each of estimate's workers."""
+    tallies = []
+    run_worker = montecarlo._run_worker
+
+    def recording(*args):
+        result = run_worker(*args)
+        tallies.append(result)
+        return result
+
+    budget = budget or montecarlo._CHUNK_BYTES
+    with mock.patch.object(montecarlo, "_run_worker", recording), \
+            mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
+        estimate(tree, g, samples, seed, threads)
+    return tallies
 
 
 def test_chunk_budget_bounds_memory_and_never_changes_numbers(monkeypatch):
@@ -153,8 +180,8 @@ def test_chunk_budget_bounds_memory_and_never_changes_numbers(monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_worker", recording)
     whole = estimate(tree, g, 5000, seed=12)
     assert counts == [5000]
-    # 4 leaves take 11 draws per sample, padded to 12: 108 bytes a sample
-    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 108 * 777)
+    # 4 leaves take 7 draws per sample and 4 flip compares: 67 bytes a sample
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _budget(67, 777))
     counts.clear()
     assert estimate(tree, g, 5000, seed=12, threads=2) == whole
     assert max(counts) == 777 and sum(counts) == 5000
@@ -210,28 +237,123 @@ def _sampled_trees(draw):
 def test_kernel_tallies_match_reference_chunk(case, samples, chunk, threads, seed):
     tree, g = case
     nodes = postorder(tree)
-    width = -(-(3 * len(g.channels) - 1) // 4) * 4
-    want = reference_run_chunk(nodes, g, seed, 0, samples, width)
-    tallies = []
+    leaves = len(g.channels)
+    want = reference_run_chunk(nodes, g, seed, samples)
+    # a budget a little over `chunk` samples still gives chunks of `chunk`
+    width = 2 * leaves - 1
+    sample_bytes = montecarlo._CELL_BYTES * width + leaves
+    budget = _budget(sample_bytes, chunk) + width
+    tallies = _worker_tallies(tree, g, samples, seed, threads, budget)
+    assert len(tallies) == min(threads, -(-samples // chunk))
+    assert tuple(sum(column) for column in zip(*tallies)) == want
+
+
+@pytest.mark.parametrize(
+    "seed, success, fidelity",
+    [
+        (0, 0.7, 0.8),
+        (1, 1.0, 0.5),
+        (2, 0.3, 1.0),
+        (3, 1.0, 0.0),
+        (4, 5e-324, 0.0),
+        (2**128 - 1, 1.0 - 2.0**-53, 0.9),
+    ],
+)
+def test_one_leaf_reads_one_uniform_per_sample(seed, success, fidelity):
+    """Sample i of a 1-leaf tree is draw i of the stream: delivered iff
+    u < s, flipped iff u < s * (1 - f), across chunks and workers."""
+    samples = 30001
+    u = np.random.Generator(np.random.PCG64DXSM(seed)).random(samples)
+    g = build_graph([("c1", "A", "B", fidelity, success)])
+    # 1 draw and 1 flip compare: 10 bytes a sample, chunks of 4,096
+    tallies = _worker_tallies(Leaf("c1"), g, samples, seed, 3, _budget(10, 4096))
+    delivered, accepted, unflipped = (sum(column) for column in zip(*tallies))
+    assert delivered == accepted == np.count_nonzero(u < success)
+    flipped = np.count_nonzero(u < success * (1.0 - fidelity))
+    assert delivered - unflipped == flipped
+
+
+@pytest.mark.parametrize(
+    "leaves, samples",
+    [(1, 70000), (2, 70000), (10, 70000), (250, 8000), (5000, 400), (20001, 100)],
+)
+def test_worker_buffers_stay_within_chunk_bytes(leaves, samples, monkeypatch):
+    g, tree = series_chain(leaves)
+    peaks = []
     run_worker = montecarlo._run_worker
 
-    def recording(*args):
+    def measured(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         result = run_worker(*args)
-        tallies.append(result)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
         return result
 
-    # a budget a little over `chunk` samples still gives chunks of `chunk`
-    budget = montecarlo._CELL_BYTES * width * chunk + width
-    with mock.patch.object(montecarlo, "_run_worker", recording), \
-            mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
-        estimate(tree, g, samples, seed, threads)
-    assert len(tallies) == min(threads, -(-samples // chunk))
-    delivered, accepted, unflipped = (sum(column) for column in zip(*tallies))
-    if g.op_costs.physical_acceptance:
-        assert (delivered, unflipped) == want and accepted == delivered
-    else:
-        # the reference ignores agreement; only deliveries are shared
-        assert delivered == want[0]
+    monkeypatch.setattr(montecarlo, "_run_worker", measured)
+    tracemalloc.start()
+    try:
+        estimate(tree, g, samples, seed=14)
+    finally:
+        tracemalloc.stop()
+    (peak,) = peaks
+    assert peak <= montecarlo._CHUNK_BYTES
+    if leaves >= 250:
+        # the budget binds, so the traced peak holds the worker's buffers
+        assert peak >= montecarlo._CHUNK_BYTES // 2
+
+
+def test_philox_oracle_is_the_two_draw_kernel():
+    """Tallies the two-draw Philox kernel gave for 5,000 samples at seed 12."""
+    tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
+    nodes = postorder(tree)
+    for acceptance, want in ((True, (1838, 1838, 1514)), (False, (3231, 1838, 1514))):
+        ops = OperationCosts(physical_acceptance=acceptance)
+        g = two_path_graph(fidelity=0.8, success=0.9, ops=ops)
+        assert philox_two_draw_tallies(nodes, g, 12, 5000) == want
+
+
+# Two counts of one rate agree within _SIGMAS combined standard errors; for
+# small counts, both Poisson tails must hold at least _TAIL, the one-sided
+# normal tail at _SIGMAS.
+_SIGMAS = 5.0
+_TAIL = 2.9e-7
+_SMALL_COUNT = 25
+
+
+def _counts_agree(k1, n1, k2, n2):
+    """Whether k1 of n1 and k2 of n2 are plausible draws of one rate.
+
+    Where either outcome is expected fewer than _SMALL_COUNT times in the
+    smaller base, the normal limit does not hold: the rarer outcome's
+    counts are taken as Poisson with means in proportion to n1 : n2, so
+    that given their sum, k1 is binomial with p = n1 / (n1 + n2).
+    """
+    if n1 == 0 or n2 == 0:
+        return True
+    rate = (k1 + k2) / (n1 + n2)
+    if min(rate, 1.0 - rate) * min(n1, n2) >= _SMALL_COUNT:
+        se = sqrt(rate * (1.0 - rate) * (1.0 / n1 + 1.0 / n2))
+        return abs(k1 / n1 - k2 / n2) <= _SIGMAS * se
+    if rate > 0.5:
+        k1, k2 = n1 - k1, n2 - k2
+    share = n1 / (n1 + n2)
+    at_most = stats.binom.cdf(k1, k1 + k2, share)
+    at_least = stats.binom.sf(k1 - 1, k1 + k2, share)
+    return min(at_most, at_least) >= _TAIL
+
+
+def test_estimates_agree_with_two_draw_philox_kernel():
+    """One uniform per leaf samples what two draws per leaf sampled."""
+    samples = 20000
+    for i in range(200):
+        tree, g = random_strategy_tree(seeded(6000 + i), acceptance=i % 2 == 0)
+        ((delivered, accepted, unflipped),) = _worker_tallies(tree, g, samples, i)
+        old_delivered, old_accepted, old_unflipped = philox_two_draw_tallies(
+            postorder(tree), g, i, samples
+        )
+        assert _counts_agree(delivered, samples, old_delivered, samples), i
+        assert _counts_agree(accepted, samples, old_accepted, samples), i
+        assert _counts_agree(unflipped, accepted, old_unflipped, old_accepted), i
 
 
 def test_estimate_runs_a_20000_deep_chain():

@@ -395,7 +395,12 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch
     the success floor, the 17 route cases where it drops some (the 16
     kernel-search documents and the lossless grid) were pinned again with
     candidates_evaluated alone changed, each count lower than before; the
-    two tie bridges and every other case kept their bytes.
+    two tie bridges and every other case kept their bytes.  Once Monte
+    Carlo drew one uniform per leaf from a jump-ahead PCG64DXSM stream, the
+    twelve simulate cases were produced again: the eight of the 2- and
+    10-leaf trees changed their estimates, the four of the 100-leaf tree
+    deliver nothing under either stream and kept their bytes, as did every
+    other case.
     """
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) == 39
