@@ -8,14 +8,14 @@ floats); human-readable diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import asdict
 from enum import IntEnum
 from functools import partial
 
 from .algebra import (
-    AlgebraDomainError,
-    CostVector,
     GridSpec,
     GridStrategy,
     OperationCosts,
@@ -24,7 +24,6 @@ from .algebra import (
 from .graph import GraphFormatError, NetworkGraph, parse_graph, write_graph
 from .jsonutil import Deferred, RawJSON, canonical_dumps, float_text, quote
 from .reduction import (
-    ReductionError,
     StrategyTree,
     evaluate_strategy,
     reduce_to_fixpoint,
@@ -50,7 +49,7 @@ class ExitCode(IntEnum):
     BOUND_EXCEEDED = 3
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -71,17 +70,12 @@ def _fail(code: ExitCode, message: str, **context) -> int:
     return int(code)
 
 
-def _load_graph(path: str) -> NetworkGraph:
+def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_graph(data)
-
-
-def _cost_obj(cost: CostVector) -> dict:
-    return {"fidelity": cost.fidelity, "success": cost.success}
 
 
 def _threads_from_env() -> int:
@@ -172,7 +166,7 @@ def _write_trace(steps, out: list[str]) -> None:
 
 
 def _cmd_reduce(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     result = reduce_to_fixpoint(g)
     doc = {
         "command": "reduce",
@@ -205,22 +199,18 @@ def _route_obj(result: RouteResult) -> dict:
     return {
         "command": "route",
         "search": result.search.value,
-        "cost": None if result.cost is None else _cost_obj(result.cost),
+        "cost": None if result.cost is None else asdict(result.cost),
         "strategy": None
         if result.strategy is None
         else RawJSON(serialize_strategy(result.strategy)),
         "paths_harvested": result.paths_harvested,
         "subgraph": Deferred(partial(write_graph, result.subgraph)),
-        "diagnostics": {
-            "paths_examined": result.diagnostics.paths_examined,
-            "candidates_evaluated": result.diagnostics.candidates_evaluated,
-            "reduction_steps": result.diagnostics.reduction_steps,
-        },
+        "diagnostics": asdict(result.diagnostics),
     }
 
 
 def _cmd_route(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     result = route(g, _route_request(args))
     _emit(_route_obj(result))
     if result.search is SearchKind.INFEASIBLE:
@@ -248,24 +238,13 @@ def _simulation_strategy(g: NetworkGraph, args) -> StrategyTree:
             "--strategy and route flags are mutually exclusive"
         )
     if args.strategy is not None:
-        try:
-            with open(args.strategy, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise GraphFormatError(
-                f"cannot read {args.strategy}: {exc.strerror}"
-            ) from None
-        import json
-
+        raw = _read(args.strategy)
         try:
             obj = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: nested deeper than the JSON parser allows
             raise GraphFormatError(f"bad strategy document: {exc}") from None
-        try:
-            return strategy_from_obj(obj)
-        except ValueError as exc:
-            raise GraphFormatError(str(exc)) from None
+        return strategy_from_obj(obj)
     if any(v is not None for v in route_flags):
         if not all(v is not None for v in route_flags):
             raise GraphFormatError(
@@ -286,19 +265,8 @@ def estimate(*args, **kwargs):
     return run_estimate(*args, **kwargs)
 
 
-def _estimate_obj(est) -> dict:
-    return {
-        "fidelity_hat": est.fidelity_hat,
-        "success_hat": est.success_hat,
-        "std_error_fidelity": est.std_error_fidelity,
-        "std_error_success": est.std_error_success,
-        "samples": est.samples,
-        "seed": est.seed,
-    }
-
-
 def _cmd_simulate(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     if args.samples < 1:
         raise GraphFormatError("--samples must be >= 1")
     tree = _simulation_strategy(g, args)
@@ -308,8 +276,8 @@ def _cmd_simulate(args) -> int:
     _emit(
         {
             "command": "simulate",
-            "estimate": _estimate_obj(est),
-            "analytic": _cost_obj(analytic),
+            "estimate": asdict(est),
+            "analytic": asdict(analytic),
             "strategy": RawJSON(serialize_strategy(tree)),
         }
     )
@@ -338,12 +306,8 @@ def _cmd_grid(args) -> int:
             "channel_fidelity": spec.channel_fidelity,
             "channel_success": spec.channel_success,
             "strategy": spec.strategy.value,
-            "op_costs": {
-                "swap_success": ops.swap_success,
-                "purify_success": ops.purify_success,
-                "physical_acceptance": ops.physical_acceptance,
-            },
-            "cost": _cost_obj(cost),
+            "op_costs": asdict(ops),
+            "cost": asdict(cost),
         }
     )
     return int(ExitCode.OK)
@@ -361,10 +325,6 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_grid(args)
-    except _UsageError as exc:
-        return _fail(ExitCode.INVALID_INPUT, str(exc))
-    except (GraphFormatError, AlgebraDomainError, ReductionError) as exc:
-        return _fail(ExitCode.INVALID_INPUT, str(exc))
     except InfeasibleRouteError as exc:
         return _fail(ExitCode.NO_ROUTE, str(exc))
     except SearchBoundError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 _ID_RE = re.compile(r"\S{1,64}")
-_SYNTHETIC_RE = re.compile(r"^r[0-9]")
 
 
 class GraphFormatError(ValueError):
@@ -98,7 +97,6 @@ class NetworkGraph:
                 raise GraphFormatError(f"duplicate node id {n.id!r}")
             self._nodes[n.id] = n
         self._channels: dict[str, Channel] = {}
-        self._incidence: dict[str, list[str]] = {nid: [] for nid in self._nodes}
         for c in channels:
             _check_id("channel", c.id)
             if c.id in self._channels:
@@ -110,10 +108,6 @@ class NetworkGraph:
             if c.a == c.b:
                 raise GraphFormatError(f"channel {c.id!r} is a self-loop")
             self._channels[c.id] = c
-            self._incidence[c.a].append(c.id)
-            self._incidence[c.b].append(c.id)
-        for ids in self._incidence.values():
-            ids.sort()
         self.op_costs = op_costs if op_costs is not None else OperationCosts()
 
     @property
@@ -135,26 +129,6 @@ class NetworkGraph:
             return self._channels[channel_id]
         except KeyError:
             raise GraphFormatError(f"unknown channel {channel_id!r}") from None
-
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
-    def neighbors(self, node_id: str) -> list[tuple[str, str]]:
-        """(channel id, far node id) pairs, sorted by channel id."""
-        self.node(node_id)
-        return [
-            (cid, self._channels[cid].other(node_id))
-            for cid in self._incidence[node_id]
-        ]
-
-    def degree(self, node_id: str) -> int:
-        """Incident channel count; parallel channels each count."""
-        self.node(node_id)
-        return len(self._incidence[node_id])
-
-    def incident(self, node_id: str) -> list[str]:
-        self.node(node_id)
-        return list(self._incidence[node_id])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetworkGraph):
@@ -201,8 +175,9 @@ def _number(obj: dict, key: str, where: str) -> float:
 def parse_graph(document: bytes | str) -> NetworkGraph:
     """Parse a version-1 graph document.
 
-    User node and channel ids may not start with 'r' followed by a digit;
-    that namespace is reserved for channels synthesized during reduction.
+    Any id of 1-64 non-whitespace characters is accepted, 'r<n>' included,
+    so every graph qnet writes parses again; reduction numbers the channels
+    it creates past any such id already in the graph.
     """
     if isinstance(document, bytes):
         try:
@@ -262,11 +237,6 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         nid = entry["id"]
         if not isinstance(nid, str):
             raise GraphFormatError(f"nodes[{i}]: id must be a string")
-        if _SYNTHETIC_RE.match(nid):
-            raise GraphFormatError(
-                f"nodes[{i}]: id {nid!r} uses the reserved synthetic namespace "
-                "('r' followed by a digit)"
-            )
         try:
             role = _ROLES[entry["role"]]
         except (KeyError, TypeError):  # TypeError: an unhashable role
@@ -286,11 +256,6 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         cid = entry["id"]
         if not isinstance(cid, str):
             raise GraphFormatError(f"edges[{i}]: id must be a string")
-        if _SYNTHETIC_RE.match(cid):
-            raise GraphFormatError(
-                f"edges[{i}]: id {cid!r} uses the reserved synthetic namespace "
-                "('r' followed by a digit)"
-            )
         for end in ("a", "b"):
             if not isinstance(entry[end], str):
                 raise GraphFormatError(f"edges[{i}]: {end} must be a string")
@@ -304,12 +269,7 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
             raise GraphFormatError(f"edges[{i}]: {exc}") from None
         channels.append(Channel(cid, entry["a"], entry["b"], cost))
 
-    try:
-        return NetworkGraph(nodes, channels, ops)
-    except GraphFormatError:
-        raise
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return NetworkGraph(nodes, channels, ops)
 
 
 def write_graph(g: NetworkGraph, out: list[str]) -> None:
@@ -336,12 +296,7 @@ def write_graph(g: NetworkGraph, out: list[str]) -> None:
         for nid, n in sorted(g._nodes.items())
     ]))
     out.append('],"op_costs":')
-    ops = g.op_costs
-    out.append(canonical_dumps({
-        "swap_success": ops.swap_success,
-        "purify_success": ops.purify_success,
-        "physical_acceptance": ops.physical_acceptance,
-    }))
+    out.append(canonical_dumps(asdict(g.op_costs)))
     out.append(',"version":1}')
 
 

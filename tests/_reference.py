@@ -1,10 +1,11 @@
 """Reference implementations that the optimized code paths are checked against.
 
 reference_harvest_paths is the restart-Dijkstra path harvester as first
-written: every sweep walks the graph's own adjacency, re-reads each channel
-and converts its success to log-loss on every relaxation, and keeps a set of
-live channel ids.  It is slow but obviously right, and the compiled
-harvest_paths must return exactly what it returns.
+written: every sweep lists each node's channels afresh from g.channels, in
+channel-id order, re-reads each channel and converts its success to
+log-loss on every relaxation, and keeps a set of live channel ids.  It is
+slow but obviously right, and the compiled harvest_paths must return
+exactly what it returns.
 
 reference_canonical_dumps is the canonical JSON emitter as first written:
 one isinstance chain per value and one json.dumps call per string and per
@@ -87,6 +88,10 @@ def _dijkstra(
     swap operation's log-loss.  Only the source and repeater nodes may be
     traversed, so no foreign endpoint ever sits inside a path.
     """
+    neighbors: dict[str, list[tuple[str, str]]] = {}
+    for cid, c in sorted(g.channels.items()):
+        neighbors.setdefault(c.a, []).append((cid, c.b))
+        neighbors.setdefault(c.b, []).append((cid, c.a))
     dist: dict[str, float] = {source: 0.0}
     parent: dict[str, tuple[str, str]] = {}
     done: set[str] = set()
@@ -101,7 +106,7 @@ def _dijkstra(
         if u != source and g.node(u).role is not NodeRole.ROUTER:
             continue
         hop = swap_loss if u != source else 0.0
-        for cid, v in g.neighbors(u):
+        for cid, v in neighbors.get(u, ()):
             if cid not in alive or v in done:
                 continue
             nd = d + hop + to_log_loss(g.channel(cid).cost.success)

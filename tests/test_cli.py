@@ -82,6 +82,34 @@ def test_reduce_trace_flag(two_path_doc):
     assert trace[2]["produced"] == "r2"
 
 
+def test_reduce_reads_back_its_terminal(two_path_doc, tmp_path):
+    first = json.loads(run_cli(["reduce", two_path_doc]).stdout)
+    assert [c["id"] for c in first["channels"]] == ["r2"]
+    terminal = tmp_path / "terminal.json"
+    terminal.write_text(json.dumps(first["terminal"]))
+    proc = run_cli(["reduce", str(terminal)])
+    assert proc.returncode == 0, proc.stdout
+    again = json.loads(proc.stdout)
+    assert again["steps"] == 0
+    assert again["terminal"] == first["terminal"]
+
+
+def test_synthetic_id_past_64_characters_fails_cleanly(tmp_path):
+    # the next synthetic id after r99...9 (63 nines) is r10...0 (63 zeros),
+    # 65 characters, which no graph may hold
+    top = "r" + "9" * 63
+    g = build_graph([(top, "A", "m", 0.9, 0.9), ("c2", "m", "B", 0.9, 0.9)])
+    path = tmp_path / "long.json"
+    path.write_bytes(serialize_graph(g))
+    proc = run_cli(["reduce", str(path)])
+    assert proc.returncode == 1
+    produced = "r1" + "0" * 63
+    assert json.loads(proc.stdout)["message"] == (
+        f"channel id {produced!r} must be 1-64 non-whitespace characters"
+    )
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_graph_file_fails_cleanly():
     proc = run_cli(["reduce", "/no/such/file.json"])
     assert proc.returncode == 1

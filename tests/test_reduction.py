@@ -36,8 +36,10 @@ from qnet import (
     evaluate_strategy,
     is_fully_reduced_pair,
     parallel_step,
+    parse_graph,
     reduce_to_fixpoint,
     replay_trace,
+    serialize_graph,
     series_step,
     swap_chain,
 )
@@ -66,7 +68,7 @@ def test_series_step_swaps_through_router():
     assert step.produced == "r0"
     assert step.cost == CostVector(0.8200000000000001, 0.81 * 0.5)
     assert set(g2.channels) == {"r0"}
-    assert not g2.has_node("m1")
+    assert "m1" not in g2.nodes
     assert g2.channel("r0").pair == frozenset(("A", "B"))
 
 
@@ -201,6 +203,24 @@ def test_synthetic_ids_continue_after_partial_reduction():
     result = reduce_to_fixpoint(partial.graph)
     produced = [s.produced for s in result.trace.steps]
     assert produced == ["r2"]
+
+
+def test_document_r_ids_parse_and_reduction_numbers_past_them():
+    # the README document with channels c1 and c3 renamed r0 and r5 and
+    # router m2 renamed r1; only channel ids move the synthetic numbering
+    raw = json.loads(serialize_graph(two_path_graph()))
+    renames = {"c1": "r0", "c3": "r5", "m2": "r1"}
+    for edge in raw["edges"]:
+        for key in ("id", "a", "b"):
+            edge[key] = renames.get(edge[key], edge[key])
+    for node in raw["nodes"]:
+        node["id"] = renames.get(node["id"], node["id"])
+    g = parse_graph(json.dumps(raw))
+    assert {"r0", "r5"} <= set(g.channels) and "r1" in g.nodes
+    result = reduce_to_fixpoint(g)
+    assert [s.produced for s in result.trace.steps] == ["r6", "r7", "r8"]
+    assert set(result.graph.channels) == {"r8"}
+    assert replay_trace(g, result.trace) == result.graph
 
 
 def test_trace_replay_reproduces_terminal_graph():
