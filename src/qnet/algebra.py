@@ -146,7 +146,7 @@ def _singular(f1: float, f2: float) -> AlgebraDomainError:
 
 def purify_value(f1: float, f2: float) -> float:
     """Raw purification quotient, checking only the singular denominator."""
-    denom = f1 * f2 + (1.0 - f1) * (1.0 - f2)
+    denom = swap_value(f1, f2)
     if abs(denom) <= SINGULAR_EPS:
         raise _singular(f1, f2)
     return (f1 * f2) / denom
@@ -158,8 +158,7 @@ def purify_fidelity(f1: float | Fidelity, f2: float | Fidelity) -> float:
 
 def purify_acceptance(f1: float | Fidelity, f2: float | Fidelity) -> float:
     """Probability that a purification round accepts (both measurements agree)."""
-    a, b = _physical(f1), _physical(f2)
-    return a * b + (1.0 - a) * (1.0 - b)
+    return swap_value(_physical(f1), _physical(f2))
 
 
 def swap_chain(fs: Iterable[float | Fidelity]) -> float:
@@ -255,7 +254,7 @@ def swap_floats(
     f1: float, s1: float, f2: float, s2: float, ops: OperationCosts
 ) -> tuple[float, float]:
     """(fidelity, success) of swap_cost on plain floats, without range checks."""
-    return f1 * f2 + (1.0 - f1) * (1.0 - f2), s1 * s2 * ops.swap_success
+    return swap_value(f1, f2), s1 * s2 * ops.swap_success
 
 
 def purify_floats(
@@ -266,7 +265,7 @@ def purify_floats(
     Raises AlgebraDomainError on a singular input, as purify_value does, but
     checks no range.
     """
-    agree = f1 * f2 + (1.0 - f1) * (1.0 - f2)
+    agree = swap_value(f1, f2)
     if abs(agree) <= SINGULAR_EPS:
         raise _singular(f1, f2)
     s = s1 * s2 * ops.purify_success

@@ -11,7 +11,8 @@ import json
 import re
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .algebra import CostVector, OperationCosts
 from .jsonutil import canonical_dumps, float_text, quote
@@ -81,7 +82,8 @@ def _check_id(kind: str, value: str) -> str:
 class NetworkGraph:
     """Immutable multigraph with per-operation cost factors.
 
-    Instances should be treated as frozen once constructed.
+    nodes and channels are read-only views of the graph's own maps; the
+    instance should be treated as frozen once constructed.
     """
 
     def __init__(
@@ -111,12 +113,12 @@ class NetworkGraph:
         self.op_costs = op_costs if op_costs is not None else OperationCosts()
 
     @property
-    def nodes(self) -> dict[str, Node]:
-        return dict(self._nodes)
+    def nodes(self) -> Mapping[str, Node]:
+        return MappingProxyType(self._nodes)
 
     @property
-    def channels(self) -> dict[str, Channel]:
-        return dict(self._channels)
+    def channels(self) -> Mapping[str, Channel]:
+        return MappingProxyType(self._channels)
 
     def node(self, node_id: str) -> Node:
         try:

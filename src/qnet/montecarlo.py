@@ -195,20 +195,21 @@ def estimate(
     sample_bytes = _CELL_BYTES * len(probs) + len(flip_probs)
     room = (_CHUNK_BYTES - _SPARE_BYTES) // sample_bytes
     chunk = max(1, min(_CHUNK_SAMPLES, room))
-    ranges = [
-        (start, min(chunk, samples - start))
-        for start in range(0, samples, chunk)
+    # Each worker walks an even contiguous share of the samples in chunks.
+    workers = min(threads, -(-samples // chunk))
+    bounds = [samples * k // workers for k in range(workers + 1)]
+    shares = [
+        [(start, min(chunk, end - start)) for start in range(begin, end, chunk)]
+        for begin, end in zip(bounds, bounds[1:])
     ]
-    workers = min(threads, len(ranges))
     acceptance = g.op_costs.physical_acceptance
     with ThreadPoolExecutor(max_workers=workers) as pool:
         tallies = list(
             pool.map(
-                lambda k: _run_worker(
-                    nodes, probs, flip_probs, acceptance, seed,
-                    ranges[k::workers],
+                lambda ranges: _run_worker(
+                    nodes, probs, flip_probs, acceptance, seed, ranges
                 ),
-                range(workers),
+                shares,
             )
         )
     delivered, accepted, unflipped = (sum(t) for t in zip(*tallies))

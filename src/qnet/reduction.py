@@ -212,37 +212,28 @@ class _Engine:
 
     run() reduces to a fixpoint: parallel steps are exhausted before series
     steps, and within each kind the candidate carrying the lowest channel id
-    goes first.  Heaps with lazy invalidation keep the whole run at
-    O(|E| log |E|).  series() and parallel() apply one named step after
-    checking that it applies.  A caller uses run() or the checked steps,
-    never both: a given produced id may reuse a consumed id, which leaves
-    stale heap entries, or take an id that _fresh_id would hand out later.
+    goes first.  pairs[p] is a heap of exactly the live ids spanning node
+    pair p; par_heap holds an entry for the smallest id of every pair with
+    two or more, plus stale entries dropped when they reach the top.  The
+    whole run is O(|E| log |E|).  series() and parallel() apply one named
+    step after checking that it applies.  A caller uses run() or the checked
+    steps, never both: a given produced id may take an id that _fresh_id
+    would hand out later.
     """
 
-    def __init__(self, g: NetworkGraph, series_only: bool = False) -> None:
+    def __init__(self, g: NetworkGraph) -> None:
         self.ops = g.op_costs
-        self.series_only = series_only
         self.roles = {nid: n.role for nid, n in g.nodes.items()}
-        self.chan: dict[str, Channel] = dict(g.channels)
+        self.chan: dict[str, Channel] = {}
         self.inc: dict[str, set[str]] = {nid: set() for nid in self.roles}
-        self.pair_members: dict[frozenset, set[str]] = {}
-        self.pair_heap: dict[frozenset, list[str]] = {}
+        self.pairs: dict[frozenset, list[str]] = {}
         self.trees: dict[str, StrategyTree] = {}
         self.steps: list[ReductionStep] = []
         self.next_id = _synthetic_start(g)
         self.par_heap: list[str] = []
         self.ser_heap: list[tuple[str, str]] = []
-        for cid, c in self.chan.items():
-            self.inc[c.a].add(cid)
-            self.inc[c.b].add(cid)
-            self.pair_members.setdefault(c.pair, set()).add(cid)
-            heapq.heappush(self.pair_heap.setdefault(c.pair, []), cid)
-            self.trees[cid] = Leaf(cid)
-        if not series_only:
-            for members in self.pair_members.values():
-                if len(members) >= 2:
-                    for cid in members:
-                        heapq.heappush(self.par_heap, cid)
+        for c in g.channels.values():
+            self._add_channel(c, Leaf(c.id))
         for nid in self.roles:
             self._maybe_series_candidate(nid)
 
@@ -253,49 +244,29 @@ class _Engine:
         ):
             heapq.heappush(self.ser_heap, (min(self.inc[nid]), nid))
 
-    def _alive(self, cid: str) -> bool:
-        return cid in self.chan
-
-    def _pair_min_two(self, pair: frozenset) -> tuple[str, str] | None:
-        heap = self.pair_heap.get(pair)
-        members = self.pair_members.get(pair, ())
-        if heap is None or len(members) < 2:
-            return None
-        while heap and heap[0] not in members:
-            heapq.heappop(heap)
-        first = heapq.heappop(heap)
-        while heap and heap[0] not in members:
-            heapq.heappop(heap)
-        second = heap[0] if heap else None
-        heapq.heappush(heap, first)
-        if second is None:
-            return None
-        return first, second
-
     def _add_channel(self, c: Channel, tree: StrategyTree) -> None:
         self.chan[c.id] = c
         self.inc[c.a].add(c.id)
         self.inc[c.b].add(c.id)
-        members = self.pair_members.setdefault(c.pair, set())
-        had_one = len(members) == 1
-        lone = next(iter(members)) if had_one else None
-        members.add(c.id)
-        heapq.heappush(self.pair_heap.setdefault(c.pair, []), c.id)
+        members = self.pairs.setdefault(c.pair, [])
+        heapq.heappush(members, c.id)
         self.trees[c.id] = tree
-        if not self.series_only and len(members) >= 2:
-            heapq.heappush(self.par_heap, c.id)
-            if had_one:
-                heapq.heappush(self.par_heap, lone)
+        if len(members) >= 2:
+            heapq.heappush(self.par_heap, members[0])
 
     def _drop_channel(self, cid: str) -> None:
         c = self.chan.pop(cid)
         self.inc[c.a].discard(cid)
         self.inc[c.b].discard(cid)
-        members = self.pair_members[c.pair]
-        members.discard(cid)
+        members = self.pairs[c.pair]
+        if members[0] == cid:
+            heapq.heappop(members)
+        else:
+            # only a checked parallel() drops a channel other than the smallest
+            members.remove(cid)
+            heapq.heapify(members)
         if not members:
-            del self.pair_members[c.pair]
-            del self.pair_heap[c.pair]
+            del self.pairs[c.pair]
         del self.trees[cid]
 
     def _fresh_id(self) -> str:
@@ -337,21 +308,12 @@ class _Engine:
     def _next_parallel(self) -> tuple[Channel, Channel] | None:
         while self.par_heap:
             cid = self.par_heap[0]
-            if not self._alive(cid):
+            c = self.chan.get(cid)
+            members = self.pairs[c.pair] if c is not None else ()
+            if len(members) < 2 or members[0] != cid:
                 heapq.heappop(self.par_heap)
                 continue
-            pair = self.chan[cid].pair
-            pick = self._pair_min_two(pair)
-            if pick is None:
-                heapq.heappop(self.par_heap)
-                continue
-            first, second = pick
-            if first != cid:
-                # a smaller partner exists and will be (or was) its own entry
-                heapq.heappop(self.par_heap)
-                heapq.heappush(self.par_heap, first)
-                continue
-            return self.chan[first], self.chan[second]
+            return c, self.chan[min(members[1:3])]
         return None
 
     def _next_series(self) -> str | None:
@@ -375,9 +337,9 @@ class _Engine:
             return nid
         return None
 
-    def run(self) -> None:
+    def run(self, series_only: bool = False) -> None:
         while True:
-            if not self.series_only:
+            if not series_only:
                 pick = self._next_parallel()
                 if pick is not None:
                     self._apply_parallel(*pick, self._fresh_id())
@@ -456,8 +418,8 @@ def reduce_to_fixpoint(
     With series_only=True only repeater eliminations run, leaving every
     purification decision to the caller.
     """
-    engine = _Engine(g, series_only=series_only)
-    engine.run()
+    engine = _Engine(g)
+    engine.run(series_only)
     return engine.result()
 
 

@@ -126,17 +126,18 @@ def random_sp_graph(rng, max_edges=40):
     )
 
 
-def reduce_random_order(g, rng):
+def reduce_random_order(g, rng, after_step=None):
     """Drive reduction by uniformly random legal steps; terminal cost vector.
 
     Only meaningful on graphs that collapse to a single channel.  Moves are
     listed in the engine's insertion order with each pair's channel ids
-    sorted, so the draws depend on nothing but the rng.
+    sorted, so the draws depend on nothing but the rng.  after_step, if
+    given, is called with the engine after every step.
     """
     engine = _Engine(g)
     while True:
         moves = []
-        for members in engine.pair_members.values():
+        for members in engine.pairs.values():
             if len(members) > 1:
                 moves += [("par", a, b) for a, b in combinations(sorted(members), 2)]
         for nid, role in engine.roles.items():
@@ -152,6 +153,8 @@ def reduce_random_order(g, rng):
             engine.parallel(move[1], move[2])
         else:
             engine.series(move[1])
+        if after_step is not None:
+            after_step(engine)
     (channel,) = engine.chan.values()
     return channel.cost
 

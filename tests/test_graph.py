@@ -214,6 +214,16 @@ def test_graph_accessors():
         g.channel("nope")
 
 
+def test_graph_views_are_read_only():
+    g = build_graph([("c1", "A", "B", 0.9, 0.9)])
+    with pytest.raises(TypeError):
+        g.nodes["A"] = Node("A", NodeRole.ROUTER)
+    with pytest.raises(TypeError):
+        g.channels["c1"] = Channel("c1", "A", "B", CostVector(0.5, 0.5))
+    assert g.node("A").role is NodeRole.ENDPOINT
+    assert g.channel("c1").cost == CostVector(0.9, 0.9)
+
+
 def test_constructor_validation():
     nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
     with pytest.raises(GraphFormatError):

@@ -171,10 +171,12 @@ def test_chunk_budget_bounds_memory_and_never_changes_numbers(monkeypatch):
     g = two_path_graph()
     tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
     counts = []
+    totals = []
     run_worker = montecarlo._run_worker
 
     def recording(*args):
         counts.extend(count for _, count in args[-1])
+        totals.append(sum(count for _, count in args[-1]))
         return run_worker(*args)
 
     monkeypatch.setattr(montecarlo, "_run_worker", recording)
@@ -183,8 +185,11 @@ def test_chunk_budget_bounds_memory_and_never_changes_numbers(monkeypatch):
     # 4 leaves take 7 draws per sample and 4 flip compares: 67 bytes a sample
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _budget(67, 777))
     counts.clear()
+    totals.clear()
     assert estimate(tree, g, 5000, seed=12, threads=2) == whole
     assert max(counts) == 777 and sum(counts) == 5000
+    # the two workers get even shares, not every other chunk
+    assert len(totals) == 2 and max(totals) - min(totals) <= 1, totals
 
 
 # Probabilities at and next to the edges of [0, 1]: a draw is never below

@@ -411,27 +411,52 @@ def _rung_ladder(rungs):
     return NetworkGraph(nodes, chans)
 
 
+def _bundle(n):
+    """n parallel A-B channels p0 ... p{n-1}."""
+    nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
+    chans = [Channel(f"p{k}", "A", "B", CostVector(0.9, 0.999)) for k in range(n)]
+    return NetworkGraph(nodes, chans)
+
+
 def test_series_heap_pushes_stay_linear(monkeypatch):
     """A series entry whose key went stale is dropped, not pushed back.
 
     Every change at a router pushes a fresh entry, so the heap needs at most
     one push per router and two per step; pushing stale entries back made
-    the 750-rung ladder take about 47 heap pops per step.
+    the 750-rung ladder take about 47 heap pops per step.  The parallel
+    heap gets at most one push per channel added, graph or produced.
     """
-    pushes = 0
+    pushed = []
 
     def heappush(heap, item):
-        nonlocal pushes
-        pushes += isinstance(item, tuple)  # series entries are (key, router)
+        pushed.append((heap, item))
         heapq.heappush(heap, item)
 
-    shim = types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+    shim = types.SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify
+    )
     monkeypatch.setattr(reduction, "heapq", shim)
-    g = _rung_ladder(750)
-    result = reduce_to_fixpoint(g)
-    assert len(result.graph.channels) == 1
-    routers = len(g.nodes) - 2
-    assert pushes <= routers + 2 * len(result.trace.steps), pushes
+    for g in (_rung_ladder(750), _bundle(2000)):
+        pushed.clear()
+        engine = _Engine(g)
+        engine.run()
+        assert len(engine.chan) == 1
+        steps = len(engine.steps)
+        series = sum(isinstance(item, tuple) for _, item in pushed)
+        parallel = sum(heap is engine.par_heap for heap, _ in pushed)
+        routers = len(g.nodes) - 2
+        assert series <= routers + 2 * steps, series
+        assert parallel <= len(g.channels) + steps, parallel
+
+
+def _assert_exact_pair_heaps(engine):
+    live = {}
+    for cid, c in engine.chan.items():
+        live.setdefault(c.pair, []).append(cid)
+    assert set(engine.pairs) == set(live)
+    for pair, heap in engine.pairs.items():
+        assert sorted(heap) == sorted(live[pair])
+        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
 
 
 def test_engine_keeps_only_live_node_pairs():
@@ -439,8 +464,11 @@ def test_engine_keeps_only_live_node_pairs():
     engine.run()
     live = {c.pair for c in engine.chan.values()}
     assert len(live) == 1
-    assert set(engine.pair_members) == live
-    assert set(engine.pair_heap) == live
+    assert set(engine.pairs) == live
+    # checked steps purify any two members of a pair, not just the smallest
+    for seed in range(20):
+        g = random_sp_graph(seeded(seed), max_edges=30)
+        reduce_random_order(g, seeded(seed), after_step=_assert_exact_pair_heaps)
 
 
 strategy_trees = st.recursive(
