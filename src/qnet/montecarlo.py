@@ -15,10 +15,13 @@ delivers, as the algebra charges no acceptance to success; the fidelity is
 then estimated over the delivered samples that agreed at every
 purification, the post-selected state the algebra's fidelity describes.
 
-Sample i always consumes draws [i * width, (i + 1) * width) of the
-PCG64DXSM stream seeded by the seed, width = 2 * leaves - 1, reached by
-jumping ahead; so estimates are bit-identical no matter how the work is
-chunked or how many workers run it.
+The draws are laid out node-major: post-order node j's draw for sample i
+is draw j * samples + i of the PCG64DXSM stream seeded by the seed.  A
+worker walks the tree once per chunk of samples, one node at a time,
+filling one row of draws and jumping ahead (advance) to the next node's
+row; so estimates are bit-identical no matter how the work is chunked or
+how many workers run it.  They depend on the sample count as a whole: the
+first k samples of a run are not a k-sample run.
 """
 from __future__ import annotations
 
@@ -41,16 +44,14 @@ __all__ = [
 ]
 
 # A chunk holds at most this many samples, and a worker at most this many
-# bytes: 8 of draws and 1 of compare results per draw and 1 more per leaf
-# for its flip compare (the transposed rows reuse the bytes of the draws),
-# plus _SPARE_BYTES for the iteration buffers numpy allocates inside a
-# compare (np.getbufsize() elements of each of its three operands, about
-# 136 KiB) and the walk's array views.  A thread's memory stays bounded
-# whatever the size of the tree.
+# bytes: per sample, 8 for the draw row, 1 for the agreement row and 2 for
+# each slot of the post-order value stack (delivered, flipped), plus
+# _SPARE_BYTES for its bit generator, generator and row views (about 4 KiB
+# traced).  A thread's memory stays bounded whatever the size or shape of
+# the tree.
 _CHUNK_SAMPLES = 1 << 16
 _CHUNK_BYTES = 32 << 20
-_CELL_BYTES = 9
-_SPARE_BYTES = 1 << 18
+_SPARE_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,38 +64,12 @@ class McEstimate:
     seed: int
 
 
-def _thresholds(
-    nodes: list[StrategyTree], g: NetworkGraph
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows each sample's draws are compared against.
-
-    The first row has one column per draw: every leaf's success, in
-    post-order, then every operation's success, in post-order.  The second
-    has one column per leaf: the success times the flip probability, which
-    the leaf's draw is compared against a second time.
-    """
-    ops = g.op_costs
-    leaf_success: list[float] = []
-    op_success: list[float] = []
-    flip: list[float] = []
-    for node in nodes:
-        if isinstance(node, Leaf):
-            cost = g.channel(node.channel).cost
-            leaf_success.append(cost.success)
-            flip.append(cost.success * (1.0 - cost.fidelity))
-        elif isinstance(node, Swap):
-            op_success.append(ops.swap_success)
-        else:
-            op_success.append(ops.purify_success)
-    return np.array(leaf_success + op_success), np.array(flip)
-
-
 def _run_worker(
-    nodes: list[StrategyTree],
-    probs: np.ndarray,
-    flip_probs: np.ndarray,
+    steps: list[tuple[type[StrategyTree], float, float]],
+    depth: int,
     acceptance: bool,
     seed: int,
+    samples: int,
     ranges: list[tuple[int, int]],
 ) -> tuple[int, int, int]:
     """Delivered / accepted / accepted-and-unflipped tallies over the ranges.
@@ -103,67 +78,58 @@ def _run_worker(
     purification; with physical acceptance on, a disagreement already
     fails the purification, so every delivered sample is accepted.
 
-    Sample i's draws are the width = 2 * leaves - 1 draws of the seed's
-    PCG64DXSM stream that start at draw i * width: one per leaf, then one
-    per operation.  A leaf delivers if its draw u is below its success s
-    and arrives flipped if u < s * (1 - fidelity); given delivery u / s is
-    uniform, and the flip of an undelivered leaf is never read.
-
-    The buffers are allocated once, for the largest range, and reused:
-    each range is drawn, compared against probs and its leaf columns
-    against flip_probs into width + leaves compare results a sample, and
-    transposed so that every column is one contiguous row.  The walk then
-    combines rows in place; each row belongs to exactly one node, so
-    nothing it overwrites is read again.
+    steps holds one (kind, p, q) per post-order node: a leaf's success s
+    and s * (1 - fidelity), an operation's success and 0.  Node j's draw
+    for sample i is draw j * samples + i of the seed's PCG64DXSM stream.
+    For each range the worker jumps to its first sample, then per node
+    fills one row of draws and jumps past the other samples to the next
+    node's row.  A leaf delivers if its draw u < s and arrives flipped if
+    u < q; given delivery u / s is uniform, and the flip of an undelivered
+    leaf is never read.  Its two compares go to the next free slot of the
+    value stack, depth slots of (delivered, flipped) rows; an operation
+    ANDs its operands' deliveries, compares its draws into the slot its
+    right operand frees, and leaves its value in its left operand's slot.
+    The buffers are allocated once, for the largest range.
     """
-    width = len(probs)
-    leaves = len(flip_probs)
-    cols = width + leaves
     most = max(count for _, count in ranges)
-    draw_buf = np.empty(most * width)
-    row_buf = draw_buf.view(np.bool_)  # the draws are dead once compared
-    hit_buf = np.empty(most * cols, dtype=np.bool_)
+    draw_buf = np.empty(most)
+    agreed_buf = np.empty(most, dtype=np.bool_)
+    stack_buf = np.empty((2, depth, most), dtype=np.bool_)
     n_delivered = n_accepted = n_unflipped = 0
     for start, count in ranges:
-        draws = draw_buf[: count * width].reshape(count, width)
-        hits = hit_buf[: count * cols].reshape(count, cols)
-        rows = row_buf[: count * cols].reshape(cols, count)
+        u = draw_buf[:count]
+        delivered, flipped = stack_buf[:, :, :count]
+        agreed = agreed_buf[:count]  # all agreements, acceptance off
+        agreed.fill(True)
         bits = np.random.PCG64DXSM(seed)
-        bits.advance(start * width)
-        np.random.Generator(bits).random(out=draws)
-        np.less(draws, probs, out=hits[:, :width])
-        np.less(draws[:, :leaves], flip_probs, out=hits[:, width:])
-        np.copyto(rows, hits.T)
-        values: list[tuple[np.ndarray, np.ndarray]] = []
-        accepted = None  # conjunction of the agreements, acceptance off
-        leaf = 0
-        op = leaves
-        for node in nodes:
-            if isinstance(node, Leaf):
-                values.append((rows[leaf], rows[width + leaf]))
-                leaf += 1
+        bits.advance(start)
+        draw = np.random.Generator(bits).random
+        top = 0
+        for kind, p, q in steps:
+            draw(out=u)
+            bits.advance(samples - count)
+            if kind is Leaf:
+                np.less(u, p, out=delivered[top])
+                np.less(u, q, out=flipped[top])
+                top += 1
                 continue
-            db, zb = values.pop()
-            da, za = values.pop()
-            ok = rows[op]
-            ok &= da
-            ok &= db
-            if isinstance(node, Swap):
+            top -= 1
+            ok, hit = delivered[top - 1], delivered[top]
+            ok &= hit  # the right operand delivered
+            np.less(u, p, out=hit)  # the operation succeeded
+            ok &= hit
+            za, zb = flipped[top - 1], flipped[top]
+            if kind is Swap:
                 za ^= zb
+                continue
+            np.equal(za, zb, out=zb)
+            if acceptance:
+                ok &= zb
             else:
-                np.equal(za, zb, out=zb)
-                if acceptance:
-                    ok &= zb
-                elif accepted is None:
-                    accepted = zb
-                else:
-                    accepted &= zb
-            values.append((ok, za))
-            op += 1
-        ((delivered, flipped),) = values
+                agreed &= zb
+        delivered, flipped = delivered[0], flipped[0]
         n_delivered += int(np.count_nonzero(delivered))
-        if accepted is not None:
-            delivered &= accepted
+        delivered &= agreed
         n_accepted += int(np.count_nonzero(delivered))
         np.greater(delivered, flipped, out=flipped)  # accepted and unflipped
         n_unflipped += int(np.count_nonzero(flipped))
@@ -190,10 +156,22 @@ def estimate(
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} outside [0, 2**128)")
     check_strategy(tree, g)
-    nodes = postorder(tree)
-    probs, flip_probs = _thresholds(nodes, g)
-    sample_bytes = _CELL_BYTES * len(probs) + len(flip_probs)
-    room = (_CHUNK_BYTES - _SPARE_BYTES) // sample_bytes
+    ops = g.op_costs
+    steps: list[tuple[type[StrategyTree], float, float]] = []
+    height = depth = 0
+    for node in postorder(tree):
+        if isinstance(node, Leaf):
+            cost = g.channel(node.channel).cost
+            flip = cost.success * (1.0 - cost.fidelity)
+            steps.append((Leaf, cost.success, flip))
+            height += 1
+            depth = max(depth, height)
+        else:
+            swap = isinstance(node, Swap)
+            success = ops.swap_success if swap else ops.purify_success
+            steps.append((type(node), success, 0.0))
+            height -= 1
+    room = (_CHUNK_BYTES - _SPARE_BYTES) // (9 + 2 * depth)
     chunk = max(1, min(_CHUNK_SAMPLES, room))
     # Each worker walks an even contiguous share of the samples in chunks.
     workers = min(threads, -(-samples // chunk))
@@ -202,12 +180,11 @@ def estimate(
         [(start, min(chunk, end - start)) for start in range(begin, end, chunk)]
         for begin, end in zip(bounds, bounds[1:])
     ]
-    acceptance = g.op_costs.physical_acceptance
     with ThreadPoolExecutor(max_workers=workers) as pool:
         tallies = list(
             pool.map(
                 lambda ranges: _run_worker(
-                    nodes, probs, flip_probs, acceptance, seed, ranges
+                    steps, depth, ops.physical_acceptance, seed, samples, ranges
                 ),
                 shares,
             )

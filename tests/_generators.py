@@ -70,18 +70,32 @@ def bridge_graph(fidelity=0.9, success=0.9, bridge_fidelity=None, ops=None):
     )
 
 
-def series_chain(n, fidelity=0.99999, success=0.99999):
-    """A-B chain of channels c0..c{n-1} and the left-deep swap tree over it.
+def series_chain(n, fidelity=0.99999, success=0.99999, shape="left"):
+    """A-B chain of channels c0..c{n-1} and a swap tree over it.
 
-    The tree swaps the channels in order and is n - 1 levels deep.
+    The tree swaps the channels in order.  A "left" (left-deep) or "right"
+    (right-deep) tree is n - 1 levels deep; a right-deep tree's post-order
+    lists all n leaves before its first swap.  A "balanced" tree swaps
+    neighbours level by level and is about log2(n) levels deep.
     """
     hops = ["A"] + [f"m{i}" for i in range(1, n)] + ["B"]
     g = build_graph(
         [(f"c{i}", hops[i], hops[i + 1], fidelity, success) for i in range(n)]
     )
-    tree = Leaf("c0")
-    for i in range(1, n):
-        tree = Swap(tree, Leaf(f"c{i}"))
+    trees = [Leaf(f"c{i}") for i in range(n)]
+    if shape == "left":
+        tree = trees[0]
+        for leaf in trees[1:]:
+            tree = Swap(tree, leaf)
+    elif shape == "right":
+        tree = trees[-1]
+        for leaf in reversed(trees[:-1]):
+            tree = Swap(leaf, tree)
+    else:
+        while len(trees) > 1:
+            pairs = [Swap(a, b) for a, b in zip(trees[::2], trees[1::2])]
+            trees = pairs + trees[len(pairs) * 2 :]
+        (tree,) = trees
     return g, tree
 
 

@@ -15,10 +15,11 @@ qnet.jsonutil.canonical_dumps and the report templates write must equal
 what these give.
 
 reference_run_chunk is an independent oracle for the Monte Carlo stream:
-it draws every sample's uniforms from PCG64DXSM in one call, with no
-jump-ahead and no chunking, and compares one strided column at a time.  The
-delivered / accepted / unflipped tallies of qnet.montecarlo's workers must
-sum to its tallies exactly, with physical acceptance on or off.
+it draws every node's uniforms for every sample from PCG64DXSM in one call,
+with no jump-ahead and no chunking, and reads row j of the (nodes, samples)
+matrix as post-order node j's draws.  The delivered / accepted / unflipped
+tallies of qnet.montecarlo's workers must sum to its tallies exactly, with
+physical acceptance on or off.
 
 philox_two_draw_tallies is the Monte Carlo kernel as it was before it drew
 one uniform per leaf: two Philox draws per leaf (delivery, then flip), one
@@ -295,28 +296,23 @@ def reference_run_chunk(
 ) -> tuple[int, int, int]:
     """Delivered / accepted / accepted-and-unflipped tallies of the samples.
 
-    Each sample owns 2 * leaves - 1 consecutive draws of the seed's
-    PCG64DXSM stream: one per leaf in post-order, then one per operation in
-    post-order.  A leaf delivers if its draw u is below its success s and
-    is flipped if u < s * (1 - fidelity).
+    Post-order node j's draw for sample i is draw j * samples + i of the
+    seed's PCG64DXSM stream.  A leaf delivers if its draw u is below its
+    success s and is flipped if u < s * (1 - fidelity); an operation
+    succeeds if its draw is below its success.
     """
-    leaves = [node for node in nodes if isinstance(node, Leaf)]
-    operations = [node for node in nodes if not isinstance(node, Leaf)]
-    width = len(leaves) + len(operations)
     draws = np.random.Generator(np.random.PCG64DXSM(seed)).random(
-        samples * width
-    ).reshape(samples, width)
-    leaf_bits = []
-    for col, leaf in enumerate(leaves):
-        cost = g.channel(leaf.channel).cost
-        u = draws[:, col]
-        leaf_bits.append(
-            (u < cost.success, u < cost.success * (1.0 - cost.fidelity))
-        )
-    op_bits = [
-        draws[:, len(leaves) + k] < _op_success(node, g)
-        for k, node in enumerate(operations)
-    ]
+        len(nodes) * samples
+    ).reshape(len(nodes), samples)
+    leaf_bits, op_bits = [], []
+    for node, u in zip(nodes, draws):
+        if isinstance(node, Leaf):
+            cost = g.channel(node.channel).cost
+            leaf_bits.append(
+                (u < cost.success, u < cost.success * (1.0 - cost.fidelity))
+            )
+        else:
+            op_bits.append(u < _op_success(node, g))
     return _walk_tallies(nodes, g, leaf_bits, op_bits)
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -145,13 +145,24 @@ def test_estimate_thread_count_never_changes_numbers():
         assert estimate(tree, g, 200001, seed=9, threads=threads) == single
 
 
+def _sample_bytes(tree):
+    """A worker's bytes per sample: 8 of draws, 1 of agreements and 2 for
+    each slot of the post-order value stack, as deep as it ever gets."""
+    height = depth = 0
+    for node in postorder(tree):
+        height += 1 if isinstance(node, Leaf) else -1
+        depth = max(depth, height)
+    return 9 + 2 * depth
+
+
 def _budget(sample_bytes, samples):
     """A worker budget that holds chunks of exactly `samples` samples."""
     return sample_bytes * samples + montecarlo._SPARE_BYTES
 
 
-def _worker_tallies(tree, g, samples, seed, threads=1, budget=None):
-    """The (delivered, accepted, unflipped) tallies of each of estimate's workers."""
+def _worker_tallies(tree, g, samples, seed, threads=1, budget=None, chunk=None):
+    """The (delivered, accepted, unflipped) tallies of each of estimate's
+    workers, under a byte budget and a chunk sample cap if given."""
     tallies = []
     run_worker = montecarlo._run_worker
 
@@ -161,8 +172,10 @@ def _worker_tallies(tree, g, samples, seed, threads=1, budget=None):
         return result
 
     budget = budget or montecarlo._CHUNK_BYTES
+    chunk = chunk or montecarlo._CHUNK_SAMPLES
     with mock.patch.object(montecarlo, "_run_worker", recording), \
-            mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
+            mock.patch.object(montecarlo, "_CHUNK_BYTES", budget), \
+            mock.patch.object(montecarlo, "_CHUNK_SAMPLES", chunk):
         estimate(tree, g, samples, seed, threads)
     return tallies
 
@@ -182,8 +195,9 @@ def test_chunk_budget_bounds_memory_and_never_changes_numbers(monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_worker", recording)
     whole = estimate(tree, g, 5000, seed=12)
     assert counts == [5000]
-    # 4 leaves take 7 draws per sample and 4 flip compares: 67 bytes a sample
-    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _budget(67, 777))
+    # the value stack is 3 slots deep: 8 + 1 + 2 * 3 = 15 bytes a sample
+    assert _sample_bytes(tree) == 15
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _budget(15, 777))
     counts.clear()
     totals.clear()
     assert estimate(tree, g, 5000, seed=12, threads=2) == whole
@@ -231,6 +245,12 @@ def _sampled_trees(draw):
     return trees[0], NetworkGraph(nodes, channels, ops)
 
 
+def _two_path_case(acceptance):
+    g = two_path_graph(ops=OperationCosts(physical_acceptance=acceptance))
+    tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
+    return tree, g
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     _sampled_trees(),
@@ -238,17 +258,23 @@ def _sampled_trees(draw):
     st.integers(1, 97),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-def test_kernel_tallies_match_reference_chunk(case, samples, chunk, threads, seed):
+# chunks of 97 leave a short last chunk of 700 samples at 1 and 2 threads
+@example(_two_path_case(True), 700, 97, 1, 5, True)
+@example(_two_path_case(False), 700, 97, 2, 5, False)
+def test_kernel_tallies_match_reference_chunk(
+    case, samples, chunk, threads, seed, by_bytes
+):
     tree, g = case
-    nodes = postorder(tree)
-    leaves = len(g.channels)
-    want = reference_run_chunk(nodes, g, seed, samples)
-    # a budget a little over `chunk` samples still gives chunks of `chunk`
-    width = 2 * leaves - 1
-    sample_bytes = montecarlo._CELL_BYTES * width + leaves
-    budget = _budget(sample_bytes, chunk) + width
-    tallies = _worker_tallies(tree, g, samples, seed, threads, budget)
+    want = reference_run_chunk(postorder(tree), g, seed, samples)
+    if by_bytes:
+        # a budget a little over `chunk` samples still gives chunks of `chunk`
+        sample_bytes = _sample_bytes(tree)
+        budget = _budget(sample_bytes, chunk) + sample_bytes - 1
+        tallies = _worker_tallies(tree, g, samples, seed, threads, budget=budget)
+    else:
+        tallies = _worker_tallies(tree, g, samples, seed, threads, chunk=chunk)
     assert len(tallies) == min(threads, -(-samples // chunk))
     assert tuple(sum(column) for column in zip(*tallies)) == want
 
@@ -270,20 +296,37 @@ def test_one_leaf_reads_one_uniform_per_sample(seed, success, fidelity):
     samples = 30001
     u = np.random.Generator(np.random.PCG64DXSM(seed)).random(samples)
     g = build_graph([("c1", "A", "B", fidelity, success)])
-    # 1 draw and 1 flip compare: 10 bytes a sample, chunks of 4,096
-    tallies = _worker_tallies(Leaf("c1"), g, samples, seed, 3, _budget(10, 4096))
+    # 8 + 1 + 2 * 1 = 11 bytes a sample, chunks of 4,096
+    tallies = _worker_tallies(Leaf("c1"), g, samples, seed, 3, _budget(11, 4096))
     delivered, accepted, unflipped = (sum(column) for column in zip(*tallies))
     assert delivered == accepted == np.count_nonzero(u < success)
     flipped = np.count_nonzero(u < success * (1.0 - fidelity))
     assert delivered - unflipped == flipped
 
 
+_BUFFER_CASES = [
+    ("left", 1, 70000),
+    ("left", 2, 70000),
+    ("left", 10, 70000),
+    ("left", 250, 8000),
+    ("left", 5000, 400),
+    ("left", 20001, 100),
+    ("balanced", 250, 1 << 17),
+    ("right", 1000, 40000),
+    ("right", 20001, 1000),
+]
+
+
 @pytest.mark.parametrize(
-    "leaves, samples",
-    [(1, 70000), (2, 70000), (10, 70000), (250, 8000), (5000, 400), (20001, 100)],
+    "shape, leaves, samples",
+    _BUFFER_CASES,
+    ids=[
+        f"{leaves}-{samples}" if shape == "left" else f"{shape}-{leaves}-{samples}"
+        for shape, leaves, samples in _BUFFER_CASES
+    ],
 )
-def test_worker_buffers_stay_within_chunk_bytes(leaves, samples, monkeypatch):
-    g, tree = series_chain(leaves)
+def test_worker_buffers_stay_within_chunk_bytes(shape, leaves, samples, monkeypatch):
+    g, tree = series_chain(leaves, shape=shape)
     peaks = []
     run_worker = montecarlo._run_worker
 
@@ -302,8 +345,13 @@ def test_worker_buffers_stay_within_chunk_bytes(leaves, samples, monkeypatch):
         tracemalloc.stop()
     (peak,) = peaks
     assert peak <= montecarlo._CHUNK_BYTES
-    if leaves >= 250:
-        # the budget binds, so the traced peak holds the worker's buffers
+    if shape == "balanced":
+        # a 9-slot stack: 27 bytes for each of 65,536 samples
+        assert peak < 8 << 20
+    if shape == "right":
+        # the stack is `leaves` slots deep, so the budget binds (20,001
+        # slots leave room for 836 samples) and the traced peak holds the
+        # worker's buffers
         assert peak >= montecarlo._CHUNK_BYTES // 2
 
 

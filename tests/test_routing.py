@@ -400,7 +400,11 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch
     twelve simulate cases were produced again: the eight of the 2- and
     10-leaf trees changed their estimates, the four of the 100-leaf tree
     deliver nothing under either stream and kept their bytes, as did every
-    other case.
+    other case.  Once the stream was laid out node-major (node j's draw for
+    sample i at draw j * samples + i), the same eight cases of the 2- and
+    10-leaf trees were produced again, because every sample now reads
+    other draws; the four 100-leaf cases still deliver nothing and kept
+    their bytes, as did every route and reduce case.
     """
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) == 39
