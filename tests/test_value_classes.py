@@ -1,0 +1,316 @@
+"""The value-class contract: equality, hash, repr, immutability, pickling.
+
+Every public value class compares equal only to an instance of its own
+type with equal fields, hashes by those fields, prints as
+``Name(field=value, ...)``, refuses assignment and deletion, accepts its
+fields by position or keyword, validates them on construction and
+survives a pickle or copy round trip.
+"""
+import copy
+import pickle
+
+import pytest
+
+from qnet import (
+    AlgebraDomainError,
+    Channel,
+    CostVector,
+    Fidelity,
+    GridSpec,
+    GridStrategy,
+    Leaf,
+    NetworkGraph,
+    Node,
+    NodeRole,
+    OperationCosts,
+    Purify,
+    ReductionResult,
+    RouteRequest,
+    RouteResult,
+    SearchKind,
+    Swap,
+)
+from qnet.montecarlo import McEstimate
+from qnet.reduction import ReductionStep, ReductionTrace, StepKind
+from qnet.routing import UNBOUNDED_PATHS, RouteDiagnostics
+
+CV = CostVector(0.9, 0.8)
+CV_REPR = "CostVector(fidelity=0.9, success=0.8)"
+STEP = ReductionStep(StepKind.SERIES, ("c1", "c2"), "m", "r0", CV)
+STEP_REPR = (
+    "ReductionStep(kind=<StepKind.SERIES: 'series'>, consumed=('c1', 'c2'), "
+    f"eliminated='m', produced='r0', cost={CV_REPR})"
+)
+TRACE = ReductionTrace((STEP,), ("A", "B"), ("r0",))
+TRACE_REPR = (
+    f"ReductionTrace(steps=({STEP_REPR},), terminal_nodes=('A', 'B'), "
+    "terminal_channels=('r0',))"
+)
+DIAG = RouteDiagnostics(1, 2, 3)
+DIAG_REPR = "RouteDiagnostics(paths_examined=1, candidates_evaluated=2, reduction_steps=3)"
+
+
+def _graph(fidelity=0.9):
+    return NetworkGraph(
+        [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)],
+        [Channel("c1", "A", "B", CostVector(fidelity, 0.8))],
+    )
+
+
+# name: (fields by keyword, a change to one field, repr of the first)
+CASES = {
+    "Fidelity": (
+        Fidelity, dict(value=0.5, formal=False), dict(value=0.25),
+        "Fidelity(value=0.5, formal=False)",
+    ),
+    "CostVector": (
+        CostVector, dict(fidelity=0.9, success=0.8), dict(success=0.7), CV_REPR,
+    ),
+    "OperationCosts": (
+        OperationCosts,
+        dict(swap_success=0.5, purify_success=0.25, physical_acceptance=False),
+        dict(physical_acceptance=True),
+        "OperationCosts(swap_success=0.5, purify_success=0.25, "
+        "physical_acceptance=False)",
+    ),
+    "GridSpec": (
+        GridSpec,
+        dict(
+            breadth=2, depth=3, channel_fidelity=0.9, channel_success=0.8,
+            strategy=GridStrategy.SWAP_THEN_PURIFY,
+        ),
+        dict(strategy=GridStrategy.PURIFY_THEN_SWAP),
+        "GridSpec(breadth=2, depth=3, channel_fidelity=0.9, channel_success=0.8, "
+        "strategy=<GridStrategy.SWAP_THEN_PURIFY: 'swap-then-purify'>)",
+    ),
+    "Node": (
+        Node, dict(id="A", role=NodeRole.ENDPOINT), dict(role=NodeRole.ROUTER),
+        "Node(id='A', role=<NodeRole.ENDPOINT: 'endpoint'>)",
+    ),
+    "Channel": (
+        Channel, dict(id="c1", a="A", b="B", cost=CV), dict(b="C"),
+        f"Channel(id='c1', a='A', b='B', cost={CV_REPR})",
+    ),
+    "Leaf": (Leaf, dict(channel="c1"), dict(channel="c2"), "Leaf(channel='c1')"),
+    "Swap": (
+        Swap, dict(left=Leaf("c1"), right=Leaf("c2")), dict(right=Leaf("c3")),
+        "Swap(left=Leaf(channel='c1'), right=Leaf(channel='c2'))",
+    ),
+    "Purify": (
+        Purify, dict(left=Leaf("c1"), right=Swap(Leaf("c2"), Leaf("c3"))),
+        dict(left=Leaf("c4")),
+        "Purify(left=Leaf(channel='c1'), "
+        "right=Swap(left=Leaf(channel='c2'), right=Leaf(channel='c3')))",
+    ),
+    "ReductionStep": (
+        ReductionStep,
+        dict(kind=StepKind.SERIES, consumed=("c1", "c2"), eliminated="m",
+             produced="r0", cost=CV),
+        dict(eliminated=None),
+        STEP_REPR,
+    ),
+    "ReductionTrace": (
+        ReductionTrace,
+        dict(steps=(STEP,), terminal_nodes=("A", "B"), terminal_channels=("r0",)),
+        dict(steps=()),
+        TRACE_REPR,
+    ),
+    "ReductionResult": (
+        ReductionResult,
+        dict(graph=_graph(), trace=TRACE, strategies={"c1": Leaf("c1")}),
+        dict(strategies={"c1": Leaf("c2")}),
+        "ReductionResult(graph=NetworkGraph(2 nodes, 1 channels), "
+        f"trace={TRACE_REPR}, strategies={{'c1': Leaf(channel='c1')}})",
+    ),
+    "RouteRequest": (
+        RouteRequest,
+        dict(source="A", target="B", min_success=0.5, max_paths=3,
+             max_bruteforce_edges=4),
+        dict(max_paths=5),
+        "RouteRequest(source='A', target='B', min_success=0.5, max_paths=3, "
+        "max_bruteforce_edges=4)",
+    ),
+    "RouteDiagnostics": (
+        RouteDiagnostics,
+        dict(paths_examined=1, candidates_evaluated=2, reduction_steps=3),
+        dict(reduction_steps=4),
+        DIAG_REPR,
+    ),
+    "RouteResult": (
+        RouteResult,
+        dict(subgraph=_graph(), strategy=Leaf("c1"), cost=CV, paths_harvested=1,
+             search=SearchKind.FULLY_REDUCED, diagnostics=DIAG),
+        dict(subgraph=_graph(0.5)),
+        "RouteResult(subgraph=NetworkGraph(2 nodes, 1 channels), "
+        f"strategy=Leaf(channel='c1'), cost={CV_REPR}, paths_harvested=1, "
+        f"search=<SearchKind.FULLY_REDUCED: 'FullyReduced'>, diagnostics={DIAG_REPR})",
+    ),
+    "McEstimate": (
+        McEstimate,
+        dict(fidelity_hat=0.9, success_hat=0.5, std_error_fidelity=0.01,
+             std_error_success=0.02, samples=100, seed=7),
+        dict(fidelity_hat=None),
+        "McEstimate(fidelity_hat=0.9, success_hat=0.5, std_error_fidelity=0.01, "
+        "std_error_success=0.02, samples=100, seed=7)",
+    ),
+}
+# hold a NetworkGraph, or a dict, so hashing raises TypeError
+UNHASHABLE = {"ReductionResult", "RouteResult"}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    cls, fields, change, text = CASES[request.param]
+    return request.param, cls, fields, change, text
+
+
+def test_positional_and_keyword_construction_agree(case):
+    _, cls, fields, _, _ = case
+    by_keyword = cls(**fields)
+    by_position = cls(*fields.values())
+    assert by_keyword == by_position
+    assert type(by_keyword) is cls
+    for name, value in fields.items():
+        assert getattr(by_keyword, name) == value
+
+
+def test_equality_and_hash(case):
+    name, cls, fields, change, _ = case
+    a, b = cls(**fields), cls(**fields)
+    other = cls(**{**fields, **change})
+    assert a == b and not a != b
+    assert a != other and not a == other
+    assert a != object() and a != tuple(fields.values())
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b, other}) == 2
+
+
+def test_repr(case):
+    _, cls, fields, _, text = case
+    assert repr(cls(**fields)) == text
+
+
+def test_assignment_and_deletion_raise(case):
+    _, cls, fields, _, _ = case
+    value = cls(**fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert cls(**fields) == value
+
+
+def test_pickle_and_copy_round_trip(case):
+    _, cls, fields, _, text = case
+    value = cls(**fields)
+    for twin in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(twin) is cls
+        assert twin == value
+        assert repr(twin) == text
+
+
+def test_defaults():
+    assert Fidelity(0.5) == Fidelity(0.5, formal=False)
+    ops = OperationCosts()
+    assert (ops.swap_success, ops.purify_success, ops.physical_acceptance) == (
+        1.0, 1.0, True,
+    )
+    assert OperationCosts(0.5) == OperationCosts(0.5, 1.0, True)
+    spec = GridSpec(2, 3, 0.9, 0.8)
+    assert spec.strategy is GridStrategy.PURIFY_THEN_SWAP
+    request = RouteRequest("A", "B", 0.5)
+    assert request.max_paths == UNBOUNDED_PATHS
+    assert request.max_bruteforce_edges == 12
+
+
+def test_values_are_normalised_to_float():
+    cost = CostVector(1, 0)
+    assert (type(cost.fidelity), type(cost.success)) == (float, float)
+    assert repr(cost) == "CostVector(fidelity=1.0, success=0.0)"
+    assert CostVector(Fidelity(0.5), 1) == CostVector(0.5, 1.0)
+    ops = OperationCosts(1, 0)
+    assert repr(ops) == (
+        "OperationCosts(swap_success=1.0, purify_success=0.0, "
+        "physical_acceptance=True)"
+    )
+    spec = GridSpec(1, 1, 1, 0)
+    assert (spec.channel_fidelity, spec.channel_success) == (1.0, 0.0)
+    assert type(spec.channel_fidelity) is float
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Fidelity(1.5), AlgebraDomainError,
+         r"^physical fidelity 1\.5 outside \[0, 1\]$"),
+        (lambda: Fidelity(-0.25), AlgebraDomainError,
+         r"^physical fidelity -0\.25 outside \[0, 1\]$"),
+        (lambda: CostVector(1.5, 0.5), AlgebraDomainError,
+         r"^fidelity 1\.5 outside \[0, 1\]$"),
+        (lambda: CostVector(0.5, 2), AlgebraDomainError,
+         r"^success probability 2\.0 outside \[0, 1\]$"),
+        (lambda: CostVector(Fidelity(1.5, formal=True), 0.5), AlgebraDomainError,
+         r"^formal fidelity 1\.5 rejected$"),
+        (lambda: OperationCosts(swap_success=-1), AlgebraDomainError,
+         r"^success probability -1\.0 outside \[0, 1\]$"),
+        (lambda: OperationCosts(purify_success=1.5), AlgebraDomainError,
+         r"^success probability 1\.5 outside \[0, 1\]$"),
+        (lambda: GridSpec(0, 1, 0.9, 0.8), AlgebraDomainError,
+         r"^grid breadth and depth must be >= 1$"),
+        (lambda: GridSpec(1, 0, 0.9, 0.8), AlgebraDomainError,
+         r"^grid breadth and depth must be >= 1$"),
+        (lambda: GridSpec(1, 1, 1.5, 0.8), AlgebraDomainError,
+         r"^fidelity 1\.5 outside \[0, 1\]$"),
+        (lambda: GridSpec(1, 1, 0.9, 1.5), AlgebraDomainError,
+         r"^success probability 1\.5 outside \[0, 1\]$"),
+        (lambda: RouteRequest("A", "B", 0.0), ValueError,
+         r"^min_success 0\.0 outside \(0, 1\]$"),
+        (lambda: RouteRequest("A", "B", 1.5), ValueError,
+         r"^min_success 1\.5 outside \(0, 1\]$"),
+        (lambda: RouteRequest("A", "B", 0.5, max_paths=0), ValueError,
+         r"^max_paths must be >= 1$"),
+        (lambda: RouteRequest("A", "B", 0.5, max_bruteforce_edges=0), ValueError,
+         r"^max_bruteforce_edges must be >= 1$"),
+    ],
+)
+def test_validation_messages(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_formal_fidelity_skips_the_range_check():
+    assert Fidelity(1.5, formal=True).value == 1.5
+
+
+def test_swap_and_purify_never_compare_equal():
+    left, right = Leaf("c1"), Leaf("c2")
+    assert Swap(left, right) != Purify(left, right)
+    assert not Swap(left, right) == Purify(left, right)
+    assert Swap(left, right) == Swap(Leaf("c1"), Leaf("c2"))
+
+
+def test_channel_endpoints_are_sorted_and_pair_is_derived():
+    swapped = Channel("c1", "B", "A", CV)
+    assert (swapped.a, swapped.b) == ("A", "B")
+    assert swapped.pair == frozenset(("A", "B"))
+    assert swapped == Channel("c1", "A", "B", CV)
+    assert repr(swapped) == f"Channel(id='c1', a='A', b='B', cost={CV_REPR})"
+    assert pickle.loads(pickle.dumps(swapped)).pair == frozenset(("A", "B"))
+
+
+def test_channel_equality_and_hash_ignore_pair():
+    plain = Channel("c1", "A", "B", CV)
+    odd = Channel("c1", "A", "B", CV)
+    object.__setattr__(odd, "pair", frozenset())
+    assert odd == plain and hash(odd) == hash(plain)
+    with pytest.raises(AttributeError):
+        plain.pair = frozenset()
