@@ -69,6 +69,12 @@ def __getattr__(name: str):
 
     return getattr(montecarlo, name)
 
+
+def __dir__():
+    """Module names, the lazy montecarlo ones included, without loading them."""
+    return sorted({*globals(), *_MONTECARLO})
+
+
 __all__ = [
     "AlgebraDomainError",
     "Channel",

@@ -8,9 +8,10 @@ success bookkeeping into an additive one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+from ._value import Value, _set
 
 __all__ = [
     "AlgebraDomainError",
@@ -47,8 +48,7 @@ class AlgebraDomainError(ValueError):
     """Raised for inputs outside an operation's domain."""
 
 
-@dataclass(frozen=True)
-class Fidelity:
+class Fidelity(Value):
     """A fidelity value.
 
     Physical fidelities live in [0, 1].  A *formal* fidelity may lie outside
@@ -56,14 +56,17 @@ class Fidelity:
     rejected by every physical pipeline (cost vectors, graphs, routing).
     """
 
+    __slots__ = _fields = ("value", "formal")
     value: float
-    formal: bool = False
+    formal: bool
 
-    def __post_init__(self) -> None:
-        if not self.formal and not 0.0 <= self.value <= 1.0:
+    def __init__(self, value: float, formal: bool = False) -> None:
+        if not formal and not 0.0 <= value <= 1.0:
             raise AlgebraDomainError(
-                f"physical fidelity {self.value!r} outside [0, 1]"
+                f"physical fidelity {value!r} outside [0, 1]"
             )
+        _set(self, "value", value)
+        _set(self, "formal", formal)
 
 
 def _physical(f: float | Fidelity, what: str = "fidelity") -> float:
@@ -84,33 +87,39 @@ def _success(p: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class CostVector:
+class CostVector(Value):
     """(fidelity, success probability) of one entangled pair."""
 
+    __slots__ = _fields = ("fidelity", "success")
     fidelity: float
     success: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fidelity", _physical(self.fidelity))
-        object.__setattr__(self, "success", _success(self.success))
+    def __init__(self, fidelity: float | Fidelity, success: float) -> None:
+        _set(self, "fidelity", _physical(fidelity))
+        _set(self, "success", _success(success))
 
 
-@dataclass(frozen=True)
-class OperationCosts:
+class OperationCosts(Value):
     """Success factors charged per operation.
 
     physical_acceptance controls whether the state-dependent acceptance
     probability of a purification round multiplies the success probability.
     """
 
-    swap_success: float = 1.0
-    purify_success: float = 1.0
-    physical_acceptance: bool = True
+    __slots__ = _fields = ("swap_success", "purify_success", "physical_acceptance")
+    swap_success: float
+    purify_success: float
+    physical_acceptance: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "swap_success", _success(self.swap_success))
-        object.__setattr__(self, "purify_success", _success(self.purify_success))
+    def __init__(
+        self,
+        swap_success: float = 1.0,
+        purify_success: float = 1.0,
+        physical_acceptance: bool = True,
+    ) -> None:
+        _set(self, "swap_success", _success(swap_success))
+        _set(self, "purify_success", _success(purify_success))
+        _set(self, "physical_acceptance", physical_acceptance)
 
 
 def swap_value(f1: float, f2: float) -> float:
@@ -302,28 +311,36 @@ class GridStrategy(Enum):
     SWAP_THEN_PURIFY = "swap-then-purify"
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Value):
     """A breadth x depth grid of identical channels.
 
     breadth parallel strands, each a chain of depth identical channels.
     """
 
+    __slots__ = _fields = (
+        "breadth", "depth", "channel_fidelity", "channel_success", "strategy"
+    )
     breadth: int
     depth: int
     channel_fidelity: float
     channel_success: float
-    strategy: GridStrategy = GridStrategy.PURIFY_THEN_SWAP
+    strategy: GridStrategy
 
-    def __post_init__(self) -> None:
-        if self.breadth < 1 or self.depth < 1:
+    def __init__(
+        self,
+        breadth: int,
+        depth: int,
+        channel_fidelity: float,
+        channel_success: float,
+        strategy: GridStrategy = GridStrategy.PURIFY_THEN_SWAP,
+    ) -> None:
+        if breadth < 1 or depth < 1:
             raise AlgebraDomainError("grid breadth and depth must be >= 1")
-        object.__setattr__(
-            self, "channel_fidelity", _physical(self.channel_fidelity)
-        )
-        object.__setattr__(
-            self, "channel_success", _success(self.channel_success)
-        )
+        _set(self, "breadth", breadth)
+        _set(self, "depth", depth)
+        _set(self, "channel_fidelity", _physical(channel_fidelity))
+        _set(self, "channel_success", _success(channel_success))
+        _set(self, "strategy", strategy)
 
 
 def _acceptance_product(base: float, count: int) -> float:

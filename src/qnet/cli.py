@@ -11,17 +11,23 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from enum import IntEnum
 from functools import partial
 
 from .algebra import (
+    CostVector,
     GridSpec,
     GridStrategy,
     OperationCosts,
     grid_cost,
 )
-from .graph import GraphFormatError, NetworkGraph, parse_graph, write_graph
+from .graph import (
+    GraphFormatError,
+    NetworkGraph,
+    op_costs_obj,
+    parse_graph,
+    write_graph,
+)
 from .jsonutil import Deferred, RawJSON, canonical_dumps, float_text, quote
 from .reduction import (
     StrategyTree,
@@ -31,6 +37,8 @@ from .reduction import (
     strategy_from_obj,
 )
 from .routing import (
+    DEFAULT_MAX_BRUTEFORCE_EDGES,
+    UNBOUNDED_PATHS,
     InfeasibleRouteError,
     RouteRequest,
     RouteResult,
@@ -118,11 +126,11 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--target")
     p_sim.add_argument("--min-success", type=float)
     for p in (p_route, p_sim):
-        p.add_argument("--max-paths", type=int, default=RouteRequest.max_paths)
+        p.add_argument("--max-paths", type=int, default=UNBOUNDED_PATHS)
         p.add_argument(
             "--max-bruteforce-edges",
             type=int,
-            default=RouteRequest.max_bruteforce_edges,
+            default=DEFAULT_MAX_BRUTEFORCE_EDGES,
         )
 
     p_grid = sub.add_parser("grid", help="cost of a breadth x depth grid")
@@ -195,17 +203,26 @@ def _route_request(args) -> RouteRequest:
     )
 
 
+def _cost_obj(cost: CostVector) -> dict:
+    return {"fidelity": cost.fidelity, "success": cost.success}
+
+
 def _route_obj(result: RouteResult) -> dict:
+    diagnostics = result.diagnostics
     return {
         "command": "route",
         "search": result.search.value,
-        "cost": None if result.cost is None else asdict(result.cost),
+        "cost": None if result.cost is None else _cost_obj(result.cost),
         "strategy": None
         if result.strategy is None
         else RawJSON(serialize_strategy(result.strategy)),
         "paths_harvested": result.paths_harvested,
         "subgraph": Deferred(partial(write_graph, result.subgraph)),
-        "diagnostics": asdict(result.diagnostics),
+        "diagnostics": {
+            "paths_examined": diagnostics.paths_examined,
+            "candidates_evaluated": diagnostics.candidates_evaluated,
+            "reduction_steps": diagnostics.reduction_steps,
+        },
     }
 
 
@@ -276,8 +293,15 @@ def _cmd_simulate(args) -> int:
     _emit(
         {
             "command": "simulate",
-            "estimate": asdict(est),
-            "analytic": asdict(analytic),
+            "estimate": {
+                "fidelity_hat": est.fidelity_hat,
+                "success_hat": est.success_hat,
+                "std_error_fidelity": est.std_error_fidelity,
+                "std_error_success": est.std_error_success,
+                "samples": est.samples,
+                "seed": est.seed,
+            },
+            "analytic": _cost_obj(analytic),
             "strategy": RawJSON(serialize_strategy(tree)),
         }
     )
@@ -306,8 +330,8 @@ def _cmd_grid(args) -> int:
             "channel_fidelity": spec.channel_fidelity,
             "channel_success": spec.channel_success,
             "strategy": spec.strategy.value,
-            "op_costs": asdict(ops),
-            "cost": asdict(cost),
+            "op_costs": op_costs_obj(ops),
+            "cost": _cost_obj(cost),
         }
     )
     return int(ExitCode.OK)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from ._value import Value, _set
 from .algebra import CostVector, OperationCosts
 from .jsonutil import canonical_dumps, float_text, quote
 
@@ -23,6 +23,7 @@ __all__ = [
     "NetworkGraph",
     "Node",
     "NodeRole",
+    "op_costs_obj",
     "parse_graph",
     "serialize_graph",
     "write_graph",
@@ -40,28 +41,39 @@ class NodeRole(Enum):
     ROUTER = "router"
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(Value):
+    __slots__ = _fields = ("id", "role")
     id: str
     role: NodeRole
 
+    def __init__(self, id: str, role: NodeRole) -> None:
+        _set(self, "id", id)
+        _set(self, "role", role)
 
-@dataclass(frozen=True, slots=True)
-class Channel:
-    """Undirected channel; endpoints are stored in sorted order."""
 
+class Channel(Value):
+    """Undirected channel; endpoints are stored in sorted order.
+
+    pair, the set of both endpoints, is derived: it is neither compared
+    nor printed.
+    """
+
+    _fields = ("id", "a", "b", "cost")
+    __slots__ = (*_fields, "pair")
     id: str
     a: str
     b: str
     cost: CostVector
-    pair: frozenset[str] = field(init=False, repr=False, compare=False)
+    pair: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if self.b < self.a:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-        object.__setattr__(self, "pair", frozenset((self.a, self.b)))
+    def __init__(self, id: str, a: str, b: str, cost: CostVector) -> None:
+        if b < a:
+            a, b = b, a
+        _set(self, "id", id)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "cost", cost)
+        _set(self, "pair", frozenset((a, b)))
 
     def other(self, node_id: str) -> str:
         if node_id == self.a:
@@ -274,6 +286,15 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
     return NetworkGraph(nodes, channels, ops)
 
 
+def op_costs_obj(ops: OperationCosts) -> dict:
+    """The JSON object form of ops, as documents and reports hold it."""
+    return {
+        "swap_success": ops.swap_success,
+        "purify_success": ops.purify_success,
+        "physical_acceptance": ops.physical_acceptance,
+    }
+
+
 def write_graph(g: NetworkGraph, out: list[str]) -> None:
     """Append g's canonical version-1 document to out.
 
@@ -298,7 +319,7 @@ def write_graph(g: NetworkGraph, out: list[str]) -> None:
         for nid, n in sorted(g._nodes.items())
     ]))
     out.append('],"op_costs":')
-    out.append(canonical_dumps(asdict(g.op_costs)))
+    out.append(canonical_dumps(op_costs_obj(g.op_costs)))
     out.append(',"version":1}')
 
 

@@ -26,11 +26,11 @@ first k samples of a run are not a k-sample run.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
+from ._value import Value, _set
 from .algebra import AlgebraDomainError
 from .graph import NetworkGraph
 from .reduction import Leaf, StrategyTree, Swap, check_strategy, postorder
@@ -54,14 +54,37 @@ _CHUNK_BYTES = 32 << 20
 _SPARE_BYTES = 1 << 16
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Value):
+    __slots__ = _fields = (
+        "fidelity_hat",
+        "success_hat",
+        "std_error_fidelity",
+        "std_error_success",
+        "samples",
+        "seed",
+    )
     fidelity_hat: float | None
     success_hat: float
     std_error_fidelity: float | None
     std_error_success: float
     samples: int
     seed: int
+
+    def __init__(
+        self,
+        fidelity_hat: float | None,
+        success_hat: float,
+        std_error_fidelity: float | None,
+        std_error_success: float,
+        samples: int,
+        seed: int,
+    ) -> None:
+        _set(self, "fidelity_hat", fidelity_hat)
+        _set(self, "success_hat", success_hat)
+        _set(self, "std_error_fidelity", std_error_fidelity)
+        _set(self, "std_error_success", std_error_success)
+        _set(self, "samples", samples)
+        _set(self, "seed", seed)
 
 
 def _run_worker(

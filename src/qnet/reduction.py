@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
+from ._value import Value, _set
 from .algebra import CostVector, purify_cost, swap_cost
 from .graph import (
     Channel,
@@ -60,21 +60,30 @@ class ReductionError(ValueError):
     """Raised when a rewrite step does not apply."""
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Value):
+    __slots__ = _fields = ("channel",)
     channel: str
 
-
-@dataclass(frozen=True)
-class Swap:
-    left: "StrategyTree"
-    right: "StrategyTree"
+    def __init__(self, channel: str) -> None:
+        _set(self, "channel", channel)
 
 
-@dataclass(frozen=True)
-class Purify:
-    left: "StrategyTree"
-    right: "StrategyTree"
+class _Operation(Value):
+    __slots__ = _fields = ("left", "right")
+    left: StrategyTree
+    right: StrategyTree
+
+    def __init__(self, left: StrategyTree, right: StrategyTree) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Swap(_Operation):
+    __slots__ = ()
+
+
+class Purify(_Operation):
+    __slots__ = ()
 
 
 StrategyTree = Union[Leaf, Swap, Purify]
@@ -175,27 +184,61 @@ class StepKind(Enum):
     PARALLEL = "parallel"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(Value):
+    __slots__ = _fields = ("kind", "consumed", "eliminated", "produced", "cost")
     kind: StepKind
     consumed: tuple[str, str]
     eliminated: str | None
     produced: str
     cost: CostVector
 
+    def __init__(
+        self,
+        kind: StepKind,
+        consumed: tuple[str, str],
+        eliminated: str | None,
+        produced: str,
+        cost: CostVector,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "consumed", consumed)
+        _set(self, "eliminated", eliminated)
+        _set(self, "produced", produced)
+        _set(self, "cost", cost)
 
-@dataclass(frozen=True)
-class ReductionTrace:
+
+class ReductionTrace(Value):
+    __slots__ = _fields = ("steps", "terminal_nodes", "terminal_channels")
     steps: tuple[ReductionStep, ...]
     terminal_nodes: tuple[str, ...]
     terminal_channels: tuple[str, ...]
 
+    def __init__(
+        self,
+        steps: tuple[ReductionStep, ...],
+        terminal_nodes: tuple[str, ...],
+        terminal_channels: tuple[str, ...],
+    ) -> None:
+        _set(self, "steps", steps)
+        _set(self, "terminal_nodes", terminal_nodes)
+        _set(self, "terminal_channels", terminal_channels)
 
-@dataclass(frozen=True)
-class ReductionResult:
+
+class ReductionResult(Value):
+    __slots__ = _fields = ("graph", "trace", "strategies")
     graph: NetworkGraph
     trace: ReductionTrace
     strategies: dict[str, StrategyTree]
+
+    def __init__(
+        self,
+        graph: NetworkGraph,
+        trace: ReductionTrace,
+        strategies: dict[str, StrategyTree],
+    ) -> None:
+        _set(self, "graph", graph)
+        _set(self, "trace", trace)
+        _set(self, "strategies", strategies)
 
 
 def _synthetic_start(g: NetworkGraph) -> int:

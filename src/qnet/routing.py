@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._value import Value, _set
 from .algebra import (
     AlgebraDomainError,
     CostVector,
@@ -46,7 +46,9 @@ __all__ = [
     "route",
 ]
 
+# RouteRequest's defaults, which are also the CLI's.
 UNBOUNDED_PATHS = 2**31 - 1
+DEFAULT_MAX_BRUTEFORCE_EDGES = 12
 
 
 class InfeasibleRouteError(Exception):
@@ -63,40 +65,79 @@ class SearchKind(Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
-class RouteRequest:
+class RouteRequest(Value):
+    __slots__ = _fields = (
+        "source", "target", "min_success", "max_paths", "max_bruteforce_edges"
+    )
     source: str
     target: str
     min_success: float
-    max_paths: int = UNBOUNDED_PATHS
-    max_bruteforce_edges: int = 12
+    max_paths: int
+    max_bruteforce_edges: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.min_success <= 1.0:
-            raise ValueError(
-                f"min_success {self.min_success!r} outside (0, 1]"
-            )
-        if self.max_paths < 1:
+    def __init__(
+        self,
+        source: str,
+        target: str,
+        min_success: float,
+        max_paths: int = UNBOUNDED_PATHS,
+        max_bruteforce_edges: int = DEFAULT_MAX_BRUTEFORCE_EDGES,
+    ) -> None:
+        if not 0.0 < min_success <= 1.0:
+            raise ValueError(f"min_success {min_success!r} outside (0, 1]")
+        if max_paths < 1:
             raise ValueError("max_paths must be >= 1")
-        if self.max_bruteforce_edges < 1:
+        if max_bruteforce_edges < 1:
             raise ValueError("max_bruteforce_edges must be >= 1")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "min_success", min_success)
+        _set(self, "max_paths", max_paths)
+        _set(self, "max_bruteforce_edges", max_bruteforce_edges)
 
 
-@dataclass(frozen=True)
-class RouteDiagnostics:
+class RouteDiagnostics(Value):
+    __slots__ = _fields = (
+        "paths_examined", "candidates_evaluated", "reduction_steps"
+    )
     paths_examined: int
     candidates_evaluated: int
     reduction_steps: int
 
+    def __init__(
+        self, paths_examined: int, candidates_evaluated: int, reduction_steps: int
+    ) -> None:
+        _set(self, "paths_examined", paths_examined)
+        _set(self, "candidates_evaluated", candidates_evaluated)
+        _set(self, "reduction_steps", reduction_steps)
 
-@dataclass(frozen=True)
-class RouteResult:
+
+class RouteResult(Value):
+    __slots__ = _fields = (
+        "subgraph", "strategy", "cost", "paths_harvested", "search", "diagnostics"
+    )
     subgraph: NetworkGraph
     strategy: StrategyTree | None
     cost: CostVector | None
     paths_harvested: int
     search: SearchKind
     diagnostics: RouteDiagnostics
+
+    def __init__(
+        self,
+        subgraph: NetworkGraph,
+        strategy: StrategyTree | None,
+        cost: CostVector | None,
+        paths_harvested: int,
+        search: SearchKind,
+        diagnostics: RouteDiagnostics,
+    ) -> None:
+        _set(self, "subgraph", subgraph)
+        _set(self, "strategy", strategy)
+        _set(self, "cost", cost)
+        _set(self, "paths_harvested", paths_harvested)
+        _set(self, "search", search)
+        _set(self, "diagnostics", diagnostics)
 
 
 def _check_endpoints(g: NetworkGraph, source: str, target: str) -> None:

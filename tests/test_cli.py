@@ -11,6 +11,7 @@ from qnet import (
     GridSpec,
     GridStrategy,
     OperationCosts,
+    RouteRequest,
     evaluate_strategy,
     grid_cost,
     reduce_to_fixpoint,
@@ -191,9 +192,42 @@ def test_commands_handle_a_3000_rung_ladder(tmp_path):
         assert (cost["fidelity"], cost["success"]) == (want.fidelity, want.success)
 
 
+def _loaded_after(code, modules):
+    """Which of modules a fresh interpreter has loaded after running code."""
+    probe = f"{code}; import sys; print(*[m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_planning_does_not_import_numpy():
-    code = "import sys, qnet, qnet.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    modules = ("numpy", "dataclasses", "inspect")
+    assert _loaded_after("import qnet, qnet.cli", modules) == []
+    assert _loaded_after("import qnet.montecarlo", ("dataclasses",)) == []
+
+
+def test_dir_lists_lazy_names_without_importing_numpy():
+    code = (
+        "import qnet; names = dir(qnet); "
+        "assert set(qnet.__all__) <= set(names), set(qnet.__all__) - set(names)"
+    )
+    assert _loaded_after(code, ("numpy",)) == []
+
+
+def test_route_flag_defaults_match_route_request():
+    from qnet.cli import _build_parser
+
+    request = RouteRequest("A", "B", 0.5)
+    parser = _build_parser()
+    for argv in (
+        ["route", "g.json", "--source", "A", "--target", "B", "--min-success", "0.5"],
+        ["simulate", "g.json", "--samples", "1"],
+    ):
+        args = parser.parse_args(argv)
+        assert args.max_paths == request.max_paths
+        assert args.max_bruteforce_edges == request.max_bruteforce_edges
 
 
 def test_route_report(two_path_doc):

@@ -308,3 +308,11 @@ def test_parse_error_messages_are_pinned(path, value, message):
     with pytest.raises(GraphFormatError) as info:
         parse_graph(json.dumps(raw))
     assert str(info.value) == message
+
+
+def test_node_and_channel_refuse_new_attributes():
+    node = Node("A", NodeRole.ENDPOINT)
+    channel = Channel("c1", "A", "B", CostVector(0.9, 0.8))
+    for value in (node, channel):
+        with pytest.raises(AttributeError):
+            value.extra = 1

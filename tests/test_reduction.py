@@ -1,5 +1,4 @@
 """Rewrite engine: step semantics, fixpoint reduction, traces, strategies."""
-import dataclasses
 import gc
 import heapq
 import json
@@ -233,10 +232,16 @@ def test_trace_replay_reproduces_terminal_graph():
         assert replay_trace(g, result.trace) == result.graph
 
 
+def _replace(value, **changes):
+    """A copy of value with some fields changed, rebuilt by its constructor."""
+    fields = {name: getattr(value, name) for name in value._fields}
+    return type(value)(**{**fields, **changes})
+
+
 def _tampered(trace, index, **changes):
     steps = list(trace.steps)
-    steps[index] = dataclasses.replace(steps[index], **changes)
-    return dataclasses.replace(trace, steps=tuple(steps))
+    steps[index] = _replace(steps[index], **changes)
+    return _replace(trace, steps=tuple(steps))
 
 
 def test_trace_replay_rejects_tampered_steps():
