@@ -288,8 +288,9 @@ def _cmd_simulate(args) -> int:
         raise GraphFormatError("--samples must be >= 1")
     tree = _simulation_strategy(g, args)
     threads = _threads_from_env()
-    est = estimate(tree, g, args.samples, args.seed, threads=threads)
+    # the algebra may refuse the strategy: refuse it before sampling
     analytic = evaluate_strategy(tree, g)
+    est = estimate(tree, g, args.samples, args.seed, threads=threads)
     _emit(
         {
             "command": "simulate",

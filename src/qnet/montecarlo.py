@@ -22,10 +22,16 @@ filling one row of draws and jumping ahead (advance) to the next node's
 row; so estimates are bit-identical no matter how the work is chunked or
 how many workers run it.  They depend on the sample count as a whole: the
 first k samples of a run are not a k-sample run.
+
+Every operation only ANDs deliveries, so a sample's root delivers exactly
+when every delivery bit the walk reads holds: the walk keeps one running
+delivered row and a stack of flip rows.  Success multiplies across the
+tree, so on a large tree every sample of a chunk often fails long before
+the root; such a chunk stops drawing, as nothing it would still draw can
+change its tallies.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from math import sqrt
 
 import numpy as np
@@ -44,8 +50,8 @@ __all__ = [
 ]
 
 # A chunk holds at most this many samples, and a worker at most this many
-# bytes: per sample, 8 for the draw row, 1 for the agreement row and 2 for
-# each slot of the post-order value stack (delivered, flipped), plus
+# bytes: per sample, 8 for the draw row, 1 each for the compare, delivered
+# and agreement rows and 1 for each row of the flip stack, plus
 # _SPARE_BYTES for its bit generator, generator and row views (about 4 KiB
 # traced).  A thread's memory stays bounded whatever the size or shape of
 # the tree.
@@ -106,56 +112,65 @@ def _run_worker(
     for sample i is draw j * samples + i of the seed's PCG64DXSM stream.
     For each range the worker jumps to its first sample, then per node
     fills one row of draws and jumps past the other samples to the next
-    node's row.  A leaf delivers if its draw u < s and arrives flipped if
-    u < q; given delivery u / s is uniform, and the flip of an undelivered
-    leaf is never read.  Its two compares go to the next free slot of the
-    value stack, depth slots of (delivered, flipped) rows; an operation
-    ANDs its operands' deliveries, compares its draws into the slot its
-    right operand frees, and leaves its value in its left operand's slot.
-    The buffers are allocated once, for the largest range.
+    node's row.  Every operation only ANDs deliveries, so the root
+    delivers exactly when every bit the walk reads holds: each leaf's
+    u < s, each operation's u < p and, with acceptance on, each
+    purification's agreement.  One delivered row keeps that running AND.
+    A leaf arrives flipped if u < q (given delivery u / s is uniform, and
+    the flip of a sample that fails is never counted) and pushes its flip
+    row onto a stack of depth rows; a swap XORs its operands' flips into
+    the left one, a purification compares them.  From every 8th node on,
+    a chunk in which every sample has failed stops drawing: its tallies
+    are 0, and the rows it skips belong to no other chunk.  The buffers
+    are allocated once, for the largest range.
     """
     most = max(count for _, count in ranges)
     draw_buf = np.empty(most)
+    hit_buf = np.empty(most, dtype=np.bool_)
+    delivered_buf = np.empty(most, dtype=np.bool_)
     agreed_buf = np.empty(most, dtype=np.bool_)
-    stack_buf = np.empty((2, depth, most), dtype=np.bool_)
+    flip_buf = np.empty((depth, most), dtype=np.bool_)
     n_delivered = n_accepted = n_unflipped = 0
     for start, count in ranges:
-        u = draw_buf[:count]
-        delivered, flipped = stack_buf[:, :, :count]
+        u, hit = draw_buf[:count], hit_buf[:count]
+        delivered, flipped = delivered_buf[:count], flip_buf[:, :count]
         agreed = agreed_buf[:count]  # all agreements, acceptance off
         agreed.fill(True)
         bits = np.random.PCG64DXSM(seed)
         bits.advance(start)
         draw = np.random.Generator(bits).random
         top = 0
-        for kind, p, q in steps:
+        for j, (kind, p, q) in enumerate(steps):
+            if not j & 7 and j and not delivered.any():
+                break  # every sample has failed
             draw(out=u)
             bits.advance(samples - count)
+            if j:
+                np.less(u, p, out=hit)
+                delivered &= hit
+            else:  # node 0 is a leaf: it starts the running AND
+                np.less(u, p, out=delivered)
             if kind is Leaf:
-                np.less(u, p, out=delivered[top])
                 np.less(u, q, out=flipped[top])
                 top += 1
                 continue
             top -= 1
-            ok, hit = delivered[top - 1], delivered[top]
-            ok &= hit  # the right operand delivered
-            np.less(u, p, out=hit)  # the operation succeeded
-            ok &= hit
             za, zb = flipped[top - 1], flipped[top]
             if kind is Swap:
                 za ^= zb
                 continue
             np.equal(za, zb, out=zb)
             if acceptance:
-                ok &= zb
+                delivered &= zb
             else:
                 agreed &= zb
-        delivered, flipped = delivered[0], flipped[0]
-        n_delivered += int(np.count_nonzero(delivered))
-        delivered &= agreed
-        n_accepted += int(np.count_nonzero(delivered))
-        np.greater(delivered, flipped, out=flipped)  # accepted and unflipped
-        n_unflipped += int(np.count_nonzero(flipped))
+        else:  # the walk reached the root
+            n_delivered += int(np.count_nonzero(delivered))
+            delivered &= agreed
+            n_accepted += int(np.count_nonzero(delivered))
+            flipped = flipped[0]
+            np.greater(delivered, flipped, out=flipped)  # accepted and unflipped
+            n_unflipped += int(np.count_nonzero(flipped))
     return n_delivered, n_accepted, n_unflipped
 
 
@@ -194,7 +209,7 @@ def estimate(
             success = ops.swap_success if swap else ops.purify_success
             steps.append((type(node), success, 0.0))
             height -= 1
-    room = (_CHUNK_BYTES - _SPARE_BYTES) // (9 + 2 * depth)
+    room = (_CHUNK_BYTES - _SPARE_BYTES) // (11 + depth)
     chunk = max(1, min(_CHUNK_SAMPLES, room))
     # Each worker walks an even contiguous share of the samples in chunks.
     workers = min(threads, -(-samples // chunk))
@@ -203,15 +218,18 @@ def estimate(
         [(start, min(chunk, end - start)) for start in range(begin, end, chunk)]
         for begin, end in zip(bounds, bounds[1:])
     ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tallies = list(
-            pool.map(
-                lambda ranges: _run_worker(
-                    steps, depth, ops.physical_acceptance, seed, samples, ranges
-                ),
-                shares,
-            )
-        )
+    acceptance = ops.physical_acceptance
+
+    def run(ranges: list[tuple[int, int]]) -> tuple[int, int, int]:
+        return _run_worker(steps, depth, acceptance, seed, samples, ranges)
+
+    if workers == 1:
+        tallies = [run(shares[0])]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            tallies = list(pool.map(run, shares))
     delivered, accepted, unflipped = (sum(t) for t in zip(*tallies))
 
     success_hat = delivered / samples

@@ -208,6 +208,18 @@ def test_planning_does_not_import_numpy():
     assert _loaded_after("import qnet.montecarlo", ("dataclasses",)) == []
 
 
+def test_one_thread_sampling_does_not_import_a_pool(two_path_doc):
+    code = (
+        "from qnet import Leaf, estimate, parse_graph; "
+        f"g = parse_graph(open({two_path_doc!r}, 'rb').read()); "
+        "estimate(Leaf('c1'), g, 200000, seed=0, threads={threads})"
+    )
+    modules = ("concurrent.futures",)
+    assert _loaded_after(code.format(threads=1), modules) == []
+    # 200,000 samples are four chunks, so two threads run a pool
+    assert _loaded_after(code.format(threads=2), modules) == list(modules)
+
+
 def test_dir_lists_lazy_names_without_importing_numpy():
     code = (
         "import qnet; names = dir(qnet); "
@@ -386,6 +398,35 @@ def test_simulate_strategy_file(two_path_doc, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["strategy"] == tree
+
+
+def test_simulate_refuses_a_singular_strategy_before_sampling(
+    tmp_path, monkeypatch, capsys
+):
+    from qnet import cli
+
+    g = build_graph([("c1", "A", "B", 1.0, 1.0), ("c2", "A", "B", 0.0, 1.0)])
+    gpath = tmp_path / "g.json"
+    gpath.write_bytes(serialize_graph(g))
+    spath = tmp_path / "s.json"
+    spath.write_text(
+        json.dumps(
+            {
+                "op": "purify",
+                "left": {"op": "leaf", "channel": "c1"},
+                "right": {"op": "leaf", "channel": "c2"},
+            }
+        )
+    )
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled a strategy the algebra refuses")
+
+    monkeypatch.setattr(cli, "estimate", never)
+    argv = ["simulate", str(gpath), "--samples", "30000000", "--strategy", str(spath)]
+    assert cli.run(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["message"] == "singular purification input (1.0, 0.0)"
 
 
 def test_simulate_flag_conflicts(two_path_doc, tmp_path):

@@ -1,6 +1,7 @@
 """Stochastic sampler: vectorised strategy execution, estimates, density matrices."""
 import tracemalloc
 from math import sqrt
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -141,18 +142,29 @@ def test_estimate_thread_count_never_changes_numbers():
     tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
     # deliberately not a multiple of the chunk size
     single = estimate(tree, g, 200001, seed=9, threads=1)
-    for threads in (2, 3, 4):
-        assert estimate(tree, g, 200001, seed=9, threads=threads) == single
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    with mock.patch("concurrent.futures.ThreadPoolExecutor", RecordingPool):
+        for threads in (2, 3, 4):
+            assert estimate(tree, g, 200001, seed=9, threads=threads) == single
+    # 200,001 samples are four chunks: every thread count runs a pool
+    assert pools == [2, 3, 4]
 
 
 def _sample_bytes(tree):
-    """A worker's bytes per sample: 8 of draws, 1 of agreements and 2 for
-    each slot of the post-order value stack, as deep as it ever gets."""
+    """A worker's bytes per sample: 8 of draws, 1 each of compares,
+    deliveries and agreements, and 1 for each row of the flip stack, as
+    deep as the post-order walk ever gets."""
     height = depth = 0
     for node in postorder(tree):
         height += 1 if isinstance(node, Leaf) else -1
         depth = max(depth, height)
-    return 9 + 2 * depth
+    return 11 + depth
 
 
 def _budget(sample_bytes, samples):
@@ -195,9 +207,9 @@ def test_chunk_budget_bounds_memory_and_never_changes_numbers(monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_worker", recording)
     whole = estimate(tree, g, 5000, seed=12)
     assert counts == [5000]
-    # the value stack is 3 slots deep: 8 + 1 + 2 * 3 = 15 bytes a sample
-    assert _sample_bytes(tree) == 15
-    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _budget(15, 777))
+    # the flip stack is 3 rows deep: 8 + 3 + 3 = 14 bytes a sample
+    assert _sample_bytes(tree) == 14
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _budget(14, 777))
     counts.clear()
     totals.clear()
     assert estimate(tree, g, 5000, seed=12, threads=2) == whole
@@ -213,7 +225,7 @@ _EDGE_PROBABILITIES = st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53])
 
 
 def _probability(draw, low):
-    """Mostly in [low, 1], so that large trees still deliver; one in 16 at an edge."""
+    """Mostly in [low, 1]; one in 16 at an edge."""
     if draw(st.integers(0, 15)) == 0:
         return draw(_EDGE_PROBABILITIES)
     return draw(st.floats(low, 1.0))
@@ -222,19 +234,22 @@ def _probability(draw, low):
 @st.composite
 def _sampled_trees(draw):
     n = draw(st.integers(1, 40))
+    # Successes of at least 0.95 let large trees deliver; from 0.5 or 0 on,
+    # every sample of most chunks fails part-way and the chunk stops early.
+    low = draw(st.sampled_from([0.95, 0.5, 0.0]))
     nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
     channels = [
         Channel(
             f"c{i}",
             "A",
             "B",
-            CostVector(_probability(draw, 0.5), _probability(draw, 0.95)),
+            CostVector(_probability(draw, 0.5), _probability(draw, low)),
         )
         for i in range(n)
     ]
     ops = OperationCosts(
-        swap_success=_probability(draw, 0.95),
-        purify_success=_probability(draw, 0.95),
+        swap_success=_probability(draw, low),
+        purify_success=_probability(draw, low),
         physical_acceptance=draw(st.booleans()),
     )
     trees = [Leaf(c.id) for c in channels]
@@ -251,6 +266,51 @@ def _two_path_case(acceptance):
     return tree, g
 
 
+def _weak_chain_case(leaves, success, acceptance):
+    """A left-deep tree over parallel A-B channels of fidelity 0.9 and the
+    given success, purifying and swapping in turn."""
+    ops = OperationCosts(physical_acceptance=acceptance)
+    g = build_graph(
+        [(f"c{i}", "A", "B", 0.9, success) for i in range(leaves)], ops=ops
+    )
+    tree = Leaf("c0")
+    for i in range(1, leaves):
+        tree = (Purify if i % 2 else Swap)(tree, Leaf(f"c{i}"))
+    return tree, g
+
+
+def _fills_per_chunk(monkeypatch):
+    """The number of draw rows each chunk's generator fills, in the order
+    the generators are made."""
+    fills = []
+    generator = np.random.Generator
+
+    class Counting:
+        def __init__(self, bits):
+            self._generator = generator(bits)
+            self._chunk = len(fills)
+            fills.append(0)
+
+        def random(self, *args, **kwargs):
+            fills[self._chunk] += 1
+            return self._generator.random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    return fills
+
+
+# (case, samples, chunk, threads, seed) where every chunk of 97 samples
+# stops early, and where the first stops early but a later one delivers
+_ALL_CHUNKS_STOP = [
+    (_weak_chain_case(20, 0.5, True), 700, 97, 1, 5),
+    (_weak_chain_case(20, 0.5, False), 700, 97, 2, 5),
+]
+_FIRST_CHUNK_STOPS = [
+    (_weak_chain_case(12, 0.7, True), 700, 97, 2, 1),
+    (_weak_chain_case(16, 0.75, False), 700, 97, 1, 3),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     _sampled_trees(),
@@ -263,6 +323,11 @@ def _two_path_case(acceptance):
 # chunks of 97 leave a short last chunk of 700 samples at 1 and 2 threads
 @example(_two_path_case(True), 700, 97, 1, 5, True)
 @example(_two_path_case(False), 700, 97, 2, 5, False)
+# chunks that stop early, acceptance on and off, at 1 and 2 threads
+@example(*_ALL_CHUNKS_STOP[0], True)
+@example(*_ALL_CHUNKS_STOP[1], False)
+@example(*_FIRST_CHUNK_STOPS[0], True)
+@example(*_FIRST_CHUNK_STOPS[1], False)
 def test_kernel_tallies_match_reference_chunk(
     case, samples, chunk, threads, seed, by_bytes
 ):
@@ -277,6 +342,47 @@ def test_kernel_tallies_match_reference_chunk(
         tallies = _worker_tallies(tree, g, samples, seed, threads, chunk=chunk)
     assert len(tallies) == min(threads, -(-samples // chunk))
     assert tuple(sum(column) for column in zip(*tallies)) == want
+
+
+@pytest.mark.parametrize(
+    "case, samples, chunk, threads, seed, every",
+    [(*c, True) for c in _ALL_CHUNKS_STOP]
+    + [(*c, False) for c in _FIRST_CHUNK_STOPS],
+    ids=["all-on", "all-off", "first-on", "first-off"],
+)
+def test_stopping_examples_stop_the_chunks_they_name(
+    case, samples, chunk, threads, seed, every, monkeypatch
+):
+    tree, g = case
+    nodes = len(postorder(tree))
+    fills = _fills_per_chunk(monkeypatch)
+    tallies = _worker_tallies(tree, g, samples, seed, threads, chunk=chunk)
+    assert len(fills) == -(-samples // chunk)
+    delivered = sum(t[0] for t in tallies)
+    if every:
+        assert max(fills) < nodes and delivered == 0
+    else:
+        assert fills[0] < nodes and delivered > 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_chunk_stops_once_every_sample_has_failed(threads, monkeypatch):
+    """A 40-leaf chain whose first leaf never delivers: each chunk fills
+    the rows of the first 8 post-order nodes, then stops."""
+    hops = ["A"] + [f"m{i}" for i in range(1, 40)] + ["B"]
+    g = build_graph(
+        [
+            (f"c{i}", hops[i], hops[i + 1], 0.99, 0.0 if i == 0 else 0.99)
+            for i in range(40)
+        ]
+    )
+    tree = Leaf("c0")
+    for i in range(1, 40):
+        tree = Swap(tree, Leaf(f"c{i}"))
+    fills = _fills_per_chunk(monkeypatch)
+    tallies = _worker_tallies(tree, g, 1000, 3, threads, chunk=100)
+    assert len(fills) == 10 and max(fills) <= 8
+    assert tallies == [(0, 0, 0)] * threads
 
 
 @pytest.mark.parametrize(
@@ -296,8 +402,8 @@ def test_one_leaf_reads_one_uniform_per_sample(seed, success, fidelity):
     samples = 30001
     u = np.random.Generator(np.random.PCG64DXSM(seed)).random(samples)
     g = build_graph([("c1", "A", "B", fidelity, success)])
-    # 8 + 1 + 2 * 1 = 11 bytes a sample, chunks of 4,096
-    tallies = _worker_tallies(Leaf("c1"), g, samples, seed, 3, _budget(11, 4096))
+    # 8 + 3 + 1 = 12 bytes a sample, chunks of 4,096
+    tallies = _worker_tallies(Leaf("c1"), g, samples, seed, 3, _budget(12, 4096))
     delivered, accepted, unflipped = (sum(column) for column in zip(*tallies))
     assert delivered == accepted == np.count_nonzero(u < success)
     flipped = np.count_nonzero(u < success * (1.0 - fidelity))
@@ -346,12 +452,12 @@ def test_worker_buffers_stay_within_chunk_bytes(shape, leaves, samples, monkeypa
     (peak,) = peaks
     assert peak <= montecarlo._CHUNK_BYTES
     if shape == "balanced":
-        # a 9-slot stack: 27 bytes for each of 65,536 samples
+        # a 9-row flip stack: 20 bytes for each of 65,536 samples
         assert peak < 8 << 20
     if shape == "right":
-        # the stack is `leaves` slots deep, so the budget binds (20,001
-        # slots leave room for 836 samples) and the traced peak holds the
-        # worker's buffers
+        # the flip stack is `leaves` rows deep, so the budget binds
+        # (20,001 rows leave room for 1,673 samples) and the traced peak
+        # holds the worker's buffers
         assert peak >= montecarlo._CHUNK_BYTES // 2
 
 
