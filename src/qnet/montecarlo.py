@@ -141,7 +141,7 @@ def _run_worker(
         draw = np.random.Generator(bits).random
         top = 0
         for j, (kind, p, q) in enumerate(steps):
-            if not j & 7 and j and not delivered.any():
+            if j and j % 8 == 0 and not delivered.any():
                 break  # every sample has failed
             draw(out=u)
             bits.advance(samples - count)

@@ -1,7 +1,7 @@
 """Stochastic sampler: vectorised strategy execution, estimates, density matrices."""
 import tracemalloc
-from math import sqrt
 from concurrent.futures import ThreadPoolExecutor
+from math import sqrt
 from unittest import mock
 
 import numpy as np
