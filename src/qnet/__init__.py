@@ -8,7 +8,6 @@ and a Monte-Carlo cross-check of the analytic costs.
 from .algebra import (
     AlgebraDomainError,
     CostVector,
-    Fidelity,
     GridSpec,
     GridStrategy,
     OperationCosts,
@@ -80,7 +79,6 @@ __all__ = [
     "Channel",
     "CostVector",
     "DensityMatrix4",
-    "Fidelity",
     "GraphFormatError",
     "GridSpec",
     "GridStrategy",

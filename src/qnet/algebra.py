@@ -16,7 +16,6 @@ from ._value import Value, _set
 __all__ = [
     "AlgebraDomainError",
     "CostVector",
-    "Fidelity",
     "GridSpec",
     "GridStrategy",
     "OperationCosts",
@@ -48,42 +47,14 @@ class AlgebraDomainError(ValueError):
     """Raised for inputs outside an operation's domain."""
 
 
-class Fidelity(Value):
-    """A fidelity value.
-
-    Physical fidelities live in [0, 1].  A *formal* fidelity may lie outside
-    that interval; such values only arise as group-theoretic inverses and are
-    rejected by every physical pipeline (cost vectors, graphs, routing).
-    """
-
-    __slots__ = _fields = ("value", "formal")
-    value: float
-    formal: bool
-
-    def __init__(self, value: float, formal: bool = False) -> None:
-        if not formal and not 0.0 <= value <= 1.0:
-            raise AlgebraDomainError(
-                f"physical fidelity {value!r} outside [0, 1]"
-            )
-        _set(self, "value", value)
-        _set(self, "formal", formal)
+_SUCCESS = "success probability"
 
 
-def _physical(f: float | Fidelity, what: str = "fidelity") -> float:
-    if isinstance(f, Fidelity):
-        if f.formal:
-            raise AlgebraDomainError(f"formal {what} {f.value!r} rejected")
-        return float(f.value)
-    x = float(f)
+def _checked(x: float, what: str = "fidelity") -> float:
+    """x as a float, refused unless it lies in [0, 1]; what names it."""
+    x = float(x)
     if not 0.0 <= x <= 1.0:
         raise AlgebraDomainError(f"{what} {x!r} outside [0, 1]")
-    return x
-
-
-def _success(p: float) -> float:
-    x = float(p)
-    if not 0.0 <= x <= 1.0:
-        raise AlgebraDomainError(f"success probability {x!r} outside [0, 1]")
     return x
 
 
@@ -94,9 +65,9 @@ class CostVector(Value):
     fidelity: float
     success: float
 
-    def __init__(self, fidelity: float | Fidelity, success: float) -> None:
-        _set(self, "fidelity", _physical(fidelity))
-        _set(self, "success", _success(success))
+    def __init__(self, fidelity: float, success: float) -> None:
+        _set(self, "fidelity", _checked(fidelity))
+        _set(self, "success", _checked(success, _SUCCESS))
 
 
 class OperationCosts(Value):
@@ -117,8 +88,8 @@ class OperationCosts(Value):
         purify_success: float = 1.0,
         physical_acceptance: bool = True,
     ) -> None:
-        _set(self, "swap_success", _success(swap_success))
-        _set(self, "purify_success", _success(purify_success))
+        _set(self, "swap_success", _checked(swap_success, _SUCCESS))
+        _set(self, "purify_success", _checked(purify_success, _SUCCESS))
         _set(self, "physical_acceptance", physical_acceptance)
 
 
@@ -131,22 +102,22 @@ def swap_value(f1: float, f2: float) -> float:
     return f1 * f2 + (1.0 - f1) * (1.0 - f2)
 
 
-def swap_fidelity(f1: float | Fidelity, f2: float | Fidelity) -> float:
+def swap_fidelity(f1: float, f2: float) -> float:
     """Fidelity after entanglement swapping two pairs."""
-    return swap_value(_physical(f1), _physical(f2))
+    return swap_value(_checked(f1), _checked(f2))
 
 
-def swap_inverse(f: float | Fidelity) -> Fidelity:
+def swap_inverse(f: float) -> float:
     """The fidelity g with swap_value(f, g) == 1, namely f / (2f - 1).
 
     Undefined at the domain puncture f = 1/2.  The result is physical only
-    for f in {0, 1}; everything else comes back flagged formal.
+    for f in {0, 1}; everything else is a formal value outside [0, 1],
+    which every physical entry point refuses.
     """
-    x = _physical(f)
+    x = _checked(f)
     if abs(x - 0.5) <= PUNCTURE_EPS:
         raise AlgebraDomainError(f"no inverse at domain puncture f={x!r}")
-    g = x / (2.0 * x - 1.0) + 0.0
-    return Fidelity(g, formal=not 0.0 <= g <= 1.0)
+    return x / (2.0 * x - 1.0) + 0.0
 
 
 def _singular(f1: float, f2: float) -> AlgebraDomainError:
@@ -160,19 +131,19 @@ def purify_value(f1: float, f2: float) -> float:
         raise _singular(f1, f2)
     return (f1 * f2) / denom
 
-def purify_fidelity(f1: float | Fidelity, f2: float | Fidelity) -> float:
+def purify_fidelity(f1: float, f2: float) -> float:
     """Fidelity after one purification round, conditioned on acceptance."""
-    return purify_value(_physical(f1), _physical(f2))
+    return purify_value(_checked(f1), _checked(f2))
 
 
-def purify_acceptance(f1: float | Fidelity, f2: float | Fidelity) -> float:
+def purify_acceptance(f1: float, f2: float) -> float:
     """Probability that a purification round accepts (both measurements agree)."""
-    return swap_value(_physical(f1), _physical(f2))
+    return swap_value(_checked(f1), _checked(f2))
 
 
-def swap_chain(fs: Iterable[float | Fidelity]) -> float:
+def swap_chain(fs: Iterable[float]) -> float:
     """Left fold of swap_fidelity over a non-empty sequence."""
-    vals = [_physical(f) for f in fs]
+    vals = [_checked(f) for f in fs]
     if not vals:
         raise AlgebraDomainError("swap_chain of empty sequence")
     acc = vals[0]
@@ -212,7 +183,7 @@ def _chain_value(state: _ChainState) -> float:
     return kept / (kept + lost)
 
 
-def purify_chain(fs: Iterable[float | Fidelity]) -> float:
+def purify_chain(fs: Iterable[float]) -> float:
     """Fidelity of purifying n pairs down to one: prod(F) / (prod(F) + prod(1-F)).
 
     Each running product is kept as a mantissa in [1/2, 1) and a power of
@@ -220,7 +191,7 @@ def purify_chain(fs: Iterable[float | Fidelity]) -> float:
     exact, so the result is bit-identical to plain products wherever those
     stay normal.  Only both products being exactly zero is singular.
     """
-    vals = [_physical(f) for f in fs]
+    vals = [_checked(f) for f in fs]
     if not vals:
         raise AlgebraDomainError("purify_chain of empty sequence")
     state = _CHAIN_START
@@ -233,13 +204,13 @@ def compose_success(ps: Iterable[float]) -> float:
     """Product of success probabilities."""
     total = 1.0
     for p in ps:
-        total *= _success(p)
+        total *= _checked(p, _SUCCESS)
     return total
 
 
 def to_log_loss(p: float) -> float:
     """-ln(success); 0 maps to the +infinity marker."""
-    x = _success(p)
+    x = _checked(p, _SUCCESS)
     if x == 0.0:
         return math.inf
     return -math.log(x) + 0.0
@@ -300,10 +271,7 @@ def purify_cost(c1: CostVector, c2: CostVector, ops: OperationCosts) -> CostVect
 
 def dephasing_bell_fidelity(p: float) -> float:
     """Bell-pair fidelity (1 + p) / 2 after a dephasing channel of strength p."""
-    x = float(p)
-    if not 0.0 <= x <= 1.0:
-        raise AlgebraDomainError(f"channel strength {x!r} outside [0, 1]")
-    return (1.0 + x) / 2.0
+    return (1.0 + _checked(p, "channel strength")) / 2.0
 
 
 class GridStrategy(Enum):
@@ -338,8 +306,8 @@ class GridSpec(Value):
             raise AlgebraDomainError("grid breadth and depth must be >= 1")
         _set(self, "breadth", breadth)
         _set(self, "depth", depth)
-        _set(self, "channel_fidelity", _physical(channel_fidelity))
-        _set(self, "channel_success", _success(channel_success))
+        _set(self, "channel_fidelity", _checked(channel_fidelity))
+        _set(self, "channel_success", _checked(channel_success, _SUCCESS))
         _set(self, "strategy", strategy)
 
 

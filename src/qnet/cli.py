@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from enum import IntEnum
-from functools import partial
 
 from .algebra import (
     CostVector,
@@ -28,7 +27,7 @@ from .graph import (
     parse_graph,
     write_graph,
 )
-from .jsonutil import Deferred, RawJSON, canonical_dumps, float_text, quote
+from .jsonutil import RawJSON, canonical_dumps, float_text, quote
 from .reduction import (
     StrategyTree,
     evaluate_strategy,
@@ -156,10 +155,9 @@ def _build_parser() -> _Parser:
 _STEP = '{"consumed":[%s],"eliminated":%s,"fidelity":%s,"kind":%s,"produced":%s,"success":%s}'
 
 
-def _write_trace(steps, out: list[str]) -> None:
-    """Append the canonical JSON array of a reduction trace to out."""
-    out.append("[")
-    out.append(",".join([
+def _write_trace(steps) -> str:
+    """The canonical JSON array of a reduction trace, as text."""
+    return "[%s]" % ",".join([
         _STEP % (
             ",".join(map(quote, s.consumed)),
             "null" if s.eliminated is None else quote(s.eliminated),
@@ -169,8 +167,7 @@ def _write_trace(steps, out: list[str]) -> None:
             float_text(s.cost.success),
         )
         for s in steps
-    ]))
-    out.append("]")
+    ])
 
 
 def _cmd_reduce(args) -> int:
@@ -179,7 +176,7 @@ def _cmd_reduce(args) -> int:
     doc = {
         "command": "reduce",
         "steps": len(result.trace.steps),
-        "terminal": Deferred(partial(write_graph, result.graph)),
+        "terminal": RawJSON(write_graph(result.graph)),
         "channels": [
             {
                 "id": c.id,
@@ -191,7 +188,7 @@ def _cmd_reduce(args) -> int:
         ],
     }
     if args.trace:
-        doc["trace"] = Deferred(partial(_write_trace, result.trace.steps))
+        doc["trace"] = RawJSON(_write_trace(result.trace.steps))
     _emit(doc)
     return int(ExitCode.OK)
 
@@ -217,7 +214,7 @@ def _route_obj(result: RouteResult) -> dict:
         if result.strategy is None
         else RawJSON(serialize_strategy(result.strategy)),
         "paths_harvested": result.paths_harvested,
-        "subgraph": Deferred(partial(write_graph, result.subgraph)),
+        "subgraph": RawJSON(write_graph(result.subgraph)),
         "diagnostics": {
             "paths_examined": diagnostics.paths_examined,
             "candidates_evaluated": diagnostics.candidates_evaluated,

@@ -230,15 +230,14 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         acceptance = oc.get("physical_acceptance", True)
         if not isinstance(acceptance, bool):
             raise GraphFormatError("physical_acceptance must be a boolean")
-        ops = OperationCosts(
-            swap_success=_number(oc, "swap_success", "op_costs")
-            if "swap_success" in oc
-            else 1.0,
-            purify_success=_number(oc, "purify_success", "op_costs")
-            if "purify_success" in oc
-            else 1.0,
-            physical_acceptance=acceptance,
-        )
+        swap, purify = [
+            _number(oc, key, "op_costs") if key in oc else 1.0
+            for key in ("swap_success", "purify_success")
+        ]
+        try:
+            ops = OperationCosts(swap, purify, acceptance)
+        except ValueError as exc:
+            raise GraphFormatError(f"op_costs: {exc}") from None
 
     if not isinstance(doc["nodes"], list):
         raise GraphFormatError("nodes must be an array")
@@ -295,15 +294,14 @@ def op_costs_obj(ops: OperationCosts) -> dict:
     }
 
 
-def write_graph(g: NetworkGraph, out: list[str]) -> None:
-    """Append g's canonical version-1 document to out.
+def write_graph(g: NetworkGraph) -> str:
+    """g's canonical version-1 document as text.
 
     The document holds edges (a, b, fidelity, id, success) and nodes (id,
     role), each sorted by id, op_costs and "version": 1, with the sorted
     keys and float text of canonical_dumps; one template per record.
     """
-    out.append('{"edges":[')
-    out.append(",".join([
+    edges = ",".join([
         '{"a":%s,"b":%s,"fidelity":%s,"id":%s,"success":%s}' % (
             quote(c.a),
             quote(c.b),
@@ -312,19 +310,16 @@ def write_graph(g: NetworkGraph, out: list[str]) -> None:
             float_text(c.cost.success),
         )
         for cid, c in sorted(g._channels.items())
-    ]))
-    out.append('],"nodes":[')
-    out.append(",".join([
+    ])
+    nodes = ",".join([
         '{"id":%s,"role":%s}' % (quote(nid), quote(n.role.value))
         for nid, n in sorted(g._nodes.items())
-    ]))
-    out.append('],"op_costs":')
-    out.append(canonical_dumps(op_costs_obj(g.op_costs)))
-    out.append(',"version":1}')
+    ])
+    return '{"edges":[%s],"nodes":[%s],"op_costs":%s,"version":1}' % (
+        edges, nodes, canonical_dumps(op_costs_obj(g.op_costs))
+    )
 
 
 def serialize_graph(g: NetworkGraph) -> bytes:
     """Canonical UTF-8 document; parse_graph(serialize_graph(g)) == g."""
-    out: list[str] = []
-    write_graph(g, out)
-    return "".join(out).encode("utf-8")
+    return write_graph(g).encode("utf-8")

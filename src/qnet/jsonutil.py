@@ -4,35 +4,20 @@ The stdlib encoder always uses repr() for floats, which is shortest-round-trip
 rather than fixed-width; reports need byte-stable output, so this tiny emitter
 formats floats with '%.17g' (which round-trips any float64 exactly).  Strings
 are quoted by the stdlib's C quoting function, exactly as
-json.dumps(s, ensure_ascii=True) quotes them.
+json.dumps(s, ensure_ascii=True) quotes them.  Text written beforehand,
+such as a strategy tree, a graph document or a reduction trace, is embedded
+as RawJSON, the one way to put pre-written JSON into a report.
 """
 from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii as quote
-from typing import Callable
 
-__all__ = ["Deferred", "RawJSON", "canonical_dumps", "float_text", "quote"]
+__all__ = ["RawJSON", "canonical_dumps", "float_text", "quote"]
 
 
 class RawJSON(str):
-    """Canonical JSON text, such as a serialized strategy tree, that
-    canonical_dumps embeds as it stands."""
-
-
-class Deferred:
-    """A value that canonical_dumps writes by calling write(out), where out
-    is its list of output fragments.
-
-    Large parts of a report (graphs, reduction traces) are written from
-    fixed templates this way, without building one dict per record, and
-    still inside the canonical_dumps call.
-    """
-
-    __slots__ = ("write",)
-
-    def __init__(self, write: Callable[[list[str]], None]) -> None:
-        self.write = write
+    """Canonical JSON text that canonical_dumps embeds as it stands."""
 
 
 def float_text(x: float) -> str:
@@ -68,8 +53,6 @@ def _emit(obj, out: list[str]) -> None:
                 out.append(",")
             _emit(item, out)
         out.append("]")
-    elif t is Deferred:
-        obj.write(out)
     elif isinstance(obj, RawJSON):
         out.append(obj)
     elif obj is None:

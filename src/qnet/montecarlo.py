@@ -37,7 +37,7 @@ from math import sqrt
 import numpy as np
 
 from ._value import Value, _set
-from .algebra import AlgebraDomainError
+from .algebra import _checked
 from .graph import NetworkGraph
 from .reduction import Leaf, StrategyTree, Swap, check_strategy, postorder
 
@@ -276,8 +276,7 @@ def dephase_bell(p: float) -> DensityMatrix4:
     the dephasing steady state (the average of the state and its image
     under Z on one qubit).
     """
-    if not 0.0 <= p <= 1.0:
-        raise AlgebraDomainError(f"channel strength {p!r} outside [0, 1]")
+    p = _checked(p, "channel strength")
     steady = 0.5 * (_BELL + _Z1 @ _BELL @ _Z1)
     return DensityMatrix4(p * _BELL + (1.0 - p) * steady)
 

@@ -74,7 +74,7 @@ def test_composition_laws_hold():
         f = rng.random()
         while abs(f - 0.5) < 0.05:
             f = rng.random()
-        assert abs(swap_value(f, swap_inverse(f).value) - 1.0) <= 1e-9
+        assert abs(swap_value(f, swap_inverse(f)) - 1.0) <= 1e-9
 
         # The parallel inverse of f is 1 - f, returning to the identity 1/2.
         fp = rng.uniform(1e-6, 1.0 - 1e-6)

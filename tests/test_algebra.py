@@ -9,7 +9,6 @@ from _generators import build_graph
 from qnet import (
     AlgebraDomainError,
     CostVector,
-    Fidelity,
     GridSpec,
     GridStrategy,
     OperationCosts,
@@ -98,15 +97,13 @@ def test_purify_identity(f):
 @given(unit)
 def test_swap_inverse_law(f):
     assume(abs(f - 0.5) >= 0.05)
-    inv = swap_inverse(f)
-    assert abs(swap_value(f, inv.value) - 1.0) <= 1e-9
-    assert inv.formal == (not 0.0 <= inv.value <= 1.0)
+    assert abs(swap_value(f, swap_inverse(f)) - 1.0) <= 1e-9
 
 
 def test_swap_inverse_examples():
-    assert swap_inverse(1.0) == Fidelity(1.0)
-    assert swap_inverse(0.75) == Fidelity(1.5, formal=True)
-    assert swap_inverse(0.0).value == 0.0
+    assert swap_inverse(1.0) == 1.0
+    assert swap_inverse(0.75) == 1.5
+    assert swap_inverse(0.0) == 0.0
 
 
 @pytest.mark.parametrize("f", [0.5, 0.5 + 1e-10, 0.5 - 1e-10])
@@ -232,11 +229,17 @@ def test_log_loss_round_trip(p):
 
 
 def test_fidelity_validation():
-    with pytest.raises(AlgebraDomainError):
-        Fidelity(1.2)
-    assert Fidelity(1.2, formal=True).value == 1.2
-    with pytest.raises(AlgebraDomainError):
-        swap_fidelity(Fidelity(1.5, formal=True), 0.9)
+    # A formal inverse is a plain float that every physical entry refuses.
+    formal = swap_inverse(0.75)
+    assert type(formal) is float and formal == 1.5
+    for build in (
+        lambda: CostVector(formal, 0.5),
+        lambda: swap_fidelity(formal, 0.9),
+        lambda: purify_chain([0.9, formal]),
+        lambda: GridSpec(1, 1, formal, 0.8),
+    ):
+        with pytest.raises(AlgebraDomainError, match=r"^fidelity 1\.5 outside \[0, 1\]$"):
+            build()
 
 
 def test_cost_vector_validation():
@@ -351,7 +354,7 @@ def test_dephasing_fidelity_fixed_points():
     assert dephasing_bell_fidelity(1.0) == 1.0
     assert dephasing_bell_fidelity(0.0) == 0.5
     assert dephasing_bell_fidelity(0.8) == 0.9
-    with pytest.raises(AlgebraDomainError):
+    with pytest.raises(AlgebraDomainError, match=r"^channel strength 1\.2 outside \[0, 1\]$"):
         dephasing_bell_fidelity(1.2)
 
 

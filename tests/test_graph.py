@@ -1,5 +1,6 @@
 """Graph model, document parsing, and canonical serialization."""
 import json
+import math
 
 import pytest
 
@@ -291,6 +292,15 @@ _MALFORMED = [
     pytest.param(("op_costs", "swap_success"), 10**400,
                  "field 'swap_success' in op_costs is too large for a float",
                  id="swap_success-beyond-float"),
+    (("op_costs", "swap_success"), 1.5,
+     "op_costs: success probability 1.5 outside [0, 1]"),
+    (("op_costs", "purify_success"), math.nan,
+     "op_costs: success probability nan outside [0, 1]"),
+    # json.loads reads NaN, Infinity and -Infinity
+    (("edges", 0, "fidelity"), math.nan, "edges[0]: fidelity nan outside [0, 1]"),
+    (("edges", 1, "success"), math.inf,
+     "edges[1]: success probability inf outside [0, 1]"),
+    (("edges", 0, "fidelity"), -math.inf, "edges[0]: fidelity -inf outside [0, 1]"),
 ]
 
 

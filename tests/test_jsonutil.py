@@ -16,7 +16,6 @@ from _reference import (
 from qnet import (
     Channel,
     CostVector,
-    Fidelity,
     NetworkGraph,
     Node,
     NodeRole,
@@ -26,7 +25,7 @@ from qnet import (
 )
 from qnet.cli import _write_trace
 from qnet.graph import write_graph
-from qnet.jsonutil import Deferred, RawJSON, canonical_dumps
+from qnet.jsonutil import RawJSON, canonical_dumps
 
 # Characters whose JSON form is an escape: quote, backslash, controls,
 # DEL, non-ASCII, a line separator, an astral character, a lone surrogate.
@@ -114,9 +113,9 @@ def test_emitter_raises_what_reference_raises(value):
     assert _outcome(canonical_dumps, value) == expected
 
 
-def test_deferred_value_writes_in_place():
-    doc = {"b": Deferred(lambda out: out.append("[1,2]")), "a": 0.5}
-    assert canonical_dumps(doc) == '{"a":0.5,"b":[1,2]}'
+def test_raw_json_is_embedded_in_place():
+    doc = {"b": RawJSON('[1,{"x":"y"}]'), "a": 0.5}
+    assert canonical_dumps(doc) == '{"a":0.5,"b":[1,{"x":"y"}]}'
 
 
 # Ids need escaping but hold no whitespace, so NetworkGraph accepts them.
@@ -127,8 +126,8 @@ ids = st.text(
     max_size=6,
 ).filter(lambda s: not any(ch.isspace() for ch in s))
 costs = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0, 0.1])
-# A fidelity may be given as a Fidelity holding an int or a bool.
-fidelities = costs | st.sampled_from([Fidelity(1), Fidelity(True), Fidelity(0.5)])
+# A fidelity may be given as an int or a bool.
+fidelities = costs | st.sampled_from([1, True, 0])
 
 
 @st.composite
@@ -147,10 +146,8 @@ def graphs(draw):
 @given(graphs())
 @settings(max_examples=100)
 def test_graph_template_matches_reference(g):
-    out = []
-    write_graph(g, out)
     text = reference_canonical_dumps(graph_to_obj(g))
-    assert "".join(out) == text
+    assert write_graph(g) == text
     assert serialize_graph(g) == text.encode("utf-8")
 
 
@@ -169,6 +166,4 @@ def _relabelled(g, node_tag, channel_tag):
 def test_trace_template_matches_step_dicts(seed, node_tag, channel_tag):
     g = _relabelled(random_sp_graph(random.Random(seed), max_edges=25), node_tag, channel_tag)
     steps = reduce_to_fixpoint(g).trace.steps
-    out = []
-    _write_trace(steps, out)
-    assert "".join(out) == reference_canonical_dumps([reference_step_obj(s) for s in steps])
+    assert _write_trace(steps) == reference_canonical_dumps([reference_step_obj(s) for s in steps])

@@ -610,6 +610,8 @@ def test_dephase_bell_fixed_points():
     assert abs(bell_fidelity(dephase_bell(1.0)) - 1.0) <= 1e-12
     assert abs(bell_fidelity(dephase_bell(0.0)) - 0.5) <= 1e-12
     assert abs(bell_fidelity(dephase_bell(0.8)) - 0.9) <= 1e-12
+    with pytest.raises(ValueError, match=r"^channel strength -0\.5 outside \[0, 1\]$"):
+        dephase_bell(-0.5)
 
 
 def test_dephase_bell_grid_invariants():

@@ -15,7 +15,6 @@ from qnet import (
     AlgebraDomainError,
     Channel,
     CostVector,
-    Fidelity,
     GridSpec,
     GridStrategy,
     Leaf,
@@ -59,10 +58,6 @@ def _graph(fidelity=0.9):
 
 # name: (fields by keyword, a change to one field, repr of the first)
 CASES = {
-    "Fidelity": (
-        Fidelity, dict(value=0.5, formal=False), dict(value=0.25),
-        "Fidelity(value=0.5, formal=False)",
-    ),
     "CostVector": (
         CostVector, dict(fidelity=0.9, success=0.8), dict(success=0.7), CV_REPR,
     ),
@@ -219,7 +214,6 @@ def test_pickle_and_copy_round_trip(case):
 
 
 def test_defaults():
-    assert Fidelity(0.5) == Fidelity(0.5, formal=False)
     ops = OperationCosts()
     assert (ops.swap_success, ops.purify_success, ops.physical_acceptance) == (
         1.0, 1.0, True,
@@ -236,7 +230,7 @@ def test_values_are_normalised_to_float():
     cost = CostVector(1, 0)
     assert (type(cost.fidelity), type(cost.success)) == (float, float)
     assert repr(cost) == "CostVector(fidelity=1.0, success=0.0)"
-    assert CostVector(Fidelity(0.5), 1) == CostVector(0.5, 1.0)
+    assert CostVector(True, 1) == CostVector(1.0, 1.0)
     ops = OperationCosts(1, 0)
     assert repr(ops) == (
         "OperationCosts(swap_success=1.0, purify_success=0.0, "
@@ -250,16 +244,12 @@ def test_values_are_normalised_to_float():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: Fidelity(1.5), AlgebraDomainError,
-         r"^physical fidelity 1\.5 outside \[0, 1\]$"),
-        (lambda: Fidelity(-0.25), AlgebraDomainError,
-         r"^physical fidelity -0\.25 outside \[0, 1\]$"),
         (lambda: CostVector(1.5, 0.5), AlgebraDomainError,
          r"^fidelity 1\.5 outside \[0, 1\]$"),
+        (lambda: CostVector(-0.25, 0.5), AlgebraDomainError,
+         r"^fidelity -0\.25 outside \[0, 1\]$"),
         (lambda: CostVector(0.5, 2), AlgebraDomainError,
          r"^success probability 2\.0 outside \[0, 1\]$"),
-        (lambda: CostVector(Fidelity(1.5, formal=True), 0.5), AlgebraDomainError,
-         r"^formal fidelity 1\.5 rejected$"),
         (lambda: OperationCosts(swap_success=-1), AlgebraDomainError,
          r"^success probability -1\.0 outside \[0, 1\]$"),
         (lambda: OperationCosts(purify_success=1.5), AlgebraDomainError,
@@ -285,10 +275,6 @@ def test_values_are_normalised_to_float():
 def test_validation_messages(build, error, message):
     with pytest.raises(error, match=message):
         build()
-
-
-def test_formal_fidelity_skips_the_range_check():
-    assert Fidelity(1.5, formal=True).value == 1.5
 
 
 def test_swap_and_purify_never_compare_equal():
