@@ -29,6 +29,7 @@ from qnet import (
     SearchKind,
     Swap,
 )
+from qnet.algebra import swap_inverse, swap_value
 from qnet.montecarlo import McEstimate
 from qnet.reduction import ReductionStep, ReductionTrace, StepKind
 from qnet.routing import UNBOUNDED_PATHS, RouteDiagnostics
@@ -275,6 +276,14 @@ def test_values_are_normalised_to_float():
 def test_validation_messages(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_formal_fidelity_skips_the_range_check():
+    # swap_inverse returns a formal value outside [0, 1] without raising,
+    # and the raw swap formula takes it unchecked.
+    formal = swap_inverse(0.75)
+    assert type(formal) is float and formal == 1.5
+    assert swap_value(0.75, formal) == 1.0
 
 
 def test_swap_and_purify_never_compare_equal():
