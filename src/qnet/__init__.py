@@ -56,22 +56,29 @@ from .routing import (
 
 __version__ = "0.1.0"
 
-# montecarlo imports numpy (about 14 MB and 0.2 s); its names load on first
-# use, so that planning without sampling never pays for it.
-_MONTECARLO = ("DensityMatrix4", "McEstimate", "bell_fidelity", "dephase_bell", "estimate")
+# Sampling and the density-matrix check load on first use: montecarlo is
+# needed only to sample, and density imports numpy (about 14 MB and 0.2 s),
+# so planning never pays for either.
+_LAZY = {
+    "DensityMatrix4": "density",
+    "McEstimate": "montecarlo",
+    "bell_fidelity": "density",
+    "dephase_bell": "density",
+    "estimate": "montecarlo",
+}
 
 
 def __getattr__(name: str):
-    if name not in _MONTECARLO:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import montecarlo
+    from importlib import import_module
 
-    return getattr(montecarlo, name)
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
 
 def __dir__():
-    """Module names, the lazy montecarlo ones included, without loading them."""
-    return sorted({*globals(), *_MONTECARLO})
+    """Module names, the lazy ones included, without loading them."""
+    return sorted({*globals(), *_LAZY})
 
 
 __all__ = [

@@ -90,6 +90,8 @@ class OperationCosts(Value):
     ) -> None:
         _set(self, "swap_success", _checked(swap_success, _SUCCESS))
         _set(self, "purify_success", _checked(purify_success, _SUCCESS))
+        if not isinstance(physical_acceptance, bool):
+            raise AlgebraDomainError("physical_acceptance must be a boolean")
         _set(self, "physical_acceptance", physical_acceptance)
 
 

@@ -273,7 +273,7 @@ def _simulation_strategy(g: NetworkGraph, args) -> StrategyTree:
 
 
 def estimate(*args, **kwargs):
-    """montecarlo.estimate, imported on first use: only simulate needs numpy."""
+    """montecarlo.estimate, imported on first use: only simulate samples."""
     from .montecarlo import estimate as run_estimate
 
     return run_estimate(*args, **kwargs)

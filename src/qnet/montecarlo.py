@@ -1,63 +1,81 @@
 """Monte-Carlo validation of the cost algebra.
 
-One vectorised executor runs a strategy tree over many samples at once.
-Each sample tracks a (delivered, phase_flipped) pair per node.  A channel
-reads one uniform u: it delivers if u < success and arrives phase-flipped
-if u < success * (1 - fidelity), so a delivered pair is flipped with
-probability 1 - fidelity.  An operation reads one more uniform for its own
-success.  Swapping XORs the flip bits of its inputs, purification
-post-selects on agreement.  Estimates tally delivery and flip rates over
-the samples; a 4x4 density-matrix path provides an independent quantum
-mechanical check for the dephasing channel.
+One bit-sliced executor runs a strategy tree over many samples at once.
+A row is one Python int with one bit per sample, bit i for sample i, and
+every step of the walk is a handful of whole-row AND, XOR and OR
+operations.  Each sample tracks a (delivered, phase_flipped) pair per
+node.  A channel reads one uniform u: it delivers if u < success and
+arrives phase-flipped if u < success * (1 - fidelity), so a delivered pair
+is flipped with probability 1 - fidelity.  An operation reads one more
+uniform for its own success.  Swapping XORs the flip bits of its inputs,
+purification post-selects on agreement.  Estimates tally delivery and flip
+rates over the samples with int.bit_count().  The 4x4 density-matrix check
+of the dephasing channel lives in qnet.density.
 
 With physical acceptance off, a purification whose flips disagree still
 delivers, as the algebra charges no acceptance to success; the fidelity is
 then estimated over the delivered samples that agreed at every
 purification, the post-selected state the algebra's fidelity describes.
 
-The draws are laid out node-major: post-order node j's draw for sample i
-is draw j * samples + i of the PCG64DXSM stream seeded by the seed.  A
-worker walks the tree once per chunk of samples, one node at a time,
-filling one row of draws and jumping ahead (advance) to the next node's
-row; so estimates are bit-identical no matter how the work is chunked or
-how many workers run it.  They depend on the sample count as a whole: the
-first k samples of a run are not a k-sample run.
+A uniform is a 53-bit integer k, u = k / 2**53, revealed one bit level at
+a time from the top: each level draws one mask of getrandbits(n), bit i
+being the next bit of sample i's k, from random.Random(seed).  A
+probability p becomes T = ceil(p * 2**53), and k < T exactly when u < p.
+The comparison of a row of samples against T keeps the undecided samples,
+those whose bits so far equal T's; a level decides those whose bit differs
+from T's.  Levels stop at T's lowest set bit (every sample still undecided
+there has k >= T) or once no sample is undecided, so a comparison draws
+about log2(n) + 2 masks, not 53.  The undecided set starts at the running
+delivered row: a sample that has already failed is never resolved, as
+nothing it reads can change the tallies.  A leaf compares its one uniform
+with s and with s * (1 - fidelity) through the same masks.
 
 Every operation only ANDs deliveries, so a sample's root delivers exactly
 when every delivery bit the walk reads holds: the walk keeps one running
 delivered row and a stack of flip rows.  Success multiplies across the
 tree, so on a large tree every sample of a chunk often fails long before
-the root; such a chunk stops drawing, as nothing it would still draw can
-change its tallies.
+the root; before every node, a chunk whose delivered row is 0 stops.
+
+Memory: a row of n samples is an int of ceil(n / 30) four-byte digits, so
+a chunk holds 2 / 15 byte a sample for each of its depth + _ROWS rows (the
+flip stack and, beside it, the delivered and disagreement rows, a mask and
+the comparison's working rows); _chunk_samples fits that in _CHUNK_BYTES,
+and takes at most 65,536 samples, past which a chunk gets slower.
+Chunks run one after another from one stream, so an estimate is a function
+of (tree, graph, samples, seed).  Whole-row int operations hold the GIL,
+so threads could not run chunks side by side: every chunk runs in the
+calling thread, whatever the thread count.
 """
 from __future__ import annotations
 
-from math import sqrt
-
-import numpy as np
+from math import ceil, sqrt
+from random import Random
+from typing import Callable
 
 from ._value import Value, _set
-from .algebra import _checked
 from .graph import NetworkGraph
 from .reduction import Leaf, StrategyTree, Swap, check_strategy, postorder
 
-__all__ = [
-    "DensityMatrix4",
-    "McEstimate",
-    "bell_fidelity",
-    "dephase_bell",
-    "estimate",
-]
+__all__ = ["McEstimate", "estimate"]
 
-# A chunk holds at most this many samples, and a worker at most this many
-# bytes: per sample, 8 for the draw row, 1 each for the compare, delivered
-# and agreement rows and 1 for each row of the flip stack, plus
-# _SPARE_BYTES for its bit generator, generator and row views (about 4 KiB
-# traced).  A thread's memory stays bounded whatever the size or shape of
-# the tree.
+# A chunk holds at most _CHUNK_SAMPLES samples: every doubling of a chunk
+# adds a level to each comparison, and masks of more than 2**18 bits cost
+# more per bit to draw (0.39 ns at 2**20 against 0.32 at 2**16, 2-core
+# VM), so larger chunks are slower.  Its rows fit in _CHUNK_BYTES: the
+# flip stack, as deep as the post-order walk gets, and _ROWS more
+# (running delivered, disagreement, mask and the comparison's working
+# rows, 10 at most, with 2 to spare for getrandbits' word buffer and small
+# objects).  A row of n samples holds ceil(n / 30) digits of 4 bytes and
+# _ROW_HEADER more: the int's 24-byte header, its slot in the stack and
+# the allocator's rounding.
 _CHUNK_SAMPLES = 1 << 16
 _CHUNK_BYTES = 32 << 20
-_SPARE_BYTES = 1 << 16
+_ROWS = 12
+_ROW_HEADER = 48
+_UNIT = 1 << 53  # the uniforms are k / _UNIT for 53-bit integers k
+
+Threshold = int  # T = ceil(p * 2**53), in [0, 2**53]
+Step = tuple[type[StrategyTree], Threshold, Threshold]
 
 
 class McEstimate(Value):
@@ -93,85 +111,118 @@ class McEstimate(Value):
         _set(self, "seed", seed)
 
 
-def _run_worker(
-    steps: list[tuple[type[StrategyTree], float, float]],
-    depth: int,
-    acceptance: bool,
-    seed: int,
-    samples: int,
-    ranges: list[tuple[int, int]],
+def _threshold(p: float) -> Threshold:
+    """T = ceil(p * 2**53): a 53-bit k has k < T exactly when k / 2**53 < p.
+
+    Scaling by a power of two is exact, so is the ceiling of the float.
+    """
+    return ceil(p * float(_UNIT))
+
+
+def _start(t: Threshold, undecided: int) -> tuple[int, int, int]:
+    """(below, undecided, levels) of a comparison with t before any level.
+
+    levels is the number of bit levels down to t's lowest set bit; t = 0
+    needs none (no k is below it) and t = 2**53 none (every k is).
+    """
+    if t == _UNIT:
+        return undecided, 0, 0
+    if not t:
+        return 0, 0, 0
+    return 0, undecided, 54 - (t & -t).bit_length()
+
+
+def _below(
+    draw: Callable[[int], int], n: int, undecided: int, hi: Threshold, lo: Threshold = 0
+) -> tuple[int, int]:
+    """Rows of the samples of `undecided` whose uniform k is below hi, and below lo.
+
+    Both comparisons read the same masks, one draw(n) per level, bit i of
+    level j being bit 52 - j of sample i's k.  At a level where the
+    threshold's bit is 1, an undecided sample whose bit is 0 is below it;
+    where it is 0, one whose bit is 1 is not.  The levels stop once neither
+    comparison has an undecided sample left above its threshold's lowest
+    set bit.
+    """
+    below_hi, left_hi, levels_hi = _start(hi, undecided)
+    below_lo, left_lo, levels_lo = _start(lo, undecided)
+    level = 0
+    while True:
+        if level == levels_hi:
+            left_hi = 0
+        if level == levels_lo:
+            left_lo = 0
+        if not (left_hi or left_lo):
+            return below_hi, below_lo
+        mask = draw(n)
+        shift = 52 - level
+        if left_hi:
+            same = left_hi & mask
+            if hi >> shift & 1:
+                below_hi |= left_hi ^ same
+                left_hi = same
+            else:
+                left_hi ^= same
+        if left_lo:
+            same = left_lo & mask
+            if lo >> shift & 1:
+                below_lo |= left_lo ^ same
+                left_lo = same
+            else:
+                left_lo ^= same
+        level += 1
+
+
+def _run_chunk(
+    steps: list[Step], acceptance: bool, draw: Callable[[int], int], n: int
 ) -> tuple[int, int, int]:
-    """Delivered / accepted / accepted-and-unflipped tallies over the ranges.
+    """Delivered / accepted / accepted-and-unflipped tallies of n samples.
 
     A delivered sample is accepted when its flips agree at every
     purification; with physical acceptance on, a disagreement already
     fails the purification, so every delivered sample is accepted.
 
-    steps holds one (kind, p, q) per post-order node: a leaf's success s
-    and s * (1 - fidelity), an operation's success and 0.  Node j's draw
-    for sample i is draw j * samples + i of the seed's PCG64DXSM stream.
-    For each range the worker jumps to its first sample, then per node
-    fills one row of draws and jumps past the other samples to the next
-    node's row.  Every operation only ANDs deliveries, so the root
-    delivers exactly when every bit the walk reads holds: each leaf's
-    u < s, each operation's u < p and, with acceptance on, each
-    purification's agreement.  One delivered row keeps that running AND.
-    A leaf arrives flipped if u < q (given delivery u / s is uniform, and
-    the flip of a sample that fails is never counted) and pushes its flip
-    row onto a stack of depth rows; a swap XORs its operands' flips into
-    the left one, a purification compares them.  From every 8th node on,
-    a chunk in which every sample has failed stops drawing: its tallies
-    are 0, and the rows it skips belong to no other chunk.  The buffers
-    are allocated once, for the largest range.
+    steps holds one (kind, hi, lo) per post-order node: a leaf's
+    thresholds of s and s * (1 - fidelity), an operation's of its success
+    and 0.  The delivered row keeps the running AND of every bit the walk
+    reads: each leaf's u < s, each operation's u < p and, with acceptance
+    on, each purification's agreement.  A leaf arrives flipped if u < q
+    (given delivery u / s is uniform, and the flip of a sample that fails
+    is never counted) and pushes its flip row onto the stack; a swap XORs
+    its operands' flips into the left one, a purification compares them
+    before its own success is drawn.  A chunk whose delivered row is 0
+    stops: its tallies are 0.
     """
-    most = max(count for _, count in ranges)
-    draw_buf = np.empty(most)
-    hit_buf = np.empty(most, dtype=np.bool_)
-    delivered_buf = np.empty(most, dtype=np.bool_)
-    agreed_buf = np.empty(most, dtype=np.bool_)
-    flip_buf = np.empty((depth, most), dtype=np.bool_)
-    n_delivered = n_accepted = n_unflipped = 0
-    for start, count in ranges:
-        u, hit = draw_buf[:count], hit_buf[:count]
-        delivered, flipped = delivered_buf[:count], flip_buf[:, :count]
-        agreed = agreed_buf[:count]  # all agreements, acceptance off
-        agreed.fill(True)
-        bits = np.random.PCG64DXSM(seed)
-        bits.advance(start)
-        draw = np.random.Generator(bits).random
-        top = 0
-        for j, (kind, p, q) in enumerate(steps):
-            if j and j % 8 == 0 and not delivered.any():
-                break  # every sample has failed
-            draw(out=u)
-            bits.advance(samples - count)
-            if j:
-                np.less(u, p, out=hit)
-                delivered &= hit
-            else:  # node 0 is a leaf: it starts the running AND
-                np.less(u, p, out=delivered)
-            if kind is Leaf:
-                np.less(u, q, out=flipped[top])
-                top += 1
-                continue
-            top -= 1
-            za, zb = flipped[top - 1], flipped[top]
-            if kind is Swap:
-                za ^= zb
-                continue
-            np.equal(za, zb, out=zb)
+    delivered = (1 << n) - 1
+    disagreed = 0  # acceptance off: the samples whose flips ever disagreed
+    flips: list[int] = []
+    for kind, hi, lo in steps:
+        if not delivered:
+            return 0, 0, 0  # every sample has failed
+        if kind is Leaf:
+            delivered, flip = _below(draw, n, delivered, hi, lo)
+            flips.append(flip)
+            continue
+        flip = flips.pop()
+        if kind is Swap:
+            flips[-1] ^= flip
+        else:
+            flip ^= flips[-1]
             if acceptance:
-                delivered &= zb
+                delivered ^= delivered & flip
             else:
-                agreed &= zb
-        else:  # the walk reached the root
-            n_delivered += int(np.count_nonzero(delivered))
-            delivered &= agreed
-            n_accepted += int(np.count_nonzero(delivered))
-            flipped = flipped[0]
-            np.greater(delivered, flipped, out=flipped)  # accepted and unflipped
-            n_unflipped += int(np.count_nonzero(flipped))
-    return n_delivered, n_accepted, n_unflipped
+                disagreed |= flip
+        delivered = _below(draw, n, delivered, hi)[0]
+    accepted = delivered ^ (delivered & disagreed)
+    unflipped = accepted ^ (accepted & flips[0])
+    return delivered.bit_count(), accepted.bit_count(), unflipped.bit_count()
+
+
+def _chunk_samples(depth: int) -> int:
+    """The most samples a chunk takes: _CHUNK_SAMPLES, or fewer when their
+    depth + _ROWS rows would not fit in _CHUNK_BYTES."""
+    row = _CHUNK_BYTES // (depth + _ROWS) - _ROW_HEADER
+    return min(_CHUNK_SAMPLES, 30 * max(1, row // 4))
 
 
 def estimate(
@@ -183,9 +234,11 @@ def estimate(
 ) -> McEstimate:
     """Monte-Carlo estimate of a strategy's fidelity and success probability.
 
-    The estimate depends only on (tree, graph, samples, seed); the thread
-    count changes wall time, never the numbers.  fidelity_hat and its
-    standard error are None when no sample was accepted.
+    The estimate depends only on (tree, graph, samples, seed).  threads is
+    accepted for callers that pass a thread count and must be >= 1; every
+    chunk runs in the calling thread, so it changes neither the numbers
+    nor the wall time.  fidelity_hat and its standard error are None when
+    no sample was accepted.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -195,41 +248,29 @@ def estimate(
         raise ValueError(f"seed {seed} outside [0, 2**128)")
     check_strategy(tree, g)
     ops = g.op_costs
-    steps: list[tuple[type[StrategyTree], float, float]] = []
+    steps: list[Step] = []
     height = depth = 0
     for node in postorder(tree):
         if isinstance(node, Leaf):
             cost = g.channel(node.channel).cost
             flip = cost.success * (1.0 - cost.fidelity)
-            steps.append((Leaf, cost.success, flip))
+            steps.append((Leaf, _threshold(cost.success), _threshold(flip)))
             height += 1
             depth = max(depth, height)
         else:
             swap = isinstance(node, Swap)
             success = ops.swap_success if swap else ops.purify_success
-            steps.append((type(node), success, 0.0))
+            steps.append((type(node), _threshold(success), 0))
             height -= 1
-    room = (_CHUNK_BYTES - _SPARE_BYTES) // (11 + depth)
-    chunk = max(1, min(_CHUNK_SAMPLES, room))
-    # Each worker walks an even contiguous share of the samples in chunks.
-    workers = min(threads, -(-samples // chunk))
-    bounds = [samples * k // workers for k in range(workers + 1)]
-    shares = [
-        [(start, min(chunk, end - start)) for start in range(begin, end, chunk)]
-        for begin, end in zip(bounds, bounds[1:])
+    # The fewest chunks that fit, of nearly equal size, one after another
+    # from one stream.
+    chunks = -(-samples // _chunk_samples(depth))
+    bounds = [samples * k // chunks for k in range(chunks + 1)]
+    draw = Random(seed).getrandbits
+    tallies = [
+        _run_chunk(steps, ops.physical_acceptance, draw, end - start)
+        for start, end in zip(bounds, bounds[1:])
     ]
-    acceptance = ops.physical_acceptance
-
-    def run(ranges: list[tuple[int, int]]) -> tuple[int, int, int]:
-        return _run_worker(steps, depth, acceptance, seed, samples, ranges)
-
-    if workers == 1:
-        tallies = [run(shares[0])]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(run, shares))
     delivered, accepted, unflipped = (sum(t) for t in zip(*tallies))
 
     success_hat = delivered / samples
@@ -241,46 +282,3 @@ def estimate(
     return McEstimate(
         fidelity_hat, success_hat, se_fidelity, se_success, samples, seed
     )
-
-
-_BELL = np.zeros((4, 4), dtype=np.complex128)
-_BELL[0, 0] = _BELL[0, 3] = _BELL[3, 0] = _BELL[3, 3] = 0.5
-_Z1 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
-
-
-class DensityMatrix4:
-    """A two-qubit density matrix: Hermitian, unit trace, positive."""
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-            raise ValueError("trace differs from 1 by more than 1e-12")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -1e-10:
-            raise ValueError(f"negative eigenvalue {eigs.min()} below -1e-10")
-        self.matrix = m
-        self.matrix.setflags(write=False)
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix4(trace={np.trace(self.matrix).real:.3f})"
-
-
-def dephase_bell(p: float) -> DensityMatrix4:
-    """Bell pair through a dephasing channel of strength p.
-
-    With probability p the state is untouched; otherwise it is replaced by
-    the dephasing steady state (the average of the state and its image
-    under Z on one qubit).
-    """
-    p = _checked(p, "channel strength")
-    steady = 0.5 * (_BELL + _Z1 @ _BELL @ _Z1)
-    return DensityMatrix4(p * _BELL + (1.0 - p) * steady)
-
-
-def bell_fidelity(state: DensityMatrix4) -> float:
-    """Overlap of a two-qubit state with the Bell pair (|00> + |11>)/sqrt(2)."""
-    return float(np.real(np.trace(_BELL @ state.matrix)))

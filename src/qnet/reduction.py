@@ -77,6 +77,37 @@ class _Operation(Value):
         _set(self, "left", left)
         _set(self, "right", right)
 
+    # Value's field-by-field versions recurse through the children; these
+    # walk without recursion, so trees of any depth compare, hash and print.
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = postorder(self), postorder(other)
+        return len(mine) == len(theirs) and all(
+            type(a) is type(b) and (type(a) is not Leaf or a == b)
+            for a, b in zip(mine, theirs)
+        )
+
+    def __hash__(self) -> int:
+        return fold(
+            self, hash, lambda l, r: hash((Swap, l, r)), lambda l, r: hash((Purify, l, r))
+        )
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list[StrategyTree | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Leaf):
+                out.append(repr(item))
+            else:
+                out.append(f"{type(item).__qualname__}(left=")
+                stack += (")", item.right, ", right=", item.left)
+        return "".join(out)
+
 
 class Swap(_Operation):
     __slots__ = ()

@@ -14,12 +14,13 @@ reports, and graph_to_obj that of a version-1 graph document.  Whatever
 qnet.jsonutil.canonical_dumps and the report templates write must equal
 what these give.
 
-reference_run_chunk is an independent oracle for the Monte Carlo stream:
-it draws every node's uniforms for every sample from PCG64DXSM in one call,
-with no jump-ahead and no chunking, and reads row j of the (nodes, samples)
-matrix as post-order node j's draws.  The delivered / accepted / unflipped
-tallies of qnet.montecarlo's workers must sum to its tallies exactly, with
-physical acceptance on or off.
+scalar_walk_tallies is an independent oracle for the bit-sliced Monte
+Carlo kernel.  It is fed the masks the kernel drew for each post-order node
+of one chunk and walks the tree one sample at a time: it reads each
+sample's 53-bit uniform k top bit first from those masks, decides k < T
+from that prefix alone, and refuses a prefix that leaves a decision open
+for a sample that still delivers.  Its delivered / accepted / unflipped
+tallies must equal the chunk's exactly, with physical acceptance on or off.
 
 philox_two_draw_tallies is the Monte Carlo kernel as it was before it drew
 one uniform per leaf: two Philox draws per leaf (delivery, then flip), one
@@ -288,32 +289,110 @@ def _op_success(node: StrategyTree, g: NetworkGraph) -> float:
     return ops.swap_success if isinstance(node, Swap) else ops.purify_success
 
 
-def reference_run_chunk(
+_UNIT = 1 << 53
+
+
+def uniform_below(prefix: int, levels: int, t: int) -> bool | None:
+    """Whether k < t for a 53-bit k whose top `levels` bits are prefix.
+
+    None when those bits do not decide it.  t = 2**53 holds for every k.
+    """
+    if t == _UNIT:
+        return True
+    top = t >> (53 - levels)
+    if prefix != top:
+        return prefix < top
+    if t & ((1 << (53 - levels)) - 1) == 0:
+        return False  # k >= t: t has no set bit below the prefix
+    return None
+
+
+def _prefixes(masks: list[int], n: int) -> list[int]:
+    """Each sample's prefix of k: bit i of the j-th mask is its bit 52 - j."""
+    if not masks:
+        return [0] * n
+    columns = [format(m, f"0{n}b")[::-1] for m in masks]
+    return [int("".join(bits), 2) for bits in zip(*columns)]
+
+
+def scalar_walk_tallies(
     nodes: list[StrategyTree],
     g: NetworkGraph,
-    seed: int,
-    samples: int,
+    n: int,
+    node_masks: list[list[int]],
 ) -> tuple[int, int, int]:
-    """Delivered / accepted / accepted-and-unflipped tallies of the samples.
+    """Delivered / accepted / accepted-and-unflipped tallies of n samples.
 
-    Post-order node j's draw for sample i is draw j * samples + i of the
-    seed's PCG64DXSM stream.  A leaf delivers if its draw u is below its
-    success s and is flipped if u < s * (1 - fidelity); an operation
-    succeeds if its draw is below its success.
+    node_masks[j] holds the masks drawn for post-order node j; the list is
+    shorter when the chunk stopped early, which is right only if every
+    sample had failed by then.  A leaf reads s and s * (1 - fidelity) from
+    one uniform, an operation its success; a purification tests agreement
+    before its success is read.  Each sample carries, per node,
+    (delivered, flipped, agreed), agreed meaning that the flips agreed at
+    every purification below it; with physical acceptance on, a
+    disagreement fails the purification instead.  `alive` is the running
+    AND of every bit read so far: a decision the masks leave open is an
+    error for a sample still alive, and harmless otherwise, as such a
+    sample can no longer reach the tallies.
     """
-    draws = np.random.Generator(np.random.PCG64DXSM(seed)).random(
-        len(nodes) * samples
-    ).reshape(len(nodes), samples)
-    leaf_bits, op_bits = [], []
-    for node, u in zip(nodes, draws):
+    physical = g.op_costs.physical_acceptance
+    ops = g.op_costs
+
+    def threshold(p: float) -> int:
+        return math.ceil(p * float(_UNIT))
+
+    plans = []  # per node: (kind, thresholds, prefixes, levels)
+    for j, node in enumerate(nodes):
         if isinstance(node, Leaf):
             cost = g.channel(node.channel).cost
-            leaf_bits.append(
-                (u < cost.success, u < cost.success * (1.0 - cost.fidelity))
-            )
+            ts = (threshold(cost.success), threshold(cost.success * (1.0 - cost.fidelity)))
         else:
-            op_bits.append(u < _op_success(node, g))
-    return _walk_tallies(nodes, g, leaf_bits, op_bits)
+            ts = (threshold(_op_success(node, g)),)
+        masks = node_masks[j] if j < len(node_masks) else None
+        prefixes = None if masks is None else _prefixes(masks, n)
+        plans.append((type(node), ts, prefixes, None if masks is None else len(masks)))
+    tallies = [0, 0, 0]
+    for i in range(n):
+        alive = True
+        values: list[tuple[bool, bool, bool]] = []
+
+        def read(t, prefixes, levels):
+            if prefixes is None:  # the chunk stopped before this node
+                assert not alive, f"sample {i} still delivers where the chunk stopped"
+                return False
+            below = uniform_below(prefixes[i], levels, t)
+            if below is None:
+                assert not alive, f"sample {i} left undecided against {t}"
+                return False
+            return below
+
+        for kind, ts, prefixes, levels in plans:
+            if kind is Leaf:
+                delivered = read(ts[0], prefixes, levels)
+                flipped = read(ts[1], prefixes, levels)
+                alive = alive and delivered
+                values.append((delivered, flipped, True))
+                continue
+            db, zb, ab = values.pop()
+            da, za, aa = values.pop()
+            agree = za == zb
+            if kind is Purify and physical:
+                alive = alive and agree
+            ok = read(ts[0], prefixes, levels)
+            alive = alive and ok
+            if kind is Swap:
+                values.append((da and db and ok, za != zb, aa and ab))
+            elif physical:
+                values.append((da and db and ok and agree, za, aa and ab))
+            else:
+                values.append((da and db and ok, za, aa and ab and agree))
+        ((delivered, flipped, agreed),) = values
+        assert delivered == alive
+        accepted = delivered and agreed
+        tallies[0] += delivered
+        tallies[1] += accepted
+        tallies[2] += accepted and not flipped
+    return tuple(tallies)
 
 
 def philox_two_draw_tallies(

@@ -10,8 +10,11 @@ from _generators import bridge_graph, build_graph, two_path_graph
 from qnet import (
     GridSpec,
     GridStrategy,
+    Leaf,
     OperationCosts,
+    Purify,
     RouteRequest,
+    Swap,
     evaluate_strategy,
     grid_cost,
     reduce_to_fixpoint,
@@ -202,22 +205,35 @@ def _loaded_after(code, modules):
     return proc.stdout.split()
 
 
-def test_planning_does_not_import_numpy():
+def test_planning_does_not_import_numpy(two_path_doc, tmp_path):
     modules = ("numpy", "dataclasses", "inspect")
     assert _loaded_after("import qnet, qnet.cli", modules) == []
-    assert _loaded_after("import qnet.montecarlo", ("dataclasses",)) == []
+    assert _loaded_after("import qnet.montecarlo", modules) == []
+    assert _loaded_after("import qnet; dir(qnet)", modules) == []
+    # sampling the README document, by its default strategy and by --strategy
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(
+        serialize_strategy(
+            Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
+        )
+    )
+    for extra in ([], ["--strategy", str(strategy)]):
+        argv = ["simulate", two_path_doc, "--samples", "20000", "--seed", "3", *extra]
+        code = (
+            "import io, sys, qnet.cli; out, sys.stdout = sys.stdout, io.StringIO(); "
+            f"code = qnet.cli.run({argv!r}); sys.stdout = out; assert code == 0"
+        )
+        assert _loaded_after(code, modules) == []
 
 
-def test_one_thread_sampling_does_not_import_a_pool(two_path_doc):
+def test_no_thread_count_imports_a_pool(two_path_doc):
     code = (
         "from qnet import Leaf, estimate, parse_graph; "
         f"g = parse_graph(open({two_path_doc!r}, 'rb').read()); "
         "estimate(Leaf('c1'), g, 200000, seed=0, threads={threads})"
     )
-    modules = ("concurrent.futures",)
-    assert _loaded_after(code.format(threads=1), modules) == []
-    # 200,000 samples are four chunks, so two threads run a pool
-    assert _loaded_after(code.format(threads=2), modules) == list(modules)
+    for threads in (1, 2, 4):
+        assert _loaded_after(code.format(threads=threads), ("concurrent.futures",)) == []
 
 
 def test_dir_lists_lazy_names_without_importing_numpy():

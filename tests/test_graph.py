@@ -13,6 +13,7 @@ from _generators import (
     two_path_graph,
 )
 from qnet import (
+    AlgebraDomainError,
     Channel,
     CostVector,
     GraphFormatError,
@@ -73,6 +74,21 @@ def test_round_trip_random_graphs():
     for seed in range(50):
         g = random_connected_graph(seeded(seed))
         assert parse_graph(serialize_graph(g)) == g
+
+
+def test_round_trip_keeps_operation_costs():
+    # every OperationCosts that can be built serializes to a document that
+    # parses back to it; a non-bool acceptance flag is refused up front
+    nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
+    channels = [Channel("c1", "A", "B", CostVector(0.9, 0.8))]
+    for acceptance in (True, False):
+        g = NetworkGraph(nodes, channels, OperationCosts(1, 1, acceptance))
+        assert parse_graph(serialize_graph(g)) == g
+    for flag in (0, 1, None, "yes"):
+        with pytest.raises(
+            AlgebraDomainError, match="^physical_acceptance must be a boolean$"
+        ):
+            OperationCosts(1, 1, flag)
 
 
 def test_serialization_is_canonical():

@@ -1,7 +1,9 @@
 """Stochastic sampler: vectorised strategy execution, estimates, density matrices."""
+import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from math import sqrt
+from random import Random
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from _generators import (
     series_chain,
     two_path_graph,
 )
-from _reference import philox_two_draw_tallies, reference_run_chunk
+from _reference import philox_two_draw_tallies, scalar_walk_tallies, uniform_below
 from qnet import (
     Channel,
     CostVector,
@@ -140,87 +142,192 @@ def test_estimate_validation():
 def test_estimate_thread_count_never_changes_numbers():
     g = two_path_graph()
     tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
-    # deliberately not a multiple of the chunk size
     single = estimate(tree, g, 200001, seed=9, threads=1)
-    pools = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    with mock.patch("concurrent.futures.ThreadPoolExecutor", RecordingPool):
-        for threads in (2, 3, 4):
-            assert estimate(tree, g, 200001, seed=9, threads=threads) == single
-    # 200,001 samples are four chunks: every thread count runs a pool
-    assert pools == [2, 3, 4]
+    for threads in (2, 3, 4):
+        assert estimate(tree, g, 200001, seed=9, threads=threads) == single
 
 
-def _sample_bytes(tree):
-    """A worker's bytes per sample: 8 of draws, 1 each of compares,
-    deliveries and agreements, and 1 for each row of the flip stack, as
-    deep as the post-order walk ever gets."""
+@contextmanager
+def _recorded(chunk=None, budget=None):
+    """Record each chunk estimate runs, as [n, tallies, masks], masks
+    holding the masks each node's comparison drew, in post-order; under a
+    chunk sample cap or a byte budget if given."""
+    chunks = []
+    run_chunk, below = montecarlo._run_chunk, montecarlo._below
+
+    def recording_chunk(steps, acceptance, draw, n):
+        chunks.append([n, None, []])
+        chunks[-1][1] = run_chunk(steps, acceptance, draw, n)
+        return chunks[-1][1]
+
+    def recording_below(draw, n, undecided, hi, lo=0):
+        masks = []
+        chunks[-1][2].append(masks)
+
+        def recording_draw(k):
+            masks.append(draw(k))
+            return masks[-1]
+
+        return below(recording_draw, n, undecided, hi, lo)
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(montecarlo, "_run_chunk", recording_chunk))
+        stack.enter_context(mock.patch.object(montecarlo, "_below", recording_below))
+        if chunk:
+            stack.enter_context(
+                mock.patch.object(montecarlo, "_chunk_samples", lambda depth: chunk)
+            )
+        if budget:
+            stack.enter_context(mock.patch.object(montecarlo, "_CHUNK_BYTES", budget))
+        yield chunks
+
+
+def _chunk_tallies(tree, g, samples, seed, threads=1, chunk=None):
+    """The (delivered, accepted, unflipped) tallies of each chunk."""
+    with _recorded(chunk) as chunks:
+        estimate(tree, g, samples, seed, threads)
+    return [tallies for _, tallies, _ in chunks]
+
+
+def _depth(tree):
+    """Rows of the flip stack: as deep as the post-order walk ever gets."""
     height = depth = 0
     for node in postorder(tree):
         height += 1 if isinstance(node, Leaf) else -1
         depth = max(depth, height)
-    return 11 + depth
+    return depth
 
 
-def _budget(sample_bytes, samples):
-    """A worker budget that holds chunks of exactly `samples` samples."""
-    return sample_bytes * samples + montecarlo._SPARE_BYTES
+def _row_bytes(n):
+    """A row of n samples: ceil(n / 30) digits of 4 bytes, and the header."""
+    return 4 * -(-n // 30) + montecarlo._ROW_HEADER
 
 
-def _worker_tallies(tree, g, samples, seed, threads=1, budget=None, chunk=None):
-    """The (delivered, accepted, unflipped) tallies of each of estimate's
-    workers, under a byte budget and a chunk sample cap if given."""
-    tallies = []
-    run_worker = montecarlo._run_worker
-
-    def recording(*args):
-        result = run_worker(*args)
-        tallies.append(result)
-        return result
-
-    budget = budget or montecarlo._CHUNK_BYTES
-    chunk = chunk or montecarlo._CHUNK_SAMPLES
-    with mock.patch.object(montecarlo, "_run_worker", recording), \
-            mock.patch.object(montecarlo, "_CHUNK_BYTES", budget), \
-            mock.patch.object(montecarlo, "_CHUNK_SAMPLES", chunk):
-        estimate(tree, g, samples, seed, threads)
-    return tallies
-
-
-def test_chunk_budget_bounds_memory_and_never_changes_numbers(monkeypatch):
+def test_chunks_split_the_samples_by_the_byte_budget():
     g = two_path_graph()
     tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
-    counts = []
-    totals = []
-    run_worker = montecarlo._run_worker
+    assert _depth(tree) == 3
+    with _recorded() as chunks:
+        estimate(tree, g, 5000, seed=12)
+    assert [n for n, _, _ in chunks] == [5000]
+    # at most 65,536 samples a chunk while the rows fit
+    assert montecarlo._chunk_samples(3) == montecarlo._CHUNK_SAMPLES == 65536
+    with _recorded() as chunks:
+        estimate(tree, g, 200001, seed=12)
+    assert [n for n, _, _ in chunks] == [50000, 50000, 50000, 50001]
+    # 3 + _ROWS = 15 rows; a budget of 15 rows of 34 digits holds the
+    # 1,020 samples that 34 digits hold, and one byte less holds 990
+    budget = 15 * _row_bytes(1020)
+    with mock.patch.object(montecarlo, "_CHUNK_BYTES", budget):
+        assert montecarlo._chunk_samples(3) == 1020
+    with mock.patch.object(montecarlo, "_CHUNK_BYTES", budget - 1):
+        assert montecarlo._chunk_samples(3) == 990
+    with _recorded(budget=budget) as chunks:
+        estimate(tree, g, 5000, seed=12)
+    # ceil(5000 / 1020) = 5 chunks, as even as they come
+    assert [n for n, _, _ in chunks] == [1000] * 5
+    with _recorded(budget=budget) as chunks:
+        estimate(tree, g, 5003, seed=12)
+    assert [n for n, _, _ in chunks] == [1000, 1001, 1000, 1001, 1001]
 
-    def recording(*args):
-        counts.extend(count for _, count in args[-1])
-        totals.append(sum(count for _, count in args[-1]))
-        return run_worker(*args)
 
-    monkeypatch.setattr(montecarlo, "_run_worker", recording)
-    whole = estimate(tree, g, 5000, seed=12)
-    assert counts == [5000]
-    # the flip stack is 3 rows deep: 8 + 3 + 3 = 14 bytes a sample
-    assert _sample_bytes(tree) == 14
-    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _budget(14, 777))
-    counts.clear()
-    totals.clear()
-    assert estimate(tree, g, 5000, seed=12, threads=2) == whole
-    assert max(counts) == 777 and sum(counts) == 5000
-    # the two workers get even shares, not every other chunk
-    assert len(totals) == 2 and max(totals) - min(totals) <= 1, totals
+_THRESHOLD_CASES = [
+    0.5,  # T = 2**52: one level
+    0.75,  # two levels
+    0.625,  # three levels
+    1.0 - 2.0**-53,  # T = 2**53 - 1: 53 levels
+    5e-324,  # T = 1: 53 levels
+    0.0,  # T = 0: no k is below, no level
+    1.0,  # T = 2**53: every k is below, no level
+]
 
 
-# Probabilities at and next to the edges of [0, 1]: a draw is never below
-# 0, always below 1, below 5e-324 only when it is exactly 0, and below
-# 1 - 2**-53 unless it is the largest double under 1.
+def _levels(t):
+    """Bit levels from the top down to t's lowest set bit (0 for 0 or 2**53)."""
+    return 0 if t in (0, 1 << 53) else 54 - (t & -t).bit_length()
+
+
+def _first_difference(k, t):
+    """The level (from 1) at which k's bits first differ from t's; 54 if never."""
+    for level in range(1, 54):
+        if (k >> (53 - level)) & 1 != (t >> (53 - level)) & 1:
+            return level
+    return 54
+
+
+def _uniforms(t, rng):
+    """53-bit integers around t: every pattern of t's leading levels (when
+    there are at most 6) under random suffixes, t and its neighbours, the
+    extremes and random draws."""
+    levels = _levels(t)
+    ks = {0, (1 << 53) - 1, 1 << 52, (1 << 52) - 1}
+    ks |= {k for k in (t - 1, t, t + 1) if 0 <= k < 1 << 53}
+    if 0 < levels <= 6:
+        for prefix in range(1 << levels):
+            for _ in range(3):
+                suffix = rng.getrandbits(53 - levels)
+                ks.add(prefix << (53 - levels) | suffix)
+            ks.add(prefix << (53 - levels))
+    ks |= {rng.getrandbits(53) for _ in range(20)}
+    ks |= {t ^ (1 << rng.randrange(53)) for _ in range(20) if t < 1 << 53}
+    return sorted(ks)
+
+
+def _feed(ks):
+    """A draw that hands out, level by level, bit 52 - j of every k."""
+    masks = iter(
+        [sum(((k >> (52 - j)) & 1) << i for i, k in enumerate(ks)) for j in range(53)]
+    )
+    drawn = []
+
+    def draw(n):
+        assert n == len(ks)
+        drawn.append(next(masks))
+        return drawn[-1]
+
+    return draw, drawn
+
+
+@pytest.mark.parametrize(
+    "p, lo",
+    [(p, None) for p in _THRESHOLD_CASES]
+    + [(p, lo) for p in _THRESHOLD_CASES for lo in _THRESHOLD_CASES if lo <= p],
+)
+def test_comparator_decides_k_below_t_exactly(p, lo):
+    """Fixed masks through the comparator: each sample's bit is k < T, for
+    a pair of thresholds read through the same masks as for one, and the
+    levels stop exactly when no undecided sample is left above the lowest
+    set bit of either threshold."""
+    rng = Random(f"{p}:{lo}")
+    t_hi = montecarlo._threshold(p)
+    t_lo = montecarlo._threshold(lo) if lo is not None else 0
+    assert t_hi == math.ceil(p * 2**53) and t_hi >> 53 == (p == 1.0)
+    ks = _uniforms(t_hi, rng) + _uniforms(t_lo, rng)
+    everyone = (1 << len(ks)) - 1
+    for undecided in (everyone, rng.getrandbits(len(ks)), 0):
+        draw, drawn = _feed(ks)
+        below_hi, below_lo = montecarlo._below(draw, len(ks), undecided, t_hi, t_lo)
+        want_levels = 0
+        for i, k in enumerate(ks):
+            asked = undecided >> i & 1
+            assert below_hi >> i & 1 == (asked and k < t_hi), (i, k)
+            assert below_lo >> i & 1 == (asked and k < t_lo), (i, k)
+            if asked:
+                for t in (t_hi, t_lo):
+                    want_levels = max(want_levels, min(_first_difference(k, t), _levels(t)))
+        assert len(drawn) == want_levels
+
+
+def _check_against_scalar_walk(tree, g, chunks):
+    nodes = postorder(tree)
+    for n, tallies, masks in chunks:
+        assert len(masks) <= len(nodes)
+        assert tallies == scalar_walk_tallies(nodes, g, n, masks)
+
+
+# Probabilities at and next to the edges of [0, 1]: a uniform is never
+# below 0, always below 1, below 5e-324 only when k = 0, and below
+# 1 - 2**-53 unless k = 2**53 - 1.
 _EDGE_PROBABILITIES = st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53])
 
 
@@ -279,26 +386,6 @@ def _weak_chain_case(leaves, success, acceptance):
     return tree, g
 
 
-def _fills_per_chunk(monkeypatch):
-    """The number of draw rows each chunk's generator fills, in the order
-    the generators are made."""
-    fills = []
-    generator = np.random.Generator
-
-    class Counting:
-        def __init__(self, bits):
-            self._generator = generator(bits)
-            self._chunk = len(fills)
-            fills.append(0)
-
-        def random(self, *args, **kwargs):
-            fills[self._chunk] += 1
-            return self._generator.random(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "Generator", Counting)
-    return fills
-
-
 # (case, samples, chunk, threads, seed) where every chunk of 97 samples
 # stops early, and where the first stops early but a later one delivers
 _ALL_CHUNKS_STOP = [
@@ -307,7 +394,7 @@ _ALL_CHUNKS_STOP = [
 ]
 _FIRST_CHUNK_STOPS = [
     (_weak_chain_case(12, 0.7, True), 700, 97, 2, 1),
-    (_weak_chain_case(16, 0.75, False), 700, 97, 1, 3),
+    (_weak_chain_case(16, 0.75, False), 700, 97, 1, 7),
 ]
 
 
@@ -318,30 +405,24 @@ _FIRST_CHUNK_STOPS = [
     st.integers(1, 97),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
-    st.booleans(),
 )
 # chunks of 97 leave a short last chunk of 700 samples at 1 and 2 threads
-@example(_two_path_case(True), 700, 97, 1, 5, True)
-@example(_two_path_case(False), 700, 97, 2, 5, False)
+@example(_two_path_case(True), 700, 97, 1, 5)
+@example(_two_path_case(False), 700, 97, 2, 5)
 # chunks that stop early, acceptance on and off, at 1 and 2 threads
-@example(*_ALL_CHUNKS_STOP[0], True)
-@example(*_ALL_CHUNKS_STOP[1], False)
-@example(*_FIRST_CHUNK_STOPS[0], True)
-@example(*_FIRST_CHUNK_STOPS[1], False)
-def test_kernel_tallies_match_reference_chunk(
-    case, samples, chunk, threads, seed, by_bytes
-):
+@example(*_ALL_CHUNKS_STOP[0])
+@example(*_ALL_CHUNKS_STOP[1])
+@example(*_FIRST_CHUNK_STOPS[0])
+@example(*_FIRST_CHUNK_STOPS[1])
+def test_kernel_tallies_match_scalar_walk(case, samples, chunk, threads, seed):
     tree, g = case
-    want = reference_run_chunk(postorder(tree), g, seed, samples)
-    if by_bytes:
-        # a budget a little over `chunk` samples still gives chunks of `chunk`
-        sample_bytes = _sample_bytes(tree)
-        budget = _budget(sample_bytes, chunk) + sample_bytes - 1
-        tallies = _worker_tallies(tree, g, samples, seed, threads, budget=budget)
-    else:
-        tallies = _worker_tallies(tree, g, samples, seed, threads, chunk=chunk)
-    assert len(tallies) == min(threads, -(-samples // chunk))
-    assert tuple(sum(column) for column in zip(*tallies)) == want
+    with _recorded(chunk) as chunks:
+        est = estimate(tree, g, samples, seed, threads)
+    assert len(chunks) == -(-samples // chunk)
+    assert sum(n for n, _, _ in chunks) == samples
+    _check_against_scalar_walk(tree, g, chunks)
+    delivered = sum(tallies[0] for _, tallies, _ in chunks)
+    assert est.success_hat == delivered / samples
 
 
 @pytest.mark.parametrize(
@@ -351,24 +432,25 @@ def test_kernel_tallies_match_reference_chunk(
     ids=["all-on", "all-off", "first-on", "first-off"],
 )
 def test_stopping_examples_stop_the_chunks_they_name(
-    case, samples, chunk, threads, seed, every, monkeypatch
+    case, samples, chunk, threads, seed, every
 ):
     tree, g = case
     nodes = len(postorder(tree))
-    fills = _fills_per_chunk(monkeypatch)
-    tallies = _worker_tallies(tree, g, samples, seed, threads, chunk=chunk)
-    assert len(fills) == -(-samples // chunk)
-    delivered = sum(t[0] for t in tallies)
+    with _recorded(chunk) as chunks:
+        estimate(tree, g, samples, seed, threads)
+    visited = [len(masks) for _, _, masks in chunks]
+    assert len(visited) == -(-samples // chunk)
+    delivered = sum(tallies[0] for _, tallies, _ in chunks)
     if every:
-        assert max(fills) < nodes and delivered == 0
+        assert max(visited) < nodes and delivered == 0
     else:
-        assert fills[0] < nodes and delivered > 0
+        assert visited[0] < nodes and delivered > 0
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_chunk_stops_once_every_sample_has_failed(threads, monkeypatch):
-    """A 40-leaf chain whose first leaf never delivers: each chunk fills
-    the rows of the first 8 post-order nodes, then stops."""
+def test_a_chunk_stops_once_every_sample_has_failed(threads):
+    """A 40-leaf chain whose first leaf never delivers: each chunk reads
+    the first post-order node and stops before the second."""
     hops = ["A"] + [f"m{i}" for i in range(1, 40)] + ["B"]
     g = build_graph(
         [
@@ -379,10 +461,12 @@ def test_a_chunk_stops_once_every_sample_has_failed(threads, monkeypatch):
     tree = Leaf("c0")
     for i in range(1, 40):
         tree = Swap(tree, Leaf(f"c{i}"))
-    fills = _fills_per_chunk(monkeypatch)
-    tallies = _worker_tallies(tree, g, 1000, 3, threads, chunk=100)
-    assert len(fills) == 10 and max(fills) <= 8
-    assert tallies == [(0, 0, 0)] * threads
+    with _recorded(chunk=100) as chunks:
+        estimate(tree, g, 1000, 3, threads)
+    assert len(chunks) == 10
+    # success 0 is T = 0: the first leaf draws no mask and delivers nothing
+    assert [masks for _, _, masks in chunks] == [[[]]] * 10
+    assert [tallies for _, tallies, _ in chunks] == [(0, 0, 0)] * 10
 
 
 @pytest.mark.parametrize(
@@ -397,17 +481,35 @@ def test_a_chunk_stops_once_every_sample_has_failed(threads, monkeypatch):
     ],
 )
 def test_one_leaf_reads_one_uniform_per_sample(seed, success, fidelity):
-    """Sample i of a 1-leaf tree is draw i of the stream: delivered iff
-    u < s, flipped iff u < s * (1 - f), across chunks and workers."""
-    samples = 30001
-    u = np.random.Generator(np.random.PCG64DXSM(seed)).random(samples)
+    """Sample i of a 1-leaf tree reads bit i of successive getrandbits(n)
+    masks of random.Random(seed) as its k, top bit first, chunk after
+    chunk from one stream: delivered iff k < T(s), flipped iff
+    k < T(s * (1 - f)).  Rebuilt here one sample at a time."""
+    samples, chunk = 30001, 4096
     g = build_graph([("c1", "A", "B", fidelity, success)])
-    # 8 + 3 + 1 = 12 bytes a sample, chunks of 4,096
-    tallies = _worker_tallies(Leaf("c1"), g, samples, seed, 3, _budget(12, 4096))
-    delivered, accepted, unflipped = (sum(column) for column in zip(*tallies))
-    assert delivered == accepted == np.count_nonzero(u < success)
-    flipped = np.count_nonzero(u < success * (1.0 - fidelity))
-    assert delivered - unflipped == flipped
+    tallies = _chunk_tallies(Leaf("c1"), g, samples, seed, 3, chunk)
+    hi = math.ceil(success * 2**53)
+    lo = math.ceil(success * (1.0 - fidelity) * 2**53)
+    rng = Random(seed)
+    chunks = -(-samples // chunk)
+    delivered = flipped = 0
+    for c in range(chunks):
+        n = samples * (c + 1) // chunks - samples * c // chunks
+        prefixes, levels = [0] * n, 0
+        while any(
+            uniform_below(k, levels, t) is None
+            for k in prefixes
+            for t in (hi, lo)
+        ):
+            mask = rng.getrandbits(n)
+            prefixes = [k << 1 | (mask >> i) & 1 for i, k in enumerate(prefixes)]
+            levels += 1
+        delivered += sum(uniform_below(k, levels, hi) for k in prefixes)
+        flipped += sum(uniform_below(k, levels, lo) for k in prefixes)
+    assert len(tallies) == chunks
+    assert [sum(column) for column in zip(*tallies)] == [
+        delivered, delivered, delivered - flipped,
+    ]
 
 
 _BUFFER_CASES = [
@@ -432,33 +534,37 @@ _BUFFER_CASES = [
     ],
 )
 def test_worker_buffers_stay_within_chunk_bytes(shape, leaves, samples, monkeypatch):
-    g, tree = series_chain(leaves, shape=shape)
+    """A chunk's traced peak stays within depth + _ROWS rows.  Fidelity 1/2
+    flips half the samples at every leaf, so no flip row is sparse, and
+    the 1,000-leaf right-deep chain runs under a 2 MiB budget, which then
+    binds: its post-order lists 1,000 leaves before the first swap."""
+    g, tree = series_chain(leaves, fidelity=0.5, shape=shape)
+    binds = (shape, leaves) == ("right", 1000)
+    if binds:
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 2 << 20)
     peaks = []
-    run_worker = montecarlo._run_worker
+    run_chunk = montecarlo._run_chunk
 
-    def measured(*args):
+    def measured(steps, acceptance, draw, n):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        result = run_worker(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        result = run_chunk(steps, acceptance, draw, n)
+        peaks.append((n, tracemalloc.get_traced_memory()[1] - before))
         return result
 
-    monkeypatch.setattr(montecarlo, "_run_worker", measured)
+    monkeypatch.setattr(montecarlo, "_run_chunk", measured)
     tracemalloc.start()
     try:
         estimate(tree, g, samples, seed=14)
     finally:
         tracemalloc.stop()
-    (peak,) = peaks
-    assert peak <= montecarlo._CHUNK_BYTES
-    if shape == "balanced":
-        # a 9-row flip stack: 20 bytes for each of 65,536 samples
-        assert peak < 8 << 20
-    if shape == "right":
-        # the flip stack is `leaves` rows deep, so the budget binds
-        # (20,001 rows leave room for 1,673 samples) and the traced peak
-        # holds the worker's buffers
-        assert peak >= montecarlo._CHUNK_BYTES // 2
+    rows = _depth(tree) + montecarlo._ROWS
+    for n, peak in peaks:
+        assert peak <= rows * _row_bytes(n) <= montecarlo._CHUNK_BYTES, (n, peak)
+    if binds:
+        # the budget splits the samples, and the stack fills half of it
+        assert len(peaks) == 3
+        assert max(peak for _, peak in peaks) >= montecarlo._CHUNK_BYTES // 2
 
 
 def test_philox_oracle_is_the_two_draw_kernel():
@@ -506,7 +612,7 @@ def test_estimates_agree_with_two_draw_philox_kernel():
     samples = 20000
     for i in range(200):
         tree, g = random_strategy_tree(seeded(6000 + i), acceptance=i % 2 == 0)
-        ((delivered, accepted, unflipped),) = _worker_tallies(tree, g, samples, i)
+        ((delivered, accepted, unflipped),) = _chunk_tallies(tree, g, samples, i)
         old_delivered, old_accepted, old_unflipped = philox_two_draw_tallies(
             postorder(tree), g, i, samples
         )
@@ -579,16 +685,21 @@ def test_purify_acceptance_rate_equals_swap_fidelity():
 
 
 def test_random_trees_match_analytic_costs():
-    # a smaller sweep of the full oracle-agreement check
+    # a smaller sweep of the full oracle-agreement check; the standard
+    # errors are those of the analytic rates, so that a run in which no
+    # accepted sample flipped is not held to a standard error of 0
+    n = 120000
     for seed in range(8):
         tree, g = random_strategy_tree(seeded(seed))
         analytic = evaluate_strategy(tree, g)
-        est = estimate(tree, g, 120000, seed=seed)
-        se_s = max(est.std_error_success, 1e-6)
-        assert abs(est.success_hat - analytic.success) <= 4 * se_s
+        est = estimate(tree, g, n, seed=seed)
+        s, f = analytic.success, analytic.fidelity
+        se_s = max(sqrt(s * (1.0 - s) / n), 1e-6)
+        assert abs(est.success_hat - s) <= 4 * se_s
         if est.fidelity_hat is not None:
-            se_f = max(est.std_error_fidelity, 1e-6)
-            assert abs(est.fidelity_hat - analytic.fidelity) <= 4 * se_f
+            accepted = round(est.success_hat * n)  # acceptance on: all delivered
+            se_f = max(sqrt(f * (1.0 - f) / accepted), 1e-6)
+            assert abs(est.fidelity_hat - f) <= 4 * se_f
 
 
 def test_density_matrix_validation():

@@ -404,7 +404,12 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch
     sample i at draw j * samples + i), the same eight cases of the 2- and
     10-leaf trees were produced again, because every sample now reads
     other draws; the four 100-leaf cases still deliver nothing and kept
-    their bytes, as did every route and reduce case.
+    their bytes, as did every route and reduce case.  Once Monte Carlo
+    became bit-sliced, reading each uniform bit by bit from
+    random.Random(seed).getrandbits, the twelve simulate cases were
+    produced again: the same eight changed their estimates, and the four
+    100-leaf cases still deliver nothing and kept their bytes, as did every
+    route and reduce case.
     """
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) == 39

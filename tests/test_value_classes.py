@@ -11,6 +11,7 @@ import pickle
 
 import pytest
 
+from _generators import series_chain
 from qnet import (
     AlgebraDomainError,
     Channel,
@@ -255,6 +256,8 @@ def test_values_are_normalised_to_float():
          r"^success probability -1\.0 outside \[0, 1\]$"),
         (lambda: OperationCosts(purify_success=1.5), AlgebraDomainError,
          r"^success probability 1\.5 outside \[0, 1\]$"),
+        (lambda: OperationCosts(1, 1, 0), AlgebraDomainError,
+         r"^physical_acceptance must be a boolean$"),
         (lambda: GridSpec(0, 1, 0.9, 0.8), AlgebraDomainError,
          r"^grid breadth and depth must be >= 1$"),
         (lambda: GridSpec(1, 0, 0.9, 0.8), AlgebraDomainError,
@@ -309,3 +312,22 @@ def test_channel_equality_and_hash_ignore_pair():
     assert odd == plain and hash(odd) == hash(plain)
     with pytest.raises(AttributeError):
         plain.pair = frozenset()
+
+
+@pytest.mark.parametrize("shape", ["left", "right"])
+def test_deep_trees_compare_hash_and_print(shape):
+    # 20,000 levels deep: far past the interpreter's recursion limit
+    _, tree = series_chain(20001, shape=shape)
+    _, twin = series_chain(20001, shape=shape)
+    _, other = series_chain(20001, shape="right" if shape == "left" else "left")
+    assert tree == twin and not tree != twin and hash(tree) == hash(twin)
+    assert tree != other
+    assert Purify(tree.left, tree.right) != tree
+    text = repr(tree)
+    assert text.count("Swap(left=") == 20000
+    assert text.count("Leaf(channel=") == 20001
+    inner = tree.left if shape == "left" else tree.right
+    if shape == "left":
+        assert text == f"Swap(left={inner!r}, right=Leaf(channel='c20000'))"
+    else:
+        assert text == f"Swap(left=Leaf(channel='c0'), right={inner!r})"
