@@ -36,13 +36,14 @@ delivered row and a stack of flip rows.  Success multiplies across the
 tree, so on a large tree every sample of a chunk often fails long before
 the root; before every node, a chunk whose delivered row is 0 stops.
 
-Memory: a row of n samples is an int of ceil(n / 30) four-byte digits, so
-a chunk holds 2 / 15 byte a sample for each of its depth + _ROWS rows (the
-flip stack and, beside it, the delivered and disagreement rows, a mask and
-the comparison's working rows); _chunk_samples fits that in _CHUNK_BYTES,
-and takes at most 65,536 samples, past which a chunk gets slower.
-Chunks run one after another from one stream, so an estimate is a function
-of (tree, graph, samples, seed).  Whole-row int operations hold the GIL,
+Memory: a row of n samples is an int of ceil(n / 30) four-byte digits,
+2/15 byte a sample.  A chunk holds depth + 12 rows (the flip stack and,
+beside it, the delivered and disagreement rows, a mask and the
+comparison's working rows), so (depth + 12) * 2/15 bytes a sample and 48
+bytes a row: about 2 bytes a sample for a tree 4 levels deep.  A chunk
+takes at most 65,536 samples, and fewer when its rows would not fit in
+32 MiB.  Chunks run one after another from one stream, so an estimate is
+a function of (tree, graph, samples, seed).  Whole-row int operations hold the GIL,
 so threads could not run chunks side by side: every chunk runs in the
 calling thread, whatever the thread count.
 """

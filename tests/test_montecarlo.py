@@ -1,4 +1,4 @@
-"""Stochastic sampler: vectorised strategy execution, estimates, density matrices."""
+"""Stochastic sampler: bit-sliced strategy execution, estimates, density matrices."""
 import math
 import tracemalloc
 from contextlib import ExitStack, contextmanager
