@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from enum import IntEnum
 
@@ -83,21 +82,6 @@ def _read(path: str) -> bytes:
             return fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("QNET_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise GraphFormatError(
-            f"QNET_THREADS must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 def _build_parser() -> _Parser:
@@ -284,10 +268,9 @@ def _cmd_simulate(args) -> int:
     if args.samples < 1:
         raise GraphFormatError("--samples must be >= 1")
     tree = _simulation_strategy(g, args)
-    threads = _threads_from_env()
     # the algebra may refuse the strategy: refuse it before sampling
     analytic = evaluate_strategy(tree, g)
-    est = estimate(tree, g, args.samples, args.seed, threads=threads)
+    est = estimate(tree, g, args.samples, args.seed)
     _emit(
         {
             "command": "simulate",

@@ -42,10 +42,8 @@ beside it, the delivered and disagreement rows, a mask and the
 comparison's working rows), so (depth + 12) * 2/15 bytes a sample and 48
 bytes a row: about 2 bytes a sample for a tree 4 levels deep.  A chunk
 takes at most 65,536 samples, and fewer when its rows would not fit in
-32 MiB.  Chunks run one after another from one stream, so an estimate is
-a function of (tree, graph, samples, seed).  Whole-row int operations hold the GIL,
-so threads could not run chunks side by side: every chunk runs in the
-calling thread, whatever the thread count.
+32 MiB.  Chunks run one after another in the calling thread, from one
+stream, so an estimate is a function of (tree, graph, samples, seed).
 """
 from __future__ import annotations
 
@@ -231,20 +229,14 @@ def estimate(
     g: NetworkGraph,
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> McEstimate:
     """Monte-Carlo estimate of a strategy's fidelity and success probability.
 
-    The estimate depends only on (tree, graph, samples, seed).  threads is
-    accepted for callers that pass a thread count and must be >= 1; every
-    chunk runs in the calling thread, so it changes neither the numbers
-    nor the wall time.  fidelity_hat and its standard error are None when
-    no sample was accepted.
+    The estimate depends only on (tree, graph, samples, seed).  fidelity_hat
+    and its standard error are None when no sample was accepted.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} outside [0, 2**128)")
     check_strategy(tree, g)

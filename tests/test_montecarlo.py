@@ -128,8 +128,6 @@ def test_estimate_validation():
     g = build_graph([("c1", "A", "B", 0.9, 0.9)])
     with pytest.raises(ValueError):
         estimate(Leaf("c1"), g, 0, seed=0)
-    with pytest.raises(ValueError):
-        estimate(Leaf("c1"), g, 100, seed=0, threads=0)
     with pytest.raises(GraphFormatError):
         estimate(Leaf("missing"), g, 100, seed=0)
     with pytest.raises(ReductionError):
@@ -137,14 +135,6 @@ def test_estimate_validation():
     for seed in (-1, 2**128):
         with pytest.raises(ValueError, match=rf"^seed {seed} outside"):
             estimate(Leaf("c1"), g, 100, seed=seed)
-
-
-def test_estimate_thread_count_never_changes_numbers():
-    g = two_path_graph()
-    tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
-    single = estimate(tree, g, 200001, seed=9, threads=1)
-    for threads in (2, 3, 4):
-        assert estimate(tree, g, 200001, seed=9, threads=threads) == single
 
 
 @contextmanager
@@ -182,10 +172,10 @@ def _recorded(chunk=None, budget=None):
         yield chunks
 
 
-def _chunk_tallies(tree, g, samples, seed, threads=1, chunk=None):
+def _chunk_tallies(tree, g, samples, seed, chunk=None):
     """The (delivered, accepted, unflipped) tallies of each chunk."""
     with _recorded(chunk) as chunks:
-        estimate(tree, g, samples, seed, threads)
+        estimate(tree, g, samples, seed)
     return [tallies for _, tallies, _ in chunks]
 
 
@@ -386,15 +376,15 @@ def _weak_chain_case(leaves, success, acceptance):
     return tree, g
 
 
-# (case, samples, chunk, threads, seed) where every chunk of 97 samples
-# stops early, and where the first stops early but a later one delivers
+# (case, samples, chunk, seed) where every chunk of 97 samples stops
+# early, and where the first stops early but a later one delivers
 _ALL_CHUNKS_STOP = [
-    (_weak_chain_case(20, 0.5, True), 700, 97, 1, 5),
-    (_weak_chain_case(20, 0.5, False), 700, 97, 2, 5),
+    (_weak_chain_case(20, 0.5, True), 700, 97, 5),
+    (_weak_chain_case(20, 0.5, False), 700, 97, 5),
 ]
 _FIRST_CHUNK_STOPS = [
-    (_weak_chain_case(12, 0.7, True), 700, 97, 2, 1),
-    (_weak_chain_case(16, 0.75, False), 700, 97, 1, 7),
+    (_weak_chain_case(12, 0.7, True), 700, 97, 1),
+    (_weak_chain_case(16, 0.75, False), 700, 97, 7),
 ]
 
 
@@ -403,21 +393,20 @@ _FIRST_CHUNK_STOPS = [
     _sampled_trees(),
     st.integers(1, 700),
     st.integers(1, 97),
-    st.integers(1, 3),
     st.integers(0, 2**32 - 1),
 )
-# chunks of 97 leave a short last chunk of 700 samples at 1 and 2 threads
-@example(_two_path_case(True), 700, 97, 1, 5)
-@example(_two_path_case(False), 700, 97, 2, 5)
-# chunks that stop early, acceptance on and off, at 1 and 2 threads
+# chunks of 97 leave a short last chunk of 700 samples
+@example(_two_path_case(True), 700, 97, 5)
+@example(_two_path_case(False), 700, 97, 5)
+# chunks that stop early, acceptance on and off
 @example(*_ALL_CHUNKS_STOP[0])
 @example(*_ALL_CHUNKS_STOP[1])
 @example(*_FIRST_CHUNK_STOPS[0])
 @example(*_FIRST_CHUNK_STOPS[1])
-def test_kernel_tallies_match_scalar_walk(case, samples, chunk, threads, seed):
+def test_kernel_tallies_match_scalar_walk(case, samples, chunk, seed):
     tree, g = case
     with _recorded(chunk) as chunks:
-        est = estimate(tree, g, samples, seed, threads)
+        est = estimate(tree, g, samples, seed)
     assert len(chunks) == -(-samples // chunk)
     assert sum(n for n, _, _ in chunks) == samples
     _check_against_scalar_walk(tree, g, chunks)
@@ -426,18 +415,18 @@ def test_kernel_tallies_match_scalar_walk(case, samples, chunk, threads, seed):
 
 
 @pytest.mark.parametrize(
-    "case, samples, chunk, threads, seed, every",
+    "case, samples, chunk, seed, every",
     [(*c, True) for c in _ALL_CHUNKS_STOP]
     + [(*c, False) for c in _FIRST_CHUNK_STOPS],
     ids=["all-on", "all-off", "first-on", "first-off"],
 )
 def test_stopping_examples_stop_the_chunks_they_name(
-    case, samples, chunk, threads, seed, every
+    case, samples, chunk, seed, every
 ):
     tree, g = case
     nodes = len(postorder(tree))
     with _recorded(chunk) as chunks:
-        estimate(tree, g, samples, seed, threads)
+        estimate(tree, g, samples, seed)
     visited = [len(masks) for _, _, masks in chunks]
     assert len(visited) == -(-samples // chunk)
     delivered = sum(tallies[0] for _, tallies, _ in chunks)
@@ -447,8 +436,7 @@ def test_stopping_examples_stop_the_chunks_they_name(
         assert visited[0] < nodes and delivered > 0
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_chunk_stops_once_every_sample_has_failed(threads):
+def test_a_chunk_stops_once_every_sample_has_failed():
     """A 40-leaf chain whose first leaf never delivers: each chunk reads
     the first post-order node and stops before the second."""
     hops = ["A"] + [f"m{i}" for i in range(1, 40)] + ["B"]
@@ -462,7 +450,7 @@ def test_a_chunk_stops_once_every_sample_has_failed(threads):
     for i in range(1, 40):
         tree = Swap(tree, Leaf(f"c{i}"))
     with _recorded(chunk=100) as chunks:
-        estimate(tree, g, 1000, 3, threads)
+        estimate(tree, g, 1000, 3)
     assert len(chunks) == 10
     # success 0 is T = 0: the first leaf draws no mask and delivers nothing
     assert [masks for _, _, masks in chunks] == [[[]]] * 10
@@ -487,7 +475,7 @@ def test_one_leaf_reads_one_uniform_per_sample(seed, success, fidelity):
     k < T(s * (1 - f)).  Rebuilt here one sample at a time."""
     samples, chunk = 30001, 4096
     g = build_graph([("c1", "A", "B", fidelity, success)])
-    tallies = _chunk_tallies(Leaf("c1"), g, samples, seed, 3, chunk)
+    tallies = _chunk_tallies(Leaf("c1"), g, samples, seed, chunk)
     hi = math.ceil(success * 2**53)
     lo = math.ceil(success * (1.0 - fidelity) * 2**53)
     rng = Random(seed)
@@ -635,6 +623,10 @@ def test_estimate_is_reproducible_per_seed():
     )
     tree = Purify(Leaf("c1"), Leaf("c2"))
     assert estimate(tree, g, 50000, seed=11) == estimate(tree, g, 50000, seed=11)
+    # four chunks: 50,000, 50,000, 50,000 and 50,001 samples
+    g = two_path_graph()
+    tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
+    assert estimate(tree, g, 200001, seed=9) == estimate(tree, g, 200001, seed=9)
 
 
 def test_acceptance_off_purify_conditions_fidelity_on_agreement():

@@ -364,11 +364,13 @@ def test_raising_threshold_never_raises_fidelity():
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_reports.json"
 
 
-def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch):
+def test_route_reports_match_pinned_search_results(tmp_path, capsys):
     """Commands reproduce pinned reports byte for byte.
 
-    Each case carries its argv ("{doc}" stands for the document path), the
-    QNET_THREADS value and the report.  The 18 route cases hold the 16
+    Each case carries its argv ("{doc}" stands for the document path), a
+    threads field and the report.  The threads field records the thread
+    count a report was produced at; nothing reads it any more.  The 18
+    route cases hold the 16
     documents of the benchmark's kernel-search workload at seed 1
     (Wheatstone bridges with 4-6 parallel duplicates, 9-11 channels) and two
     bridges whose channels all share one cost vector, so that exact
@@ -416,7 +418,6 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys, monkeypatch
     for case in cases:
         path = tmp_path / f"{case['name']}.json"
         path.write_text(json.dumps(case["doc"]))
-        monkeypatch.setenv("QNET_THREADS", str(case["threads"]))
         argv = [str(path) if a == "{doc}" else a for a in case["argv"]]
         assert run(argv) == 0, case["name"]
         out, _ = capsys.readouterr()
