@@ -225,6 +225,18 @@ def test_planning_does_not_import_numpy(two_path_doc, tmp_path):
         assert _loaded_after(code, modules) == []
 
 
+def test_no_thread_count_imports_a_pool(two_path_doc):
+    """estimate runs every chunk in the calling thread: neither one chunk
+    nor four load a thread pool."""
+    code = (
+        "from qnet import Leaf, estimate, parse_graph; "
+        f"g = parse_graph(open({two_path_doc!r}, 'rb').read()); "
+        "estimate(Leaf('c1'), g, {samples}, seed=0)"
+    )
+    for samples in (20000, 200001):
+        assert _loaded_after(code.format(samples=samples), ("concurrent.futures",)) == []
+
+
 def test_dir_lists_lazy_names_without_importing_numpy():
     code = (
         "import qnet; names = dir(qnet); "

@@ -436,9 +436,11 @@ def test_stopping_examples_stop_the_chunks_they_name(
         assert visited[0] < nodes and delivered > 0
 
 
-def test_a_chunk_stops_once_every_sample_has_failed():
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_chunk_stops_once_every_sample_has_failed(seed):
     """A 40-leaf chain whose first leaf never delivers: each chunk reads
-    the first post-order node and stops before the second."""
+    the first post-order node and stops before the second, whatever the
+    seed."""
     hops = ["A"] + [f"m{i}" for i in range(1, 40)] + ["B"]
     g = build_graph(
         [
@@ -450,7 +452,7 @@ def test_a_chunk_stops_once_every_sample_has_failed():
     for i in range(1, 40):
         tree = Swap(tree, Leaf(f"c{i}"))
     with _recorded(chunk=100) as chunks:
-        estimate(tree, g, 1000, 3)
+        estimate(tree, g, 1000, seed)
     assert len(chunks) == 10
     # success 0 is T = 0: the first leaf draws no mask and delivers nothing
     assert [masks for _, _, masks in chunks] == [[[]]] * 10
@@ -623,10 +625,26 @@ def test_estimate_is_reproducible_per_seed():
     )
     tree = Purify(Leaf("c1"), Leaf("c2"))
     assert estimate(tree, g, 50000, seed=11) == estimate(tree, g, 50000, seed=11)
-    # four chunks: 50,000, 50,000, 50,000 and 50,001 samples
+
+
+def test_estimate_thread_count_never_changes_numbers():
+    """estimate takes no thread count.  Its numbers on four chunks (50,000,
+    50,000, 50,000 and 50,001 samples) are those that estimate gave at every
+    thread count from 1 to 4 when it still took one."""
     g = two_path_graph()
     tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
-    assert estimate(tree, g, 200001, seed=9) == estimate(tree, g, 200001, seed=9)
+    est = estimate(tree, g, 200001, seed=9)
+    assert est == estimate(tree, g, 200001, seed=9)
+    assert (est.fidelity_hat, est.success_hat) == (
+        0.9541793796427069,
+        0.4637626811865941,
+    )
+    assert (est.std_error_fidelity, est.std_error_success) == (
+        0.0006865647679035152,
+        0.0011150910574862242,
+    )
+    with pytest.raises(TypeError):
+        estimate(tree, g, 200001, 9, 2)
 
 
 def test_acceptance_off_purify_conditions_fidelity_on_agreement():
