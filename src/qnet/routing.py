@@ -1,12 +1,13 @@
 """Routing: pick a subgraph and an operation strategy between two endpoints.
 
 The planner harvests channel-disjoint swap-only paths with repeated Dijkstra
-sweeps over log-loss weights, keeps the subgraph induced on the harvested
-nodes, and tries to collapse it by series-parallel reduction.  A feasible
-full collapse is the answer; anything else falls back to an exhaustive
-search over the swap-collapsed kernel that considers every series/parallel
-combination of every channel subset, not just the combinations the greedy
-reduction would pick.
+sweeps over log-loss weights, walking each chain of two-channel routers in
+one step instead of heaping its routers.  It keeps the subgraph induced on
+the harvested nodes and tries to collapse it by series-parallel reduction.
+A feasible full collapse is the answer; anything else falls back to an
+exhaustive search over the swap-collapsed kernel that considers every
+series/parallel combination of every channel subset, not just the
+combinations the greedy reduction would pick.
 """
 from __future__ import annotations
 
@@ -162,6 +163,26 @@ def harvest_paths(
     out-edges, so no foreign endpoint ever sits inside a path.  Nodes are
     numbered in id order, so (distance, index) heap keys break ties as
     (distance, id) would, and out-edges are kept in channel-id order.
+
+    A router with exactly two remaining channels, to two distinct
+    neighbours, is pass-through, and a sweep walks chains of them instead
+    of heaping each one.  When u is settled, every out-edge into such a
+    router is followed to the first node x that is not one, adding labels
+    step by step, and one event keyed K, the largest (label, index) of the
+    routers walked, carries x's label to the heap.  When it pops it relaxes
+    x as the walk's last router and channel, and a path through x is
+    rebuilt by walking the chain back from there.  The sweep's paths and
+    tie-breaks are those of a plain Dijkstra:
+
+    - A walked router relaxes only its two neighbours, and the one behind
+      it is already settled, so only its relaxation of x can matter.
+    - Popped distances never decrease, and a router pushed with a key
+      below the one just popped pops next.  So the last router of a walk
+      relaxes x at the moment an entry keyed K would pop.
+    - If the far end walked the chain first, x is settled, x's label is
+      at most the walk's, and the relaxation could change nothing; no
+      event is pushed when the walk cannot lower x's label.
+    - The float additions run in the same order as a relaxation's.
     """
     _check_endpoints(g, request.source, request.target)
     nodes = g.nodes
@@ -186,6 +207,13 @@ def harvest_paths(
             out[a].append((b, w, cid))
         if traversed[b]:
             out[b].append((a, w, cid))
+
+    def passes(i: int) -> bool:
+        # Only the source and routers have out-edges.
+        o = out[i]
+        return len(o) == 2 and o[0][0] != o[1][0] and i != source
+
+    through = [passes(i) for i in range(len(ids))]
     paths: list[tuple[str, ...]] = []
     sweeps = 0
     while len(paths) < request.max_paths:
@@ -193,9 +221,19 @@ def harvest_paths(
         dist = [math.inf] * len(ids)
         parent: list[tuple[str, int] | None] = [None] * len(ids)
         dist[source] = 0.0
-        heap = [(0.0, source)]
+        heap: list[tuple] = [(0.0, source)]
         while heap:
-            d, u = heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            if len(entry) > 2:
+                # Walk event: (K's label, K's index, x, label, last channel,
+                # last router).
+                _, _, x, nd, cid, u = entry
+                if nd < dist[x]:
+                    dist[x] = nd
+                    parent[x] = (cid, u)
+                    heapq.heappush(heap, (nd, x))
+                continue
+            d, u = entry
             # Weights are non-negative, so a settled node is never improved
             # and every later entry for it is stale.
             if d > dist[u]:
@@ -205,10 +243,25 @@ def harvest_paths(
             base = d + hop[u]
             for v, w, cid in out[u]:
                 nd = base + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = (cid, u)
-                    heapq.heappush(heap, (nd, v))
+                if not through[v]:
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = (cid, u)
+                        heapq.heappush(heap, (nd, v))
+                    continue
+                top, top_index = nd, v
+                back, x = u, v
+                while True:
+                    e, f = out[x]
+                    y, wy, cid = f if e[0] == back else e
+                    nd = nd + hop[x] + wy
+                    back, x = x, y
+                    if not through[x]:
+                        break
+                    if nd > top or (nd == top and x > top_index):
+                        top, top_index = nd, x
+                if nd < dist[x]:
+                    heapq.heappush(heap, (top, top_index, x, nd, cid, back))
         else:  # the target is unreachable
             break
         path: list[str] = []
@@ -216,6 +269,11 @@ def harvest_paths(
         while node != source:
             cid, node = parent[node]
             path.append(cid)
+            # A walked chain is re-walked back to the node it started from.
+            while through[node]:
+                e, f = out[node]
+                node, _, cid = f if e[2] == cid else e
+                path.append(cid)
         path.reverse()
         success = 1.0
         for cid in path:
@@ -225,10 +283,10 @@ def harvest_paths(
         if success < request.min_success:
             break
         paths.append(tuple(path))
-        for cid in path:
-            c = channels[cid]
-            for end in (index[c.a], index[c.b]):
-                out[end] = [e for e in out[end] if e[2] != cid]
+        gone = set(path)
+        for end in {index[n] for cid in path for n in channels[cid].pair}:
+            out[end] = [e for e in out[end] if e[2] not in gone]
+            through[end] = passes(end)
     return paths, sweeps
 
 

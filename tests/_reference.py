@@ -4,8 +4,9 @@ reference_harvest_paths is the restart-Dijkstra path harvester as first
 written: every sweep lists each node's channels afresh from g.channels, in
 channel-id order, re-reads each channel and converts its success to
 log-loss on every relaxation, and keeps a set of live channel ids.  It is
-slow but obviously right, and the compiled harvest_paths must return
-exactly what it returns.
+slow but obviously right, and harvest_paths, which compiles out-edge
+lists once and walks chains of two-channel routers, must return exactly
+what it returns.
 
 reference_canonical_dumps is the canonical JSON emitter as first written:
 one isinstance chain per value and one json.dumps call per string and per

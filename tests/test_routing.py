@@ -1,8 +1,10 @@
 """Path harvesting, route planning, and the brute-force reference search."""
+import heapq
 import json
 import math
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -18,6 +20,7 @@ from _reference import (
     reference_exhaustive_search,
     reference_harvest_paths,
 )
+import qnet.routing
 from qnet import (
     AlgebraDomainError,
     Channel,
@@ -133,11 +136,12 @@ def _random_harvest_case(rng):
 
 
 def test_harvest_matches_reference_harvester():
-    """The compiled harvest returns exactly the restart-Dijkstra result.
+    """The chain-walking harvest returns exactly the restart-Dijkstra result.
 
     Same paths in the same order and the same sweep count, over random
     multigraphs where zero-weight edges and equal distances make the
-    lexicographic pop order decide which path comes out.
+    lexicographic pop order decide which path comes out, whether a path
+    runs through routers that are heaped or walked.
     """
     several = 0
     for seed in range(3000):
@@ -146,6 +150,152 @@ def test_harvest_matches_reference_harvester():
         assert harvest_paths(g, request) == expected, seed
         several += len(expected[0]) > 1
     assert several > 300
+
+
+@pytest.mark.parametrize("chain", [("m1", "m9"), ("m9", "m1")], ids="-".join)
+def test_harvest_chain_ties_break_as_dijkstra(chain):
+    """A walked chain is ordered by its largest (label, index), as heaped.
+
+    All losses are zero, so every label ties and node ids decide: plain
+    Dijkstra pops m5 (index 3) before the chain's larger index m9 (4)
+    and returns the A-m5-B path, whichever end of the chain m9 is at.
+    """
+    first, second = chain
+    g = build_graph(
+        [
+            ("c1", "A", first, 0.9, 1.0),
+            ("c2", first, second, 0.9, 1.0),
+            ("c3", second, "B", 0.9, 1.0),
+            ("c4", "A", "m5", 0.9, 1.0),
+            ("c5", "m5", "B", 0.9, 1.0),
+        ],
+        ops=OperationCosts(swap_success=1.0),
+    )
+    request = RouteRequest("A", "B", 1.0, max_paths=1)
+    assert harvest_paths(g, request) == ([("c4", "c5")], 1)
+    assert reference_harvest_paths(g, request) == ([("c4", "c5")], 1)
+
+
+def test_harvest_pushes_grow_with_breadth_not_grid_area(monkeypatch):
+    """A uniform grid's strands are walked, never heaped router by router.
+
+    On a 40 x 40 grid each sweep pushes one walk event per remaining
+    strand and one entry for B: 860 pushes in all.  Heaping every router
+    takes 32,020, as every strand ties and is settled before B pops.
+    """
+    breadth = depth = 40
+    edges = []
+    for i in range(breadth):
+        hops = ["A"] + [f"g{i}_{j}" for j in range(1, depth)] + ["B"]
+        edges += [
+            (f"s{i}_{j}", hops[j], hops[j + 1], 0.99, 0.999) for j in range(depth)
+        ]
+    g = build_graph(edges, ops=OperationCosts(swap_success=0.999))
+    request = RouteRequest("A", "B", 1e-6)
+    expected = reference_harvest_paths(g, request)
+    pushes = 0
+    heappush = heapq.heappush
+
+    def counting(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(qnet.routing.heapq, "heappush", counting)
+    paths, sweeps = harvest_paths(g, request)
+    assert (paths, sweeps) == expected
+    assert (len(paths), sweeps) == (breadth, breadth + 1)
+    assert pushes <= (breadth + 1) ** 2
+
+
+def _random_chain_case(rng):
+    """Long chains of two-channel routers, and few other nodes.
+
+    Chains join the endpoints and hubs; some share both ends with an
+    earlier chain, some close a cycle on one node (the source among them),
+    some end at the foreign endpoint, and some end inside an earlier
+    chain, so a router of three or four channels is heaped in one sweep
+    and walked, or no longer walked, once paths withdraw channels.  Router
+    and channel numbers are drawn at random, so ids sort against chain
+    order; losses are often zero and sometimes infinite.  Returns (graph,
+    request).
+    """
+    source, target, foreign = rng.sample(["A", "B", "C"], 3)
+    numbers = iter(rng.sample(range(1000), 400))
+    cids = iter(rng.sample(range(1000), 400))
+    hubs = [f"m{next(numbers)}" for _ in range(rng.randint(0, 2))]
+    ends = [source, source, target, target, foreign] + hubs
+    routers = []
+    crossings = []
+    spans = []
+    channels = []
+
+    def success():
+        return rng.choice([1.0, 1.0, 1.0, 0.5, 0.9, rng.random()])
+
+    def end():
+        # A router that already ends a chain gets a fourth channel.
+        if crossings and rng.random() < 0.2:
+            return rng.choice(crossings)
+        if routers and rng.random() < 0.4:
+            crossings.append(rng.choice(routers))
+            return crossings[-1]
+        return rng.choice(ends)
+
+    def chain(a, b):
+        spans.append((a, b))
+        hops = [a] + [f"m{next(numbers)}" for _ in range(rng.randint(0, 12))]
+        routers.extend(hops[1:])
+        hops.append(b)
+        uniform = success() if rng.random() < 0.5 else None
+        lost = rng.randrange(len(hops) - 1) if rng.random() < 0.1 else None
+        for k, (x, y) in enumerate(zip(hops, hops[1:])):
+            s = 0.0 if k == lost else success() if uniform is None else uniform
+            if x != y:
+                channels.append((f"c{next(cids)}", x, y, rng.uniform(0.5, 1.0), s))
+
+    chain(*rng.sample([source, target], 2))
+    if routers and rng.random() < 0.5:
+        # A second source-target route through a router of the first.
+        crossings.append(rng.choice(routers))
+        chain(source, crossings[-1])
+        chain(crossings[-1], target)
+    for _ in range(rng.randint(0, 5)):
+        chain(*(rng.choice(spans) if rng.random() < 0.3 else (end(), end())))
+    ops = OperationCosts(
+        swap_success=rng.choice([1.0, 1.0, 0.99, 0.9, rng.random(), 0.0]),
+        physical_acceptance=rng.random() < 0.5,
+    )
+    g = build_graph(channels, endpoints=("A", "B", "C"), ops=ops)
+    floor = rng.choice([1e-12, 1e-12, 0.25, rng.uniform(1e-6, 1.0)])
+    max_paths = rng.choice([1, 2, UNBOUNDED_PATHS, UNBOUNDED_PATHS])
+    return g, RouteRequest(source, target, floor, max_paths=max_paths)
+
+
+def test_harvest_walks_chains_as_the_reference_harvester():
+    """Chain-rich graphs harvest exactly as the restart-Dijkstra reference.
+
+    Also counts the cases where a router of more than two channels, heaped
+    in the first sweep, is inside a later path with only that path's two
+    channels left, so the sweep that found the path walked it.
+    """
+    several = reopened = 0
+    for seed in range(3000):
+        g, request = _random_chain_case(seeded(40000 + seed))
+        expected = reference_harvest_paths(g, request)
+        assert harvest_paths(g, request) == expected, seed
+        paths = expected[0]
+        several += len(paths) > 1
+        left = Counter(n for c in g.channels.values() for n in (c.a, c.b))
+        wide = {n for n, k in left.items() if k > 2}
+        for k, path in enumerate(paths):
+            hops = Counter(n for cid in path for n in g.channel(cid).pair)
+            if k and any(hops[n] == 2 == left[n] for n in wide):
+                reopened += 1
+                break
+            left -= hops
+    assert several > 500
+    assert reopened > 100
 
 
 def test_route_infeasible_when_only_endpoint_paths_exist():
@@ -411,7 +561,8 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys):
     random.Random(seed).getrandbits, the twelve simulate cases were
     produced again: the same eight changed their estimates, and the four
     100-leaf cases still deliver nothing and kept their bytes, as did every
-    route and reduce case.
+    route and reduce case.  Every case kept its bytes when sweeps began
+    walking chains of two-channel routers instead of heaping them.
     """
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) == 39
