@@ -170,9 +170,9 @@ def harvest_paths(
     router is followed to the first node x that is not one, adding labels
     step by step, and one event keyed K, the largest (label, index) of the
     routers walked, carries x's label to the heap.  When it pops it relaxes
-    x as the walk's last router and channel, and a path through x is
-    rebuilt by walking the chain back from there.  The sweep's paths and
-    tie-breaks are those of a plain Dijkstra:
+    x with the walk's last router and channel as x's parent, and a path
+    through x is rebuilt by walking the chain back from there.  The sweep's
+    paths and tie-breaks are those of a plain Dijkstra:
 
     - A walked router relaxes only its two neighbours, and the one behind
       it is already settled, so only its relaxation of x can matter.

@@ -159,6 +159,8 @@ def test_harvest_chain_ties_break_as_dijkstra(chain):
     All losses are zero, so every label ties and node ids decide: plain
     Dijkstra pops m5 (index 3) before the chain's larger index m9 (4)
     and returns the A-m5-B path, whichever end of the chain m9 is at.
+    Keying a walk by its last router, or by its first router at the top
+    label, picks the chain in one of the two cases.
     """
     first, second = chain
     g = build_graph(
@@ -275,9 +277,10 @@ def _random_chain_case(rng):
 def test_harvest_walks_chains_as_the_reference_harvester():
     """Chain-rich graphs harvest exactly as the restart-Dijkstra reference.
 
-    Also counts the cases where a router of more than two channels, heaped
-    in the first sweep, is inside a later path with only that path's two
-    channels left, so the sweep that found the path walked it.
+    Also counts the cases where a later path runs through a router that
+    had more than two channels, with only that path's two channels left,
+    so the sweep that found the path walked a router no earlier sweep
+    could walk.
     """
     several = reopened = 0
     for seed in range(3000):
