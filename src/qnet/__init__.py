@@ -56,14 +56,10 @@ from .routing import (
 
 __version__ = "0.1.0"
 
-# Sampling and the density-matrix check load on first use: montecarlo is
-# needed only to sample, and density imports numpy (about 14 MB and 0.2 s),
-# so planning never pays for either.
+# Sampling loads on first use: montecarlo is needed only by simulate, so
+# the planning commands never import it.
 _LAZY = {
-    "DensityMatrix4": "density",
     "McEstimate": "montecarlo",
-    "bell_fidelity": "density",
-    "dephase_bell": "density",
     "estimate": "montecarlo",
 }
 
@@ -85,7 +81,6 @@ __all__ = [
     "AlgebraDomainError",
     "Channel",
     "CostVector",
-    "DensityMatrix4",
     "GraphFormatError",
     "GridSpec",
     "GridStrategy",
@@ -104,8 +99,6 @@ __all__ = [
     "SearchBoundError",
     "SearchKind",
     "Swap",
-    "bell_fidelity",
-    "dephase_bell",
     "dephasing_bell_fidelity",
     "estimate",
     "evaluate_strategy",

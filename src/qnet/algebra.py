@@ -281,6 +281,11 @@ class GridStrategy(Enum):
     SWAP_THEN_PURIFY = "swap-then-purify"
 
 
+# grid_cost builds lists of breadth and of depth values; a side of 10**6
+# takes seconds, and one past 2**63 cannot be built at all.
+MAX_GRID_SIDE = 10**6
+
+
 class GridSpec(Value):
     """A breadth x depth grid of identical channels.
 
@@ -306,6 +311,10 @@ class GridSpec(Value):
     ) -> None:
         if breadth < 1 or depth < 1:
             raise AlgebraDomainError("grid breadth and depth must be >= 1")
+        if breadth > MAX_GRID_SIDE or depth > MAX_GRID_SIDE:
+            raise AlgebraDomainError(
+                f"grid breadth and depth must be <= {MAX_GRID_SIDE}"
+            )
         _set(self, "breadth", breadth)
         _set(self, "depth", depth)
         _set(self, "channel_fidelity", _checked(channel_fidelity))

@@ -10,7 +10,7 @@ is flipped with probability 1 - fidelity.  An operation reads one more
 uniform for its own success.  Swapping XORs the flip bits of its inputs,
 purification post-selects on agreement.  Estimates tally delivery and flip
 rates over the samples with int.bit_count().  The 4x4 density-matrix check
-of the dephasing channel lives in qnet.density.
+of the dephasing channel is a test oracle, in tests/_reference.py.
 
 With physical acceptance off, a purification whose flips disagree still
 delivers, as the algebra charges no acceptance to success; the fidelity is

@@ -50,6 +50,9 @@ __all__ = [
 # RouteRequest's defaults, which are also the CLI's.
 UNBOUNDED_PATHS = 2**31 - 1
 DEFAULT_MAX_BRUTEFORCE_EDGES = 12
+# The kernel search keeps a table of 2**k subsets and tries 3**k splits for
+# a k-channel kernel, so no request may allow more than this many.
+MAX_BRUTEFORCE_EDGES = 20
 
 
 class InfeasibleRouteError(Exception):
@@ -90,6 +93,10 @@ class RouteRequest(Value):
             raise ValueError("max_paths must be >= 1")
         if max_bruteforce_edges < 1:
             raise ValueError("max_bruteforce_edges must be >= 1")
+        if max_bruteforce_edges > MAX_BRUTEFORCE_EDGES:
+            raise ValueError(
+                f"max_bruteforce_edges must be <= {MAX_BRUTEFORCE_EDGES}"
+            )
         _set(self, "source", source)
         _set(self, "target", target)
         _set(self, "min_success", min_success)

@@ -22,7 +22,7 @@ from _generators import (
     seeded,
     two_path_graph,
 )
-from _reference import brute_force_best
+from _reference import bell_fidelity, brute_force_best, dephase_bell
 import qnet
 from qnet import (
     GridSpec,
@@ -34,8 +34,6 @@ from qnet import (
     RouteRequest,
     SearchKind,
     Swap,
-    bell_fidelity,
-    dephase_bell,
     dephasing_bell_fidelity,
     estimate,
     evaluate_strategy,

@@ -237,6 +237,48 @@ def test_no_thread_count_imports_a_pool(two_path_doc):
         assert _loaded_after(code.format(samples=samples), ("concurrent.futures",)) == []
 
 
+_RUN_ALL = """
+import io, json, sys
+if {block}:
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import qnet, qnet.cli
+assert set(qnet.__all__) <= set(dir(qnet))
+outputs = []
+for argv in {commands!r}:
+    out, sys.stdout = sys.stdout, io.StringIO()
+    code = qnet.cli.run(argv)
+    text, sys.stdout = sys.stdout.getvalue(), out
+    outputs.append((argv[0], code, text))
+print(json.dumps(outputs))
+"""
+
+
+def test_commands_run_with_numpy_blocked(two_path_doc):
+    """qnet has no runtime dependency: with numpy unimportable, import qnet,
+    dir(qnet) and every subcommand work and print the same bytes."""
+    route = ["--source", "A", "--target", "B", "--min-success", "0.4"]
+    commands = [
+        ["reduce", two_path_doc, "--trace"],
+        ["route", two_path_doc, *route],
+        ["simulate", two_path_doc, "--samples", "20000", "--seed", "3"],
+        ["simulate", two_path_doc, "--samples", "20000", "--seed", "3", *route],
+        ["grid", "--breadth", "3", "--depth", "4", "--fidelity", "0.9", "--success", "0.8"],
+    ]
+    outputs = {}
+    for block in (True, False):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_ALL.format(block=block, commands=commands)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[block] = json.loads(proc.stdout)
+    assert [(cmd, code) for cmd, code, _ in outputs[True]] == [
+        ("reduce", 0), ("route", 0), ("simulate", 0), ("simulate", 0), ("grid", 0)
+    ]
+    assert outputs[True] == outputs[False]
+
+
 def test_dir_lists_lazy_names_without_importing_numpy():
     code = (
         "import qnet; names = dir(qnet); "
@@ -315,7 +357,7 @@ def test_usage_errors_exit_one(two_path_doc):
     assert proc.returncode == 1
 
 
-def test_bad_request_values_exit_one(two_path_doc):
+def test_bad_request_values_exit_one(two_path_doc, tmp_path):
     proc = run_cli(
         ["route", two_path_doc, "--source", "A", "--target", "B", "--min-success", "1.5"]
     )
@@ -324,6 +366,20 @@ def test_bad_request_values_exit_one(two_path_doc):
         ["route", two_path_doc, "--source", "A", "--target", "m1", "--min-success", "0.4"]
     )
     assert proc.returncode == 1
+    # 70 parallel channels collapse below the floor, leaving a 70-channel
+    # kernel; the request is refused before a 2**70-entry table is built.
+    path = tmp_path / "parallel.json"
+    path.write_bytes(
+        serialize_graph(build_graph([(f"c{i}", "A", "B", 0.9, 0.9) for i in range(70)]))
+    )
+    args = ["route", str(path), "--source", "A", "--target", "B", "--min-success", "0.5"]
+    proc = run_cli([*args, "--max-bruteforce-edges", "100"])
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 1
+    assert doc["message"] == "max_bruteforce_edges must be <= 20"
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_route_search_below_half_fidelity_exits_one(tmp_path):
@@ -571,6 +627,16 @@ def test_grid_rejects_bad_values():
         ["grid", "--breadth", "0", "--depth", "2", "--fidelity", "0.8", "--success", "0.9"]
     )
     assert proc.returncode == 1
+    # a side of 2**63 would overflow the list of channel values
+    for flag, other in (("--breadth", "--depth"), ("--depth", "--breadth")):
+        proc = run_cli(
+            ["grid", flag, str(2**63), other, "1", "--fidelity", "0.9", "--success", "0.9"]
+        )
+        assert proc.returncode == 1
+        doc = json.loads(proc.stdout)
+        assert doc["code"] == 1
+        assert doc["message"] == "grid breadth and depth must be <= 1000000"
+        assert "Traceback" not in proc.stderr
     proc = run_cli(
         [
             "grid",

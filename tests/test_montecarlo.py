@@ -1,4 +1,7 @@
-"""Stochastic sampler: bit-sliced strategy execution, estimates, density matrices."""
+"""Stochastic sampler: bit-sliced strategy execution and estimates.
+
+The dephasing density-matrix oracle of tests/_reference.py is checked here too.
+"""
 import math
 import tracemalloc
 from contextlib import ExitStack, contextmanager
@@ -19,11 +22,17 @@ from _generators import (
     series_chain,
     two_path_graph,
 )
-from _reference import philox_two_draw_tallies, scalar_walk_tallies, uniform_below
+from _reference import (
+    DensityMatrix4,
+    bell_fidelity,
+    dephase_bell,
+    philox_two_draw_tallies,
+    scalar_walk_tallies,
+    uniform_below,
+)
 from qnet import (
     Channel,
     CostVector,
-    DensityMatrix4,
     GraphFormatError,
     Leaf,
     NetworkGraph,
@@ -33,8 +42,6 @@ from qnet import (
     Purify,
     ReductionError,
     Swap,
-    bell_fidelity,
-    dephase_bell,
     estimate,
     evaluate_strategy,
     swap_fidelity,

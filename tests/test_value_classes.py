@@ -262,6 +262,12 @@ def test_values_are_normalised_to_float():
          r"^grid breadth and depth must be >= 1$"),
         (lambda: GridSpec(1, 0, 0.9, 0.8), AlgebraDomainError,
          r"^grid breadth and depth must be >= 1$"),
+        (lambda: GridSpec(10**6 + 1, 1, 0.9, 0.8), AlgebraDomainError,
+         r"^grid breadth and depth must be <= 1000000$"),
+        (lambda: GridSpec(1, 10**6 + 1, 0.9, 0.8), AlgebraDomainError,
+         r"^grid breadth and depth must be <= 1000000$"),
+        (lambda: GridSpec(2**63, 2**63, 0.9, 0.8), AlgebraDomainError,
+         r"^grid breadth and depth must be <= 1000000$"),
         (lambda: GridSpec(1, 1, 1.5, 0.8), AlgebraDomainError,
          r"^fidelity 1\.5 outside \[0, 1\]$"),
         (lambda: GridSpec(1, 1, 0.9, 1.5), AlgebraDomainError,
@@ -274,11 +280,19 @@ def test_values_are_normalised_to_float():
          r"^max_paths must be >= 1$"),
         (lambda: RouteRequest("A", "B", 0.5, max_bruteforce_edges=0), ValueError,
          r"^max_bruteforce_edges must be >= 1$"),
+        (lambda: RouteRequest("A", "B", 0.5, max_bruteforce_edges=21), ValueError,
+         r"^max_bruteforce_edges must be <= 20$"),
     ],
 )
 def test_validation_messages(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_size_bounds_admit_their_limit():
+    # constructing a spec allocates nothing, so the bounds can be met here
+    assert GridSpec(10**6, 10**6, 0.9, 0.8).breadth == 10**6
+    assert RouteRequest("A", "B", 0.5, max_bruteforce_edges=20).max_bruteforce_edges == 20
 
 
 def test_formal_fidelity_skips_the_range_check():
