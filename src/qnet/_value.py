@@ -1,10 +1,13 @@
 """Base class of qnet's small immutable value classes.
 
 A subclass lists its slots in __slots__ and, in _fields, the ones that
-make up its value, in the order its __init__ takes them; __init__ stores
-them with _set.  Value then compares, hashes, prints and pickles an
-instance by those fields and refuses assignment and deletion; nothing is
-generated at import time, so importing qnet stays cheap.
+make up its value, in the order its constructor takes them.  Value's
+__init__ binds positional and keyword arguments to _fields, as a def with
+those parameters and no defaults would, and stores each with _set.  A
+subclass defines __init__ only to validate a field or to derive a slot.
+Value then compares, hashes, prints and pickles an instance by those
+fields and refuses assignment and deletion; nothing is generated at
+import time, so importing qnet stays cheap.
 """
 from __future__ import annotations
 
@@ -14,9 +17,35 @@ __all__ = ["Value"]
 _set = object.__setattr__
 
 
+def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """args and kwargs as one value per field of cls, in _fields order."""
+    fields, name = cls._fields, cls.__qualname__
+    if len(args) > len(fields):
+        raise TypeError(
+            f"{name}() takes {len(fields)} positional arguments "
+            f"but {len(args)} were given"
+        )
+    for field in kwargs:
+        if field not in fields:
+            raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+        if field in fields[: len(args)]:
+            raise TypeError(f"{name}() got multiple values for argument {field!r}")
+    for field in fields[len(args) :]:
+        if field not in kwargs:
+            raise TypeError(f"{name}() missing required argument: {field!r}")
+    return args + tuple([kwargs[field] for field in fields[len(args) :]])
+
+
 class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = _bind(type(self), args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -322,19 +322,17 @@ class GridSpec(Value):
         _set(self, "strategy", strategy)
 
 
-def _acceptance_product(base: float, count: int) -> float:
-    """Product of acceptance probabilities when purifying count copies of base.
-
-    Round i purifies the chain of i copies, purify_chain([base] * i),
-    against one more copy; the chain's running products carry over from
-    round to round, so the cost is linear in count.
+def _purify_copies(base: float, count: int) -> tuple[float, float]:
+    """purify_chain([base] * count) and the product of the acceptance
+    probabilities of its count - 1 rounds, in one pass: round i purifies
+    the chain of i copies against one more copy, so its products carry over.
     """
     total = 1.0
-    state = _CHAIN_START
+    state = _chain_step(_CHAIN_START, base)
     for _ in range(1, count):
-        state = _chain_step(state, base)
         total *= purify_acceptance(_chain_value(state), base)
-    return total
+        state = _chain_step(state, base)
+    return _chain_value(state), total
 
 
 def grid_cost(spec: GridSpec, ops: OperationCosts | None = None) -> CostVector:
@@ -352,17 +350,17 @@ def grid_cost(spec: GridSpec, ops: OperationCosts | None = None) -> CostVector:
     b, d = spec.breadth, spec.depth
     success = s ** (b * d)
     if spec.strategy is GridStrategy.PURIFY_THEN_SWAP:
-        rung = purify_chain([f] * b)
+        rung, accepted = _purify_copies(f, b)
         fidelity = swap_chain([rung] * d)
         success *= ops.purify_success ** (d * (b - 1))
         success *= ops.swap_success ** (d - 1)
         if ops.physical_acceptance:
-            success *= _acceptance_product(f, b) ** d
+            success *= accepted ** d
     else:
         strand = swap_chain([f] * d)
-        fidelity = purify_chain([strand] * b)
+        fidelity, accepted = _purify_copies(strand, b)
         success *= ops.swap_success ** (b * (d - 1))
         success *= ops.purify_success ** (b - 1)
         if ops.physical_acceptance:
-            success *= _acceptance_product(strand, b)
+            success *= accepted
     return CostVector(fidelity, success)

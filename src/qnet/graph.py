@@ -46,10 +46,6 @@ class Node(Value):
     id: str
     role: NodeRole
 
-    def __init__(self, id: str, role: NodeRole) -> None:
-        _set(self, "id", id)
-        _set(self, "role", role)
-
 
 class Channel(Value):
     """Undirected channel; endpoints are stored in sorted order.

@@ -51,7 +51,7 @@ from math import ceil, sqrt
 from random import Random
 from typing import Callable
 
-from ._value import Value, _set
+from ._value import Value
 from .graph import NetworkGraph
 from .reduction import Leaf, StrategyTree, Swap, check_strategy, postorder
 
@@ -92,22 +92,6 @@ class McEstimate(Value):
     std_error_success: float
     samples: int
     seed: int
-
-    def __init__(
-        self,
-        fidelity_hat: float | None,
-        success_hat: float,
-        std_error_fidelity: float | None,
-        std_error_success: float,
-        samples: int,
-        seed: int,
-    ) -> None:
-        _set(self, "fidelity_hat", fidelity_hat)
-        _set(self, "success_hat", success_hat)
-        _set(self, "std_error_fidelity", std_error_fidelity)
-        _set(self, "std_error_success", std_error_success)
-        _set(self, "samples", samples)
-        _set(self, "seed", seed)
 
 
 def _threshold(p: float) -> Threshold:
@@ -258,13 +242,13 @@ def estimate(
     # The fewest chunks that fit, of nearly equal size, one after another
     # from one stream.
     chunks = -(-samples // _chunk_samples(depth))
-    bounds = [samples * k // chunks for k in range(chunks + 1)]
     draw = Random(seed).getrandbits
-    tallies = [
-        _run_chunk(steps, ops.physical_acceptance, draw, end - start)
-        for start, end in zip(bounds, bounds[1:])
-    ]
-    delivered, accepted, unflipped = (sum(t) for t in zip(*tallies))
+    delivered = accepted = unflipped = start = 0
+    for k in range(1, chunks + 1):
+        end = samples * k // chunks
+        d, a, u = _run_chunk(steps, ops.physical_acceptance, draw, end - start)
+        delivered, accepted, unflipped = delivered + d, accepted + a, unflipped + u
+        start = end
 
     success_hat = delivered / samples
     se_success = sqrt(success_hat * (1.0 - success_hat) / samples)

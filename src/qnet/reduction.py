@@ -16,7 +16,7 @@ import re
 from enum import Enum
 from typing import Union
 
-from ._value import Value, _set
+from ._value import Value
 from .algebra import CostVector, purify_cost, swap_cost
 from .graph import (
     Channel,
@@ -64,18 +64,11 @@ class Leaf(Value):
     __slots__ = _fields = ("channel",)
     channel: str
 
-    def __init__(self, channel: str) -> None:
-        _set(self, "channel", channel)
-
 
 class _Operation(Value):
     __slots__ = _fields = ("left", "right")
     left: StrategyTree
     right: StrategyTree
-
-    def __init__(self, left: StrategyTree, right: StrategyTree) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
 
     # Value's field-by-field versions recurse through the children; these
     # walk without recursion, so trees of any depth compare, hash and print.
@@ -223,20 +216,6 @@ class ReductionStep(Value):
     produced: str
     cost: CostVector
 
-    def __init__(
-        self,
-        kind: StepKind,
-        consumed: tuple[str, str],
-        eliminated: str | None,
-        produced: str,
-        cost: CostVector,
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "consumed", consumed)
-        _set(self, "eliminated", eliminated)
-        _set(self, "produced", produced)
-        _set(self, "cost", cost)
-
 
 class ReductionTrace(Value):
     __slots__ = _fields = ("steps", "terminal_nodes", "terminal_channels")
@@ -244,32 +223,12 @@ class ReductionTrace(Value):
     terminal_nodes: tuple[str, ...]
     terminal_channels: tuple[str, ...]
 
-    def __init__(
-        self,
-        steps: tuple[ReductionStep, ...],
-        terminal_nodes: tuple[str, ...],
-        terminal_channels: tuple[str, ...],
-    ) -> None:
-        _set(self, "steps", steps)
-        _set(self, "terminal_nodes", terminal_nodes)
-        _set(self, "terminal_channels", terminal_channels)
-
 
 class ReductionResult(Value):
     __slots__ = _fields = ("graph", "trace", "strategies")
     graph: NetworkGraph
     trace: ReductionTrace
     strategies: dict[str, StrategyTree]
-
-    def __init__(
-        self,
-        graph: NetworkGraph,
-        trace: ReductionTrace,
-        strategies: dict[str, StrategyTree],
-    ) -> None:
-        _set(self, "graph", graph)
-        _set(self, "trace", trace)
-        _set(self, "strategies", strategies)
 
 
 def _synthetic_start(g: NetworkGraph) -> int:

@@ -112,13 +112,6 @@ class RouteDiagnostics(Value):
     candidates_evaluated: int
     reduction_steps: int
 
-    def __init__(
-        self, paths_examined: int, candidates_evaluated: int, reduction_steps: int
-    ) -> None:
-        _set(self, "paths_examined", paths_examined)
-        _set(self, "candidates_evaluated", candidates_evaluated)
-        _set(self, "reduction_steps", reduction_steps)
-
 
 class RouteResult(Value):
     __slots__ = _fields = (
@@ -130,22 +123,6 @@ class RouteResult(Value):
     paths_harvested: int
     search: SearchKind
     diagnostics: RouteDiagnostics
-
-    def __init__(
-        self,
-        subgraph: NetworkGraph,
-        strategy: StrategyTree | None,
-        cost: CostVector | None,
-        paths_harvested: int,
-        search: SearchKind,
-        diagnostics: RouteDiagnostics,
-    ) -> None:
-        _set(self, "subgraph", subgraph)
-        _set(self, "strategy", strategy)
-        _set(self, "cost", cost)
-        _set(self, "paths_harvested", paths_harvested)
-        _set(self, "search", search)
-        _set(self, "diagnostics", diagnostics)
 
 
 def _check_endpoints(g: NetworkGraph, source: str, target: str) -> None:

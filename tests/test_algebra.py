@@ -23,7 +23,7 @@ from qnet import (
     swap_inverse,
 )
 from qnet.algebra import (
-    _acceptance_product,
+    _purify_copies,
     add_log_loss,
     compose_success,
     from_log_loss,
@@ -390,8 +390,8 @@ def test_acceptance_product_matches_per_round_chains():
     cases += [(rng.random(), rng.randint(1, 200)) for _ in range(60)]
     cases += [(rng.uniform(0.5, 1.0), rng.randint(1, 200)) for _ in range(60)]
     for base, count in cases:
-        got = _acceptance_product(base, count)
-        want = _per_round_acceptance_product(base, count)
+        got = _purify_copies(base, count)
+        want = purify_chain([base] * count), _per_round_acceptance_product(base, count)
         assert got == want, (base, count)
 
 

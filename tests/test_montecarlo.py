@@ -228,6 +228,28 @@ def test_chunks_split_the_samples_by_the_byte_budget():
     assert [n for n, _, _ in chunks] == [1000, 1001, 1000, 1001, 1001]
 
 
+def test_chunks_run_as_a_stream():
+    """estimate lists nothing per chunk: with 10**5 chunks ahead, it has
+    allocated almost nothing when the first one starts."""
+    g = build_graph([("c1", "A", "B", 0.9, 0.9)])
+
+    class Started(Exception):
+        pass
+
+    def first_chunk(steps, acceptance, draw, n):
+        raise Started
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(montecarlo, "_run_chunk", first_chunk):
+            with pytest.raises(Started):
+                estimate(Leaf("c1"), g, (1 << 16) * 10**5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10, peak
+
+
 _THRESHOLD_CASES = [
     0.5,  # T = 2**52: one level
     0.75,  # two levels

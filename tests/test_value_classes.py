@@ -3,14 +3,18 @@
 Every public value class compares equal only to an instance of its own
 type with equal fields, hashes by those fields, prints as
 ``Name(field=value, ...)``, refuses assignment and deletion, accepts its
-fields by position or keyword, validates them on construction and
-survives a pickle or copy round trip.
+fields by position or keyword and refuses missing, extra, unknown or
+repeated ones, validates them on construction and survives a pickle or
+copy round trip.
 """
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import qnet
 from _generators import series_chain
 from qnet import (
     AlgebraDomainError,
@@ -30,6 +34,7 @@ from qnet import (
     SearchKind,
     Swap,
 )
+from qnet._value import Value
 from qnet.algebra import swap_inverse, swap_value
 from qnet.montecarlo import McEstimate
 from qnet.reduction import ReductionStep, ReductionTrace, StepKind
@@ -169,6 +174,43 @@ def test_positional_and_keyword_construction_agree(case):
     assert type(by_keyword) is cls
     for name, value in fields.items():
         assert getattr(by_keyword, name) == value
+
+
+def test_extra_unknown_and_repeated_arguments_raise(case):
+    _, cls, fields, _, _ = case
+    values = list(fields.values())
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(**fields, no_such_field=None)
+    with pytest.raises(TypeError):
+        cls(values[0], **fields)
+
+
+def test_missing_arguments_raise(case):
+    _, cls, fields, _, _ = case
+    required = len(fields) - len(cls.__init__.__defaults__ or ())
+    for name in list(fields)[:required]:
+        with pytest.raises(TypeError):
+            cls(**{key: value for key, value in fields.items() if key != name})
+
+
+def test_only_validating_classes_define_init():
+    # A subclass defines __init__ only to validate a field or derive a slot.
+    for module in pkgutil.iter_modules(qnet.__path__, "qnet."):
+        if module.name != "qnet.__main__":
+            importlib.import_module(module.name)
+    classes, todo = [], [Value]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes += subclasses
+        todo += subclasses
+    own = {
+        cls.__name__
+        for cls in classes
+        if cls.__module__.startswith("qnet.") and "__init__" in vars(cls)
+    }
+    assert own == {"CostVector", "OperationCosts", "GridSpec", "RouteRequest", "Channel"}
 
 
 def test_equality_and_hash(case):
