@@ -19,20 +19,21 @@ _set = object.__setattr__
 
 def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
     """args and kwargs as one value per field of cls, in _fields order."""
-    fields, name = cls._fields, cls.__qualname__
+    # The messages are Python's for a def, which counts self.
+    fields, name = cls._fields, f"{cls.__qualname__}.__init__()"
     if len(args) > len(fields):
         raise TypeError(
-            f"{name}() takes {len(fields)} positional arguments "
-            f"but {len(args)} were given"
+            f"{name} takes {len(fields) + 1} positional arguments "
+            f"but {len(args) + 1} were given"
         )
     for field in kwargs:
         if field not in fields:
-            raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            raise TypeError(f"{name} got an unexpected keyword argument {field!r}")
         if field in fields[: len(args)]:
-            raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            raise TypeError(f"{name} got multiple values for argument {field!r}")
     for field in fields[len(args) :]:
         if field not in kwargs:
-            raise TypeError(f"{name}() missing required argument: {field!r}")
+            raise TypeError(f"{name} missing required argument: {field!r}")
     return args + tuple([kwargs[field] for field in fields[len(args) :]])
 
 

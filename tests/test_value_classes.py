@@ -177,22 +177,27 @@ def test_positional_and_keyword_construction_agree(case):
 
 
 def test_extra_unknown_and_repeated_arguments_raise(case):
-    _, cls, fields, _, _ = case
+    name, cls, fields, _, _ = case
     values = list(fields.values())
-    with pytest.raises(TypeError):
-        cls(*values, values[0])
-    with pytest.raises(TypeError):
-        cls(**fields, no_such_field=None)
-    with pytest.raises(TypeError):
-        cls(values[0], **fields)
+    for call, message in [
+        (lambda: cls(*values, values[0]),
+         r"takes .*positional arguments but \d+ were given"),
+        (lambda: cls(**fields, no_such_field=None),
+         "got an unexpected keyword argument 'no_such_field'"),
+        (lambda: cls(values[0], **fields),
+         f"got multiple values for argument '{next(iter(fields))}'"),
+    ]:
+        with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) {message}$"):
+            call()
 
 
 def test_missing_arguments_raise(case):
-    _, cls, fields, _, _ = case
+    name, cls, fields, _, _ = case
     required = len(fields) - len(cls.__init__.__defaults__ or ())
-    for name in list(fields)[:required]:
-        with pytest.raises(TypeError):
-            cls(**{key: value for key, value in fields.items() if key != name})
+    for field in list(fields)[:required]:
+        message = rf"missing (1 )?required (positional )?argument: '{field}'"
+        with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) {message}$"):
+            cls(**{key: value for key, value in fields.items() if key != field})
 
 
 def test_only_validating_classes_define_init():
@@ -210,7 +215,9 @@ def test_only_validating_classes_define_init():
         for cls in classes
         if cls.__module__.startswith("qnet.") and "__init__" in vars(cls)
     }
-    assert own == {"CostVector", "OperationCosts", "GridSpec", "RouteRequest", "Channel"}
+    assert own == {
+        "CostVector", "OperationCosts", "GridSpec", "RouteRequest", "Channel"
+    }
 
 
 def test_equality_and_hash(case):
