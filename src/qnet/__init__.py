@@ -39,11 +39,8 @@ from .reduction import (
     Swap,
     evaluate_strategy,
     is_fully_reduced_pair,
-    parallel_step,
     reduce_to_fixpoint,
-    replay_trace,
     serialize_strategy,
-    series_step,
 )
 from .routing import (
     InfeasibleRouteError,
@@ -104,18 +101,15 @@ __all__ = [
     "evaluate_strategy",
     "grid_cost",
     "is_fully_reduced_pair",
-    "parallel_step",
     "parse_graph",
     "purify_acceptance",
     "purify_chain",
     "purify_cost",
     "purify_fidelity",
     "reduce_to_fixpoint",
-    "replay_trace",
     "route",
     "serialize_graph",
     "serialize_strategy",
-    "series_step",
     "swap_chain",
     "swap_cost",
     "swap_fidelity",

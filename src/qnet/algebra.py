@@ -19,10 +19,7 @@ __all__ = [
     "GridSpec",
     "GridStrategy",
     "OperationCosts",
-    "add_log_loss",
-    "compose_success",
     "dephasing_bell_fidelity",
-    "from_log_loss",
     "grid_cost",
     "purify_acceptance",
     "purify_chain",
@@ -202,34 +199,12 @@ def purify_chain(fs: Iterable[float]) -> float:
     return _chain_value(state)
 
 
-def compose_success(ps: Iterable[float]) -> float:
-    """Product of success probabilities."""
-    total = 1.0
-    for p in ps:
-        total *= _checked(p, _SUCCESS)
-    return total
-
-
 def to_log_loss(p: float) -> float:
     """-ln(success); 0 maps to the +infinity marker."""
     x = _checked(p, _SUCCESS)
     if x == 0.0:
         return math.inf
     return -math.log(x) + 0.0
-
-
-def from_log_loss(loss: float) -> float:
-    """Inverse of to_log_loss."""
-    if loss < 0.0:
-        raise AlgebraDomainError(f"log-loss {loss!r} negative")
-    return math.exp(-loss)
-
-
-def add_log_loss(a: float, b: float) -> float:
-    """Additive composition of log-losses (infinity absorbs)."""
-    if a < 0.0 or b < 0.0:
-        raise AlgebraDomainError("log-loss addends must be non-negative")
-    return a + b
 
 
 def swap_floats(

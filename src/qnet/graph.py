@@ -182,6 +182,16 @@ def _number(obj: dict, key: str, where: str) -> float:
         ) from None
 
 
+def _json_int(text: str) -> int:
+    """json.loads's parse_int: an integer literal, or its first 400 digits.
+
+    int() refuses a literal of over 4,300 digits with advice about
+    sys.set_int_max_str_digits.  Any 400 digits already lie past the float
+    range, so the field holding a longer literal is refused as too large.
+    """
+    return int(text[:400])
+
+
 def parse_graph(document: bytes | str) -> NetworkGraph:
     """Parse a version-1 graph document.
 
@@ -195,7 +205,7 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"document is not valid UTF-8: {exc}") from None
     try:
-        doc = json.loads(document)
+        doc = json.loads(document, parse_int=_json_int)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nested deeper than the JSON parser allows
         raise GraphFormatError(f"document is not valid JSON: {exc}") from None
@@ -206,7 +216,8 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         {"version": True, "op_costs": False, "nodes": True, "edges": True},
         "document",
     )
-    if doc["version"] != 1:
+    # True == 1 in Python, but a boolean is no version; 1.0 is the number 1
+    if isinstance(doc["version"], bool) or doc["version"] != 1:
         raise GraphFormatError(f"unsupported version {doc['version']!r}")
 
     ops = OperationCosts()

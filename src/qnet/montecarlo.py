@@ -42,7 +42,7 @@ beside it, the delivered and disagreement rows, a mask and the
 comparison's working rows), so (depth + 12) * 2/15 bytes a sample and 48
 bytes a row: about 2 bytes a sample for a tree 4 levels deep.  A chunk
 takes at most 65,536 samples, and fewer when its rows would not fit in
-32 MiB.  Chunks run one after another in the calling thread, from one
+32 MiB; an estimate takes at most 2**40 samples.  Chunks run one after another in the calling thread, from one
 stream, so an estimate is a function of (tree, graph, samples, seed).
 """
 from __future__ import annotations
@@ -68,6 +68,10 @@ __all__ = ["McEstimate", "estimate"]
 # _ROW_HEADER more: the int's 24-byte header, its slot in the stack and
 # the allocator's rounding.
 _CHUNK_SAMPLES = 1 << 16
+# An estimate takes at most _MAX_SAMPLES samples, a few hours of drawing:
+# one leaf runs at 1.05-1.25e8 samples/s (2-core VM), so 2**40 take
+# 2.5-2.9 h, and a larger request is refused rather than left running.
+_MAX_SAMPLES = 1 << 40
 _CHUNK_BYTES = 32 << 20
 _ROWS = 12
 _ROW_HEADER = 48
@@ -221,6 +225,8 @@ def estimate(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be <= 2**40 ({_MAX_SAMPLES:,})")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} outside [0, 2**128)")
     check_strategy(tree, g)

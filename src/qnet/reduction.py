@@ -18,14 +18,7 @@ from typing import Union
 
 from ._value import Value
 from .algebra import CostVector, purify_cost, swap_cost
-from .graph import (
-    Channel,
-    GraphFormatError,
-    NetworkGraph,
-    Node,
-    NodeRole,
-    _check_id,
-)
+from .graph import Channel, GraphFormatError, NetworkGraph, NodeRole
 from .jsonutil import quote
 
 __all__ = [
@@ -42,11 +35,8 @@ __all__ = [
     "evaluate_strategy",
     "fold",
     "is_fully_reduced_pair",
-    "parallel_step",
     "postorder",
     "reduce_to_fixpoint",
-    "replay_trace",
-    "series_step",
     "strategy_from_obj",
     "strategy_leaves",
     "serialize_composite",
@@ -241,201 +231,130 @@ def _synthetic_start(g: NetworkGraph) -> int:
 
 
 class _Engine:
-    """Mutable rewrite machinery; every reduction step runs here.
+    """Mutable rewrite machinery of reduce_to_fixpoint.
 
     run() reduces to a fixpoint: parallel steps are exhausted before series
     steps, and within each kind the candidate carrying the lowest channel id
-    goes first.  pairs[p] is a heap of exactly the live ids spanning node
-    pair p; par_heap holds an entry for the smallest id of every pair with
-    two or more, plus stale entries dropped when they reach the top.  The
-    whole run is O(|E| log |E|).  series() and parallel() apply one named
-    step after checking that it applies.  A caller uses run() or the checked
-    steps, never both: a given produced id may take an id that _fresh_id
-    would hand out later.
+    goes first; routers that tie on it go in id order.  A live channel is
+    chan[id] = (a, b, cost) with a <= b, and inc[n] holds the live ids at
+    live node n.  pairs[(a, b)] is a heap of exactly the live ids spanning a
+    and b.  par_heap holds an entry for the smallest id of every pair with
+    two or more, and ser_heap an entry (lowest id, router) for every router
+    of two channels, each plus stale entries dropped when they reach the
+    top.  A par_heap entry whose channel is live is still its pair's
+    smallest, in a pair of two or more: a smaller id of the pair would have
+    an entry of its own, and channels leave a pair of several only two
+    smallest at a time, by a parallel step.  The whole run is
+    O(|E| log |E|).
     """
 
     def __init__(self, g: NetworkGraph) -> None:
-        self.ops = g.op_costs
-        self.roles = {nid: n.role for nid, n in g.nodes.items()}
-        self.chan: dict[str, Channel] = {}
-        self.inc: dict[str, set[str]] = {nid: set() for nid in self.roles}
-        self.pairs: dict[frozenset, list[str]] = {}
-        self.trees: dict[str, StrategyTree] = {}
+        self.graph = g
+        self.routers = {nid for nid, n in g.nodes.items() if n.role is NodeRole.ROUTER}
+        self.inc: dict[str, set[str]] = {nid: set() for nid in g.nodes}
+        self.chan: dict[str, tuple[str, str, CostVector]] = {}
+        self.pairs: dict[tuple[str, str], list[str]] = {}
+        for cid, c in g.channels.items():
+            self.chan[cid] = (c.a, c.b, c.cost)
+            self.inc[c.a].add(cid)
+            self.inc[c.b].add(cid)
+            self.pairs.setdefault((c.a, c.b), []).append(cid)
+        self.trees: dict[str, StrategyTree] = {cid: Leaf(cid) for cid in self.chan}
         self.steps: list[ReductionStep] = []
         self.next_id = _synthetic_start(g)
-        self.par_heap: list[str] = []
-        self.ser_heap: list[tuple[str, str]] = []
-        for c in g.channels.values():
-            self._add_channel(c, Leaf(c.id))
-        for nid in self.roles:
-            self._maybe_series_candidate(nid)
-
-    def _maybe_series_candidate(self, nid: str) -> None:
-        if (
-            self.roles.get(nid) is NodeRole.ROUTER
-            and len(self.inc[nid]) == 2
-        ):
-            heapq.heappush(self.ser_heap, (min(self.inc[nid]), nid))
-
-    def _add_channel(self, c: Channel, tree: StrategyTree) -> None:
-        self.chan[c.id] = c
-        self.inc[c.a].add(c.id)
-        self.inc[c.b].add(c.id)
-        members = self.pairs.setdefault(c.pair, [])
-        heapq.heappush(members, c.id)
-        self.trees[c.id] = tree
-        if len(members) >= 2:
-            heapq.heappush(self.par_heap, members[0])
-
-    def _drop_channel(self, cid: str) -> None:
-        c = self.chan.pop(cid)
-        self.inc[c.a].discard(cid)
-        self.inc[c.b].discard(cid)
-        members = self.pairs[c.pair]
-        if members[0] == cid:
-            heapq.heappop(members)
-        else:
-            # only a checked parallel() drops a channel other than the smallest
-            members.remove(cid)
+        for members in self.pairs.values():
             heapq.heapify(members)
-        if not members:
-            del self.pairs[c.pair]
-        del self.trees[cid]
-
-    def _fresh_id(self) -> str:
-        cid = f"r{self.next_id}"
-        self.next_id += 1
-        return cid
-
-    def _apply_parallel(self, c1: Channel, c2: Channel, produced: str) -> None:
-        cost = purify_cost(c1.cost, c2.cost, self.ops)
-        tree = Purify(self.trees[c1.id], self.trees[c2.id])
-        self.steps.append(
-            ReductionStep(
-                StepKind.PARALLEL, (c1.id, c2.id), None, produced, cost
-            )
-        )
-        self._drop_channel(c1.id)
-        self._drop_channel(c2.id)
-        self._add_channel(Channel(produced, c1.a, c1.b, cost), tree)
-        self._maybe_series_candidate(c1.a)
-        self._maybe_series_candidate(c1.b)
-
-    def _apply_series(self, nid: str, produced: str) -> None:
-        cid1, cid2 = sorted(self.inc[nid])
-        c1, c2 = self.chan[cid1], self.chan[cid2]
-        u, w = c1.other(nid), c2.other(nid)
-        cost = swap_cost(c1.cost, c2.cost, self.ops)
-        tree = Swap(self.trees[cid1], self.trees[cid2])
-        self.steps.append(
-            ReductionStep(StepKind.SERIES, (cid1, cid2), nid, produced, cost)
-        )
-        self._drop_channel(cid1)
-        self._drop_channel(cid2)
-        del self.roles[nid]
-        del self.inc[nid]
-        self._add_channel(Channel(produced, u, w, cost), tree)
-        self._maybe_series_candidate(u)
-        self._maybe_series_candidate(w)
-
-    def _next_parallel(self) -> tuple[Channel, Channel] | None:
-        while self.par_heap:
-            cid = self.par_heap[0]
-            c = self.chan.get(cid)
-            members = self.pairs[c.pair] if c is not None else ()
-            if len(members) < 2 or members[0] != cid:
-                heapq.heappop(self.par_heap)
-                continue
-            return c, self.chan[min(members[1:3])]
-        return None
-
-    def _next_series(self) -> str | None:
-        while self.ser_heap:
-            key, nid = self.ser_heap[0]
-            if (
-                self.roles.get(nid) is not NodeRole.ROUTER
-                or len(self.inc.get(nid, ())) != 2
-            ):
-                heapq.heappop(self.ser_heap)
-                continue
-            cid1, cid2 = sorted(self.inc[nid])
-            if key != cid1:
-                # the change that moved the key pushed a current entry
-                heapq.heappop(self.ser_heap)
-                continue
-            c1, c2 = self.chan[cid1], self.chan[cid2]
-            if c1.other(nid) == c2.other(nid):
-                heapq.heappop(self.ser_heap)
-                continue
-            return nid
-        return None
+        self.par_heap = [m[0] for m in self.pairs.values() if len(m) > 1]
+        self.ser_heap = [
+            (min(ids), nid)
+            for nid, ids in self.inc.items()
+            if len(ids) == 2 and nid in self.routers
+        ]
+        heapq.heapify(self.par_heap)
+        heapq.heapify(self.ser_heap)
 
     def run(self, series_only: bool = False) -> None:
+        ops, routers, inc, chan, pairs, trees, steps = (
+            self.graph.op_costs, self.routers, self.inc, self.chan,
+            self.pairs, self.trees, self.steps,
+        )
+        par_heap, ser_heap = self.par_heap, self.ser_heap
+        push, pop = heapq.heappush, heapq.heappop
         while True:
-            if not series_only:
-                pick = self._next_parallel()
-                if pick is not None:
-                    self._apply_parallel(*pick, self._fresh_id())
-                    continue
-            nid = self._next_series()
-            if nid is not None:
-                self._apply_series(nid, self._fresh_id())
-                continue
-            break
-
-    def _produced_id(self, produced: str | None, consumed: tuple[str, str]) -> str:
-        if produced is None:
-            return self._fresh_id()
-        _check_id("channel", produced)
-        if produced in self.chan and produced not in consumed:
-            # the channel dict would silently replace a live channel
-            raise GraphFormatError(f"duplicate channel id {produced!r}")
-        return produced
-
-    def series(self, router: str, produced: str | None = None) -> ReductionStep:
-        """Eliminate a degree-2 repeater, swapping its channels into one."""
-        role = self.roles.get(router)
-        if role is None:
-            raise GraphFormatError(f"unknown node {router!r}")
-        if role is not NodeRole.ROUTER:
-            raise ReductionError(f"cannot eliminate endpoint {router!r}")
-        incident = self.inc[router]
-        if len(incident) != 2:
-            raise ReductionError(
-                f"router {router!r} has degree {len(incident)}, need exactly 2"
-            )
-        consumed = tuple(sorted(incident))
-        u, w = (self.chan[cid].other(router) for cid in consumed)
-        if u == w:
-            raise ReductionError(
-                f"both channels at {router!r} lead to {u!r}; purify them instead"
-            )
-        self._apply_series(router, self._produced_id(produced, consumed))
-        return self.steps[-1]
-
-    def parallel(
-        self, first: str, second: str, produced: str | None = None
-    ) -> ReductionStep:
-        """Purify two channels spanning the same nodes into one."""
-        if first == second:
-            raise ReductionError(f"cannot purify channel {first!r} with itself")
-        for cid in (first, second):
-            if cid not in self.chan:
-                raise GraphFormatError(f"unknown channel {cid!r}")
-        c1, c2 = sorted((self.chan[first], self.chan[second]), key=lambda c: c.id)
-        if c1.pair != c2.pair:
-            raise ReductionError(
-                f"channels {first!r} and {second!r} are not parallel"
-            )
-        self._apply_parallel(c1, c2, self._produced_id(produced, (c1.id, c2.id)))
-        return self.steps[-1]
+            produced = f"r{self.next_id}"
+            while par_heap and par_heap[0] not in chan:
+                pop(par_heap)
+            if par_heap and not series_only:
+                # The parallel step: the live top and the next id of its pair.
+                cid1 = pop(par_heap)
+                u, w, cost1 = chan.pop(cid1)
+                members = pairs[u, w]
+                pop(members)
+                cid2 = pop(members)
+                cost = purify_cost(cost1, chan.pop(cid2)[2], ops)
+                steps.append(
+                    ReductionStep(StepKind.PARALLEL, (cid1, cid2), None, produced, cost)
+                )
+                tree = Purify(trees.pop(cid1), trees.pop(cid2))
+                for end in (u, w):
+                    inc[end].remove(cid1)
+                    inc[end].remove(cid2)
+            else:
+                # The series step: the router of two channels, to two
+                # distinct nodes, whose lower id is the lowest.
+                while ser_heap:
+                    key, nid = ser_heap[0]
+                    ids = inc.get(nid)
+                    if ids is not None and len(ids) == 2:
+                        cid1, cid2 = sorted(ids)
+                        if key == cid1:
+                            a1, b1, cost1 = chan[cid1]
+                            a2, b2, cost2 = chan[cid2]
+                            u = b1 if a1 == nid else a1
+                            w = b2 if a2 == nid else a2
+                            if u != w:
+                                break
+                    pop(ser_heap)
+                else:
+                    break  # no step applies
+                pop(ser_heap)
+                cost = swap_cost(cost1, cost2, ops)
+                steps.append(
+                    ReductionStep(StepKind.SERIES, (cid1, cid2), nid, produced, cost)
+                )
+                tree = Swap(trees.pop(cid1), trees.pop(cid2))
+                # a router of two channels is the only node of both pairs
+                del chan[cid1], chan[cid2], pairs[a1, b1], pairs[a2, b2], inc[nid]
+                inc[u].remove(cid1)
+                inc[w].remove(cid2)
+                if w < u:
+                    u, w = w, u
+            self.next_id += 1
+            chan[produced] = (u, w, cost)
+            trees[produced] = tree
+            members = pairs.setdefault((u, w), [])
+            push(members, produced)
+            if len(members) > 1:
+                push(par_heap, members[0])
+            for end in (u, w):
+                ids = inc[end]
+                ids.add(produced)
+                if len(ids) == 2 and end in routers:
+                    push(ser_heap, (min(ids), end))
 
     def result(self) -> ReductionResult:
-        nodes = [Node(nid, role) for nid, role in self.roles.items()]
-        graph = NetworkGraph(nodes, self.chan.values(), self.ops)
+        nodes, channels = self.graph.nodes, self.graph.channels
+        graph = NetworkGraph(
+            [nodes[nid] for nid in self.inc],
+            [
+                channels[cid] if cid in channels else Channel(cid, a, b, cost)
+                for cid, (a, b, cost) in self.chan.items()
+            ],
+            self.graph.op_costs,
+        )
         trace = ReductionTrace(
             steps=tuple(self.steps),
-            terminal_nodes=tuple(sorted(self.roles)),
+            terminal_nodes=tuple(sorted(self.inc)),
             terminal_channels=tuple(sorted(self.chan)),
         )
         return ReductionResult(graph, trace, dict(self.trees))
@@ -454,39 +373,6 @@ def reduce_to_fixpoint(
     engine = _Engine(g)
     engine.run(series_only)
     return engine.result()
-
-
-def series_step(
-    g: NetworkGraph, router_id: str, produced_id: str | None = None
-) -> tuple[NetworkGraph, ReductionStep]:
-    """Eliminate a degree-2 repeater, swapping its channels into one."""
-    engine = _Engine(g)
-    step = engine.series(router_id, produced_id)
-    return engine.result().graph, step
-
-
-def parallel_step(
-    g: NetworkGraph, first_id: str, second_id: str, produced_id: str | None = None
-) -> tuple[NetworkGraph, ReductionStep]:
-    """Purify two channels spanning the same nodes into one."""
-    engine = _Engine(g)
-    step = engine.parallel(first_id, second_id, produced_id)
-    return engine.result().graph, step
-
-
-def replay_trace(g: NetworkGraph, trace: ReductionTrace) -> NetworkGraph:
-    """Re-apply a recorded trace step by step, checking each step applies."""
-    engine = _Engine(g)
-    for step in trace.steps:
-        if step.kind is StepKind.SERIES:
-            replayed = engine.series(step.eliminated, step.produced)
-        else:
-            replayed = engine.parallel(*step.consumed, step.produced)
-        if replayed.consumed != step.consumed:
-            raise ReductionError(
-                f"trace step {step!r} consumed {replayed.consumed} on replay"
-            )
-    return engine.result().graph
 
 
 def is_fully_reduced_pair(g: NetworkGraph, source: str, target: str) -> bool:

@@ -1,7 +1,7 @@
 """Random graph and strategy builders shared across test modules."""
 import random
-from itertools import combinations
 
+from _reference import Rewriter
 from qnet import (
     Channel,
     CostVector,
@@ -13,7 +13,6 @@ from qnet import (
     Purify,
     Swap,
 )
-from qnet.reduction import _Engine
 
 
 def build_graph(edges, endpoints=("A", "B"), ops=None):
@@ -140,37 +139,35 @@ def random_sp_graph(rng, max_edges=40):
     )
 
 
-def reduce_random_order(g, rng, after_step=None):
+def reduce_random_order(g, rng):
     """Drive reduction by uniformly random legal steps; terminal cost vector.
 
-    Only meaningful on graphs that collapse to a single channel.  Moves are
-    listed in the engine's insertion order with each pair's channel ids
-    sorted, so the draws depend on nothing but the rng.  after_step, if
-    given, is called with the engine after every step.
+    The steps run on tests/_reference.Rewriter, which shares nothing with
+    the package's rewrite engine.  Only meaningful on graphs that collapse
+    to a single channel.  Moves are listed in a fixed order, so the draws
+    depend on nothing but the rng.
     """
-    engine = _Engine(g)
-    while True:
-        moves = []
-        for members in engine.pairs.values():
-            if len(members) > 1:
-                moves += [("par", a, b) for a, b in combinations(sorted(members), 2)]
-        for nid, role in engine.roles.items():
-            incident = engine.inc[nid]
-            if role is NodeRole.ROUTER and len(incident) == 2:
-                c1, c2 = (engine.chan[cid] for cid in incident)
-                if c1.other(nid) != c2.other(nid):
-                    moves.append(("ser", nid))
-        if not moves:
-            break
-        move = rng.choice(moves)
-        if move[0] == "par":
-            engine.parallel(move[1], move[2])
-        else:
-            engine.series(move[1])
-        if after_step is not None:
-            after_step(engine)
-    (channel,) = engine.chan.values()
+    rewriter = Rewriter(g)
+    while moves := rewriter.moves():
+        rewriter.apply(rng.choice(moves))
+    (channel,) = rewriter.channels.values()
     return channel.cost
+
+
+def uniform_grid(breadth, depth, fidelity=0.99, success=0.9):
+    """breadth disjoint A-B strands of depth identical channels each.
+
+    Strand i runs A, g{i}_1, ..., g{i}_{depth-1}, B over channels s{i}_0 to
+    s{i}_{depth-1}.
+    """
+    edges = []
+    for i in range(breadth):
+        hops = ["A"] + [f"g{i}_{j}" for j in range(1, depth)] + ["B"]
+        edges += [
+            (f"s{i}_{j}", hops[j], hops[j + 1], fidelity, success)
+            for j in range(depth)
+        ]
+    return build_graph(edges)
 
 
 def random_connected_graph(rng, max_channels=8, fidelity=(0.55, 0.95)):

@@ -44,6 +44,15 @@ The closed form qnet.algebra.dephasing_bell_fidelity, (1 + p) / 2, must
 equal the matrix's overlap with the Bell pair, so the algebra is checked
 against the physics rather than against itself.
 
+Rewriter is a plain series/parallel rewriter, written apart from
+qnet.reduction._Engine: it keeps one dict of Channel objects, scans it at
+every step (O(|E|) a step), and checks each named step as the package's
+single-step functions once did, with their messages.  series_step,
+parallel_step and replay_trace drive it one step or one `qnet reduce
+--trace` document at a time; Rewriter.fixpoint applies the engine's order
+(parallel before series, lowest channel id first), so reduce_to_fixpoint's
+trace must equal its steps one for one.
+
 brute_force_best is the reference optimum for graphs of up to 8 channels:
 it merges virtual pairs two at a time in every order, without reduction,
 sharing only the pair-merge rule and tie-break of qnet.routing.  route
@@ -55,6 +64,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import re
 
 import numpy as np
 
@@ -66,11 +76,14 @@ from qnet.algebra import (
     swap_cost,
     to_log_loss,
 )
-from qnet.graph import NetworkGraph, NodeRole
+from qnet.graph import Channel, GraphFormatError, NetworkGraph, NodeRole
 from qnet.jsonutil import RawJSON
 from qnet.reduction import (
     Leaf,
     Purify,
+    ReductionError,
+    ReductionStep,
+    StepKind,
     StrategyTree,
     Swap,
     serialize_composite,
@@ -679,3 +692,168 @@ def brute_force_best(
         )
     fid, succ, _, tree = best
     return tree, CostVector(fid, succ)
+
+
+class Rewriter:
+    """Channels of a graph under checked series and parallel steps.
+
+    A step's produced id is the one given or, if none, r<n> for the next n
+    past every 'r<n>' channel id of the graph it started from.
+    """
+
+    def __init__(self, g: NetworkGraph) -> None:
+        self.nodes = dict(g.nodes)
+        self.channels = dict(g.channels)
+        self.ops = g.op_costs
+        self.trees = {cid: Leaf(cid) for cid in self.channels}
+        self.steps: list[ReductionStep] = []
+        numbers = [int(cid[1:]) for cid in self.channels if re.fullmatch(r"r\d+", cid)]
+        self.next_id = max(numbers, default=-1) + 1
+
+    def graph(self) -> NetworkGraph:
+        return NetworkGraph(self.nodes.values(), self.channels.values(), self.ops)
+
+    def _at(self, node: str) -> list[Channel]:
+        return sorted(
+            (c for c in self.channels.values() if node in (c.a, c.b)),
+            key=lambda c: c.id,
+        )
+
+    def _apply(self, kind, c1, c2, ends, eliminated, produced) -> ReductionStep:
+        if produced is None:
+            produced = f"r{self.next_id}"
+            self.next_id += 1
+        elif not isinstance(produced, str) or not re.fullmatch(r"\S{1,64}", produced):
+            raise GraphFormatError(
+                f"channel id {produced!r} must be 1-64 non-whitespace characters"
+            )
+        elif produced in self.channels and produced not in (c1.id, c2.id):
+            raise GraphFormatError(f"duplicate channel id {produced!r}")
+        if kind is StepKind.SERIES:
+            combine, tree = swap_cost, Swap
+        else:
+            combine, tree = purify_cost, Purify
+        cost = combine(c1.cost, c2.cost, self.ops)
+        step = ReductionStep(kind, (c1.id, c2.id), eliminated, produced, cost)
+        self.trees[produced] = tree(self.trees.pop(c1.id), self.trees.pop(c2.id))
+        del self.channels[c1.id], self.channels[c2.id]
+        self.channels[produced] = Channel(produced, *ends, cost)
+        self.steps.append(step)
+        return step
+
+    def series(self, router: str, produced: str | None = None) -> ReductionStep:
+        """Eliminate a router of two channels, swapping them into one."""
+        if router not in self.nodes:
+            raise GraphFormatError(f"unknown node {router!r}")
+        if self.nodes[router].role is not NodeRole.ROUTER:
+            raise ReductionError(f"cannot eliminate endpoint {router!r}")
+        at = self._at(router)
+        if len(at) != 2:
+            raise ReductionError(f"router {router!r} has degree {len(at)}, need exactly 2")
+        u, w = (c.other(router) for c in at)
+        if u == w:
+            raise ReductionError(
+                f"both channels at {router!r} lead to {u!r}; purify them instead"
+            )
+        step = self._apply(StepKind.SERIES, *at, (u, w), router, produced)
+        del self.nodes[router]
+        return step
+
+    def parallel(
+        self, first: str, second: str, produced: str | None = None
+    ) -> ReductionStep:
+        """Purify two channels spanning the same nodes into one."""
+        if first == second:
+            raise ReductionError(f"cannot purify channel {first!r} with itself")
+        for cid in (first, second):
+            if cid not in self.channels:
+                raise GraphFormatError(f"unknown channel {cid!r}")
+        c1, c2 = sorted((self.channels[first], self.channels[second]), key=lambda c: c.id)
+        if (c1.a, c1.b) != (c2.a, c2.b):
+            raise ReductionError(f"channels {first!r} and {second!r} are not parallel")
+        return self._apply(StepKind.PARALLEL, c1, c2, (c1.a, c1.b), None, produced)
+
+    def moves(self) -> list[tuple]:
+        """Every step that applies: ("parallel", id, id) for each two
+        channels of one span, lower id first, in sorted order; then
+        ("series", router) for each router of two channels to two distinct
+        nodes, by its lower channel id and then its own id."""
+        spans: dict[tuple[str, str], list[str]] = {}
+        at: dict[str, list[Channel]] = {}
+        for cid in sorted(self.channels):
+            c = self.channels[cid]
+            spans.setdefault((c.a, c.b), []).append(cid)
+            at.setdefault(c.a, []).append(c)
+            at.setdefault(c.b, []).append(c)
+        parallel = sorted(
+            ("parallel", ids[i], ids[j])
+            for ids in spans.values()
+            for i in range(len(ids))
+            for j in range(i + 1, len(ids))
+        )
+        series = sorted(
+            (pair[0].id, nid)
+            for nid, pair in at.items()
+            if self.nodes[nid].role is NodeRole.ROUTER
+            and len(pair) == 2
+            and pair[0].other(nid) != pair[1].other(nid)
+        )
+        return parallel + [("series", nid) for _, nid in series]
+
+    def apply(self, move: tuple) -> ReductionStep:
+        if move[0] == "series":
+            return self.series(*move[1:])
+        return self.parallel(*move[1:])
+
+    def fixpoint(self, series_only: bool = False) -> list[ReductionStep]:
+        """Steps until none applies, in reduce_to_fixpoint's order: the
+        first parallel move while there is one, else the first series move
+        (parallel moves are skipped with series_only)."""
+        while True:
+            moves = [m for m in self.moves() if m[0] == "series" or not series_only]
+            if not moves:
+                return self.steps
+            self.apply(moves[0])
+
+
+def series_step(
+    g: NetworkGraph, router_id: str, produced_id: str | None = None
+) -> tuple[NetworkGraph, ReductionStep]:
+    """Eliminate a router of two channels, swapping them into one."""
+    rewriter = Rewriter(g)
+    step = rewriter.series(router_id, produced_id)
+    return rewriter.graph(), step
+
+
+def parallel_step(
+    g: NetworkGraph, first_id: str, second_id: str, produced_id: str | None = None
+) -> tuple[NetworkGraph, ReductionStep]:
+    """Purify two channels spanning the same nodes into one."""
+    rewriter = Rewriter(g)
+    step = rewriter.parallel(first_id, second_id, produced_id)
+    return rewriter.graph(), step
+
+
+def replay_trace(g: NetworkGraph, document: str | bytes) -> NetworkGraph:
+    """g rewritten by the trace of a `qnet reduce --trace` report.
+
+    Each step must apply and consume the channels the report names, in its
+    order, and yield the fidelity and success the report prints.  Only the
+    report's last member, "trace", is decoded: the strategies before it
+    nest as deep as the reduction, deeper than json.loads reads on a long
+    ladder.
+    """
+    if isinstance(document, bytes):
+        document = document.decode("utf-8")
+    start = document.rindex('"trace":') + len('"trace":')
+    rewriter = Rewriter(g)
+    for entry in json.JSONDecoder().raw_decode(document, start)[0]:
+        if entry["kind"] == "series":
+            step = rewriter.series(entry["eliminated"], entry["produced"])
+        else:
+            step = rewriter.parallel(*entry["consumed"], entry["produced"])
+        if list(step.consumed) != entry["consumed"]:
+            raise ReductionError(f"trace step {entry!r} consumed {step.consumed} on replay")
+        if (step.cost.fidelity, step.cost.success) != (entry["fidelity"], entry["success"]):
+            raise ReductionError(f"trace step {entry!r} costs {step.cost} on replay")
+    return rewriter.graph()

@@ -46,7 +46,7 @@ from qnet import (
     swap_fidelity,
     swap_inverse,
 )
-from qnet.algebra import add_log_loss, swap_value, to_log_loss
+from qnet.algebra import swap_value, to_log_loss
 from qnet.reduction import strategy_leaves
 from qnet.routing import harvest_paths
 
@@ -77,12 +77,12 @@ def test_composition_laws_hold():
         fp = rng.uniform(1e-6, 1.0 - 1e-6)
         assert abs(purify_fidelity(fp, 1.0 - fp) - 0.5) <= 1e-9
 
-        u = to_log_loss(rng.uniform(0.001, 1.0))
-        v = to_log_loss(rng.uniform(0.001, 1.0))
-        w = to_log_loss(rng.uniform(0.001, 1.0))
-        assert add_log_loss(u, v) == add_log_loss(v, u)
-        assert abs(add_log_loss(add_log_loss(u, v), w) - add_log_loss(u, add_log_loss(v, w))) <= 1e-12
-        assert add_log_loss(u, 0.0) == u
+        # Log-losses add where successes multiply.
+        p, q, r = (rng.uniform(0.001, 1.0) for _ in range(3))
+        u, v, w = to_log_loss(p), to_log_loss(q), to_log_loss(r)
+        assert abs(to_log_loss(p * q) - (u + v)) <= 1e-12
+        assert abs(to_log_loss(p * q * r) - (u + v + w)) <= 1e-12
+        assert to_log_loss(1.0) == 0.0
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(f"PASS composition laws: 10^4 samples per law, {elapsed:.2f}s")

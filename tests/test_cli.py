@@ -23,7 +23,7 @@ from qnet import (
 )
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, timeout=None):
     full_env = os.environ.copy()
     if env:
         full_env.update(env)
@@ -32,6 +32,7 @@ def run_cli(args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -433,6 +434,14 @@ def test_simulate_seed_domain(two_path_doc, seed):
     else:
         assert proc.returncode == 1
         assert doc["message"] == f"seed {seed} outside [0, 2**128)"
+
+
+def test_simulate_refuses_samples_past_the_bound(two_path_doc):
+    """10**20 samples would run for millennia; the refusal comes at once."""
+    proc = run_cli(["simulate", two_path_doc, "--samples", str(10**20)], timeout=60)
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["message"] == "samples must be <= 2**40 (1,099,511,627,776)"
 
 
 def test_simulate_default_strategy_reduces_graph(two_path_doc):

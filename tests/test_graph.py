@@ -134,6 +134,31 @@ def test_parse_rejects_wrong_version():
         parse_graph(doc(version=2))
     with pytest.raises(GraphFormatError):
         parse_graph(doc(version="1"))
+    with pytest.raises(GraphFormatError, match="unsupported version True"):
+        parse_graph(doc(version=True))
+    # JSON has one number type: 1.0 is version 1
+    assert parse_graph(doc(version=1.0)) == parse_graph(doc())
+
+
+@pytest.mark.parametrize(
+    "field,message",
+    [
+        ('"fidelity": 0.9', "field 'fidelity' in edges[0] is too large for a float"),
+        ('"success": 0.7', "field 'success' in edges[1] is too large for a float"),
+        ('"swap_success": 0.9', "field 'swap_success' in op_costs is too large for a float"),
+        ('"version": 1', "unsupported version {sign}9999"),
+    ],
+    ids=["fidelity", "success", "swap_success", "version"],
+)
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_parse_refuses_integers_past_the_digit_limit(field, message, sign):
+    # json.loads's int() refuses over 4,300 digits, as json.dumps's str()
+    # does, so the document is written by hand
+    text = doc().replace(field, field.split()[0] + " " + sign + "9" * 5000)
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert str(info.value).startswith(message.format(sign=sign))
+    assert "set_int_max_str_digits" not in str(info.value)
 
 
 def test_parse_rejects_bad_roles_and_ids():

@@ -250,6 +250,33 @@ def test_chunks_run_as_a_stream():
     assert peak < 256 << 10, peak
 
 
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "samples,refused",
+    [(montecarlo._MAX_SAMPLES, False), (montecarlo._MAX_SAMPLES + 1, True), (10**20, True)],
+    ids=["bound", "bound+1", "1e20"],
+)
+def test_samples_are_bounded(samples, refused):
+    """estimate starts sampling 2**40 samples and refuses one more at once."""
+    assert montecarlo._MAX_SAMPLES == 1 << 40
+    g = build_graph([("c1", "A", "B", 0.9, 0.9)])
+
+    def first_chunk(steps, acceptance, draw, n):
+        raise _Started
+
+    if refused:
+        expected = pytest.raises(
+            ValueError, match=r"^samples must be <= 2\*\*40 \(1,099,511,627,776\)$"
+        )
+    else:
+        expected = pytest.raises(_Started)
+    with mock.patch.object(montecarlo, "_run_chunk", first_chunk), expected:
+        estimate(Leaf("c1"), g, samples, seed=0)
+
+
 _THRESHOLD_CASES = [
     0.5,  # T = 2**52: one level
     0.75,  # two levels

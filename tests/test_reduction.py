@@ -1,7 +1,16 @@
-"""Rewrite engine: step semantics, fixpoint reduction, traces, strategies."""
+"""Rewrite engine: step semantics, fixpoint reduction, traces, strategies.
+
+The single steps and trace replay run on tests/_reference.Rewriter, the
+fixpoint on the package's engine; the order oracle sets one against the
+other step for step.
+"""
+import contextlib
 import gc
 import heapq
+import io
 import json
+import os
+import tempfile
 import statistics
 import time
 import types
@@ -17,8 +26,15 @@ from _generators import (
     seeded,
     series_chain,
     two_path_graph,
+    uniform_grid,
 )
-from _reference import reference_canonical_dumps
+from _reference import (
+    Rewriter,
+    parallel_step,
+    reference_canonical_dumps,
+    replay_trace,
+    series_step,
+)
 from qnet import (
     AlgebraDomainError,
     Channel,
@@ -34,15 +50,12 @@ from qnet import (
     Swap,
     evaluate_strategy,
     is_fully_reduced_pair,
-    parallel_step,
     parse_graph,
     reduce_to_fixpoint,
-    replay_trace,
     serialize_graph,
-    series_step,
     swap_chain,
 )
-from qnet import reduction
+from qnet import cli, reduction
 from qnet.jsonutil import canonical_dumps
 from qnet.reduction import (
     StepKind,
@@ -219,48 +232,56 @@ def test_document_r_ids_parse_and_reduction_numbers_past_them():
     result = reduce_to_fixpoint(g)
     assert [s.produced for s in result.trace.steps] == ["r6", "r7", "r8"]
     assert set(result.graph.channels) == {"r8"}
-    assert replay_trace(g, result.trace) == result.graph
+    assert replay_trace(g, _reduce_report(g)) == result.graph
+
+
+def _reduce_report(g):
+    """What `qnet reduce --trace` prints for g's document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "wb") as fh:
+            fh.write(serialize_graph(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["reduce", path, "--trace"]) == 0
+    return out.getvalue()
 
 
 def test_trace_replay_reproduces_terminal_graph():
     graphs = [random_sp_graph(seeded(seed), max_edges=20) for seed in range(10)]
-    # 3,000 rungs: a replay that rebuilds the whole graph at every step is
-    # quadratic and takes tens of seconds on it
+    # 3,000 rungs: the report of a long trace replays as well
     graphs.append(_ladder(6000))
     for g in graphs:
         result = reduce_to_fixpoint(g)
-        assert replay_trace(g, result.trace) == result.graph
-
-
-def _replace(value, **changes):
-    """A copy of value with some fields changed, rebuilt by its constructor."""
-    fields = {name: getattr(value, name) for name in value._fields}
-    return type(value)(**{**fields, **changes})
+        assert replay_trace(g, _reduce_report(g)) == result.graph
 
 
 def _tampered(trace, index, **changes):
-    steps = list(trace.steps)
-    steps[index] = _replace(steps[index], **changes)
-    return _replace(trace, steps=tuple(steps))
+    """trace, a `reduce --trace` report, with some fields of a step changed."""
+    doc = json.loads(trace)
+    doc["trace"][index].update(changes)
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
 def test_trace_replay_rejects_tampered_steps():
     g = two_path_graph()
-    trace = reduce_to_fixpoint(g).trace
+    trace = _reduce_report(g)
     # m1's channels are c1 and c2, whatever the step claims
     with pytest.raises(ReductionError, match="consumed"):
-        replay_trace(g, _tampered(trace, 0, consumed=("c3", "c4")))
+        replay_trace(g, _tampered(trace, 0, consumed=["c3", "c4"]))
     # a parallel step normalizes its channel order on replay
     with pytest.raises(ReductionError, match="consumed"):
-        replay_trace(g, _tampered(trace, 2, consumed=("r1", "r0")))
+        replay_trace(g, _tampered(trace, 2, consumed=["r1", "r0"]))
     with pytest.raises(GraphFormatError, match="unknown node 'ghost'"):
         replay_trace(g, _tampered(trace, 1, eliminated="ghost"))
     with pytest.raises(GraphFormatError, match="unknown channel 'r9'"):
-        replay_trace(g, _tampered(trace, 2, consumed=("r0", "r9")))
+        replay_trace(g, _tampered(trace, 2, consumed=["r0", "r9"]))
     with pytest.raises(GraphFormatError, match="duplicate channel id 'c3'"):
         replay_trace(g, _tampered(trace, 0, produced="c3"))
     with pytest.raises(GraphFormatError, match="1-64 non-whitespace"):
         replay_trace(g, _tampered(trace, 0, produced="r 0"))
+    with pytest.raises(ReductionError, match="costs"):
+        replay_trace(g, _tampered(trace, 1, fidelity=0.5))
 
 
 def test_step_functions_check_produced_ids():
@@ -456,8 +477,9 @@ def test_series_heap_pushes_stay_linear(monkeypatch):
 
 def _assert_exact_pair_heaps(engine):
     live = {}
-    for cid, c in engine.chan.items():
-        live.setdefault(c.pair, []).append(cid)
+    for cid, (a, b, _) in engine.chan.items():
+        assert a <= b
+        live.setdefault((a, b), []).append(cid)
     assert set(engine.pairs) == set(live)
     for pair, heap in engine.pairs.items():
         assert sorted(heap) == sorted(live[pair])
@@ -467,13 +489,45 @@ def _assert_exact_pair_heaps(engine):
 def test_engine_keeps_only_live_node_pairs():
     engine = _Engine(_ladder(2000))
     engine.run()
-    live = {c.pair for c in engine.chan.values()}
+    live = {(a, b) for a, b, _ in engine.chan.values()}
     assert len(live) == 1
     assert set(engine.pairs) == live
-    # checked steps purify any two members of a pair, not just the smallest
+    # series_only leaves pairs of several channels behind, and a full run
+    # purifies them away
     for seed in range(20):
         g = random_sp_graph(seeded(seed), max_edges=30)
-        reduce_random_order(g, seeded(seed), after_step=_assert_exact_pair_heaps)
+        for series_only in (True, False):
+            engine = _Engine(g)
+            engine.run(series_only)
+            _assert_exact_pair_heaps(engine)
+
+
+def _steps_bits(steps):
+    return [
+        (s.kind, s.consumed, s.eliminated, s.produced,
+         s.cost.fidelity.hex(), s.cost.success.hex())
+        for s in steps
+    ]
+
+
+@pytest.mark.parametrize("series_only", [False, True], ids=["full", "series_only"])
+def test_fixpoint_order_matches_reference_rewriter(series_only):
+    """reduce_to_fixpoint takes the same steps, in the same order, as the
+    reference rewriter under the policy of parallel before series and
+    lowest channel id first."""
+    graphs = [random_sp_graph(seeded(900 + seed), max_edges=40) for seed in range(30)]
+    graphs += [_rung_ladder(50), uniform_grid(10, 10), two_path_graph(), bridge_graph()]
+    # routers p and q tie on their lower channel c1; p goes first
+    graphs.append(build_graph(
+        [("c5", "A", "p", 0.9, 0.9), ("c1", "p", "q", 0.8, 0.9), ("c6", "q", "B", 0.7, 0.9)]
+    ))
+    for g in graphs:
+        result = reduce_to_fixpoint(g, series_only=series_only)
+        rewriter = Rewriter(g)
+        expected = rewriter.fixpoint(series_only)
+        assert _steps_bits(result.trace.steps) == _steps_bits(expected)
+        assert result.graph == rewriter.graph()
+        assert result.strategies == rewriter.trees
 
 
 strategy_trees = st.recursive(
