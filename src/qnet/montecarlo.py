@@ -42,8 +42,9 @@ beside it, the delivered and disagreement rows, a mask and the
 comparison's working rows), so (depth + 12) * 2/15 bytes a sample and 48
 bytes a row: about 2 bytes a sample for a tree 4 levels deep.  A chunk
 takes at most 65,536 samples, and fewer when its rows would not fit in
-32 MiB; an estimate takes at most 2**40 samples.  Chunks run one after another in the calling thread, from one
-stream, so an estimate is a function of (tree, graph, samples, seed).
+32 MiB.  Chunks run one after another in the calling thread, from one
+stream, so an estimate is a function of (tree, graph, samples, seed).  An
+estimate takes at most 2**40 samples.
 """
 from __future__ import annotations
 
@@ -68,13 +69,13 @@ __all__ = ["McEstimate", "estimate"]
 # _ROW_HEADER more: the int's 24-byte header, its slot in the stack and
 # the allocator's rounding.
 _CHUNK_SAMPLES = 1 << 16
+_CHUNK_BYTES = 32 << 20
+_ROWS = 12
+_ROW_HEADER = 48
 # An estimate takes at most _MAX_SAMPLES samples, a few hours of drawing:
 # one leaf runs at 1.05-1.25e8 samples/s (2-core VM), so 2**40 take
 # 2.5-2.9 h, and a larger request is refused rather than left running.
 _MAX_SAMPLES = 1 << 40
-_CHUNK_BYTES = 32 << 20
-_ROWS = 12
-_ROW_HEADER = 48
 _UNIT = 1 << 53  # the uniforms are k / _UNIT for 53-bit integers k
 
 Threshold = int  # T = ceil(p * 2**53), in [0, 2**53]

@@ -150,7 +150,7 @@ def test_parse_rejects_wrong_version():
     ],
     ids=["fidelity", "success", "swap_success", "version"],
 )
-@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
 def test_parse_refuses_integers_past_the_digit_limit(field, message, sign):
     # json.loads's int() refuses over 4,300 digits, as json.dumps's str()
     # does, so the document is written by hand
