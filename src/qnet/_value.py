@@ -4,7 +4,7 @@ A subclass lists its slots in __slots__ and, in _fields, the ones that
 make up its value, in the order its constructor takes them.  Value's
 __init__ binds positional and keyword arguments to _fields, as a def with
 those parameters and no defaults would, and stores each with _set.  A
-subclass defines __init__ only to validate a field or to derive a slot.
+subclass defines __init__ only to validate or normalise a field.
 Value then compares, hashes, prints and pickles an instance by those
 fields and refuses assignment and deletion; nothing is generated at
 import time, so importing qnet stays cheap.
@@ -73,5 +73,5 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # Rebuilt through __init__, which sets the derived slots again.
+        # Rebuilt through __init__, which validates the fields again.
         return type(self), self._values()

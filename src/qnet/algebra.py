@@ -256,8 +256,8 @@ class GridStrategy(Enum):
     SWAP_THEN_PURIFY = "swap-then-purify"
 
 
-# grid_cost builds lists of breadth and of depth values; a side of 10**6
-# takes seconds, and one past 2**63 cannot be built at all.
+# grid_cost folds over breadth and depth in loops that hold no list, but
+# their time grows with each side: two sides of 10**6 take 2-3 s.
 MAX_GRID_SIDE = 10**6
 
 
@@ -310,6 +310,14 @@ def _purify_copies(base: float, count: int) -> tuple[float, float]:
     return _chain_value(state), total
 
 
+def _swap_copies(base: float, count: int) -> float:
+    """swap_chain([base] * count), folded over the count without a list."""
+    acc = base
+    for _ in range(1, count):
+        acc = swap_value(acc, base)
+    return acc
+
+
 def grid_cost(spec: GridSpec, ops: OperationCosts | None = None) -> CostVector:
     """End-to-end cost of a grid under the chosen operation order.
 
@@ -326,13 +334,13 @@ def grid_cost(spec: GridSpec, ops: OperationCosts | None = None) -> CostVector:
     success = s ** (b * d)
     if spec.strategy is GridStrategy.PURIFY_THEN_SWAP:
         rung, accepted = _purify_copies(f, b)
-        fidelity = swap_chain([rung] * d)
+        fidelity = _swap_copies(rung, d)
         success *= ops.purify_success ** (d * (b - 1))
         success *= ops.swap_success ** (d - 1)
         if ops.physical_acceptance:
             success *= accepted ** d
     else:
-        strand = swap_chain([f] * d)
+        strand = _swap_copies(f, d)
         fidelity, accepted = _purify_copies(strand, b)
         success *= ops.swap_success ** (b * (d - 1))
         success *= ops.purify_success ** (b - 1)

@@ -22,6 +22,7 @@ from .algebra import (
 from .graph import (
     GraphFormatError,
     NetworkGraph,
+    _json_int,
     op_costs_obj,
     parse_graph,
     write_graph,
@@ -238,7 +239,7 @@ def _simulation_strategy(g: NetworkGraph, args) -> StrategyTree:
     if args.strategy is not None:
         raw = _read(args.strategy)
         try:
-            obj = json.loads(raw.decode("utf-8"))
+            obj = json.loads(raw.decode("utf-8"), parse_int=_json_int)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: nested deeper than the JSON parser allows
             raise GraphFormatError(f"bad strategy document: {exc}") from None

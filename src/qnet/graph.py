@@ -48,19 +48,13 @@ class Node(Value):
 
 
 class Channel(Value):
-    """Undirected channel; endpoints are stored in sorted order.
+    """Undirected channel; endpoints are stored in sorted order."""
 
-    pair, the set of both endpoints, is derived: it is neither compared
-    nor printed.
-    """
-
-    _fields = ("id", "a", "b", "cost")
-    __slots__ = (*_fields, "pair")
+    __slots__ = _fields = ("id", "a", "b", "cost")
     id: str
     a: str
     b: str
     cost: CostVector
-    pair: frozenset[str]
 
     def __init__(self, id: str, a: str, b: str, cost: CostVector) -> None:
         if b < a:
@@ -69,14 +63,6 @@ class Channel(Value):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "cost", cost)
-        _set(self, "pair", frozenset((a, b)))
-
-    def other(self, node_id: str) -> str:
-        if node_id == self.a:
-            return self.b
-        if node_id == self.b:
-            return self.a
-        raise KeyError(f"{node_id!r} not on channel {self.id!r}")
 
 
 def _check_id(kind: str, value: str) -> str:

@@ -208,10 +208,8 @@ class ReductionStep(Value):
 
 
 class ReductionTrace(Value):
-    __slots__ = _fields = ("steps", "terminal_nodes", "terminal_channels")
+    __slots__ = _fields = ("steps",)
     steps: tuple[ReductionStep, ...]
-    terminal_nodes: tuple[str, ...]
-    terminal_channels: tuple[str, ...]
 
 
 class ReductionResult(Value):
@@ -352,11 +350,7 @@ class _Engine:
             ],
             self.graph.op_costs,
         )
-        trace = ReductionTrace(
-            steps=tuple(self.steps),
-            terminal_nodes=tuple(sorted(self.inc)),
-            terminal_channels=tuple(sorted(self.chan)),
-        )
+        trace = ReductionTrace(tuple(self.steps))
         return ReductionResult(graph, trace, dict(self.trees))
 
 
@@ -387,7 +381,7 @@ def is_fully_reduced_pair(g: NetworkGraph, source: str, target: str) -> bool:
     if len(chans) != 1:
         return False
     (c,) = chans.values()
-    return c.pair == frozenset((source, target))
+    return {c.a, c.b} == {source, target}
 
 
 def check_strategy(tree: StrategyTree, g: NetworkGraph) -> None:

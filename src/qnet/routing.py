@@ -268,7 +268,8 @@ def harvest_paths(
             break
         paths.append(tuple(path))
         gone = set(path)
-        for end in {index[n] for cid in path for n in channels[cid].pair}:
+        ends = {index[n] for c in map(channels.get, path) for n in (c.a, c.b)}
+        for end in ends:
             out[end] = [e for e in out[end] if e[2] not in gone]
             through[end] = passes(end)
     return paths, sweeps

@@ -694,6 +694,10 @@ def brute_force_best(
     return tree, CostVector(fid, succ)
 
 
+def _far_end(c: Channel, node: str) -> str:
+    return c.b if node == c.a else c.a
+
+
 class Rewriter:
     """Channels of a graph under checked series and parallel steps.
 
@@ -750,7 +754,7 @@ class Rewriter:
         at = self._at(router)
         if len(at) != 2:
             raise ReductionError(f"router {router!r} has degree {len(at)}, need exactly 2")
-        u, w = (c.other(router) for c in at)
+        u, w = (_far_end(c, router) for c in at)
         if u == w:
             raise ReductionError(
                 f"both channels at {router!r} lead to {u!r}; purify them instead"
@@ -796,7 +800,7 @@ class Rewriter:
             for nid, pair in at.items()
             if self.nodes[nid].role is NodeRole.ROUTER
             and len(pair) == 2
-            and pair[0].other(nid) != pair[1].other(nid)
+            and _far_end(pair[0], nid) != _far_end(pair[1], nid)
         )
         return parallel + [("series", nid) for _, nid in series]
 

@@ -118,7 +118,7 @@ def test_reduction_is_confluent():
         rng = seeded(3000 + seed)
         g = random_sp_graph(rng, max_edges=40)
         baseline = reduce_to_fixpoint(g)
-        (terminal,) = baseline.trace.terminal_channels
+        (terminal,) = baseline.graph.channels
         costs = [baseline.graph.channel(terminal).cost]
         for _ in range(20):
             costs.append(reduce_random_order(g, rng))

@@ -1,6 +1,7 @@
 """Cost-vector algebra: group laws, chains, log-loss, grids, dephasing."""
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -24,6 +25,7 @@ from qnet import (
 )
 from qnet.algebra import (
     _purify_copies,
+    _swap_copies,
     purify_cost,
     swap_cost,
     swap_value,
@@ -386,3 +388,25 @@ def test_grid_cost_is_linear_in_breadth():
     got = grid_cost(GridSpec(20_000, 2, 0.9, 0.99))
     assert got.fidelity == 1.0
     assert got.success == 0.0
+
+
+def test_swap_copies_match_swap_chain():
+    rng = random.Random(4343)
+    cases = [(base, 200) for base in (0.0, 0.5, 1.0, 0.57, 0.999)]
+    cases += [(rng.random(), rng.randint(1, 200)) for _ in range(60)]
+    cases += [(rng.uniform(0.5, 1.0), rng.randint(1, 2000)) for _ in range(20)]
+    for base, count in cases:
+        assert _swap_copies(base, count) == swap_chain([base] * count), (base, count)
+
+
+@pytest.mark.parametrize("strategy", list(GridStrategy))
+def test_grid_cost_folds_without_lists(strategy):
+    """A grid 10**6 channels deep is folded over its depth: grid_cost holds
+    no list of it (the peak was 24 MB when it swapped [rung] * depth)."""
+    tracemalloc.start()
+    try:
+        grid_cost(GridSpec(10, 10**6, 0.9, 0.9, strategy))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak

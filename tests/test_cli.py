@@ -482,6 +482,20 @@ def test_simulate_strategy_file(two_path_doc, tmp_path):
     assert json.loads(proc.stdout)["strategy"] == tree
 
 
+def test_simulate_strategy_reads_long_integers_as_graphs_do(two_path_doc, tmp_path):
+    """A 5,000-digit integer is past int()'s default digit limit; the leaf is
+    refused in qnet's words, as parse_graph refuses such a field."""
+    spath = tmp_path / "strategy.json"
+    spath.write_text('{"op": "leaf", "channel": ' + "9" * 5000 + "}")
+    proc = run_cli(
+        ["simulate", two_path_doc, "--samples", "10", "--strategy", str(spath)]
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["message"] == (
+        "leaf node needs exactly a string 'channel' field"
+    )
+
+
 def test_simulate_refuses_a_singular_strategy_before_sampling(
     tmp_path, monkeypatch, capsys
 ):

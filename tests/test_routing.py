@@ -292,7 +292,7 @@ def test_harvest_walks_chains_as_the_reference_harvester():
         left = Counter(n for c in g.channels.values() for n in (c.a, c.b))
         wide = {n for n, k in left.items() if k > 2}
         for k, path in enumerate(paths):
-            hops = Counter(n for cid in path for n in g.channel(cid).pair)
+            hops = Counter(n for c in map(g.channel, path) for n in (c.a, c.b))
             if k and any(hops[n] == 2 == left[n] for n in wide):
                 reopened += 1
                 break

@@ -47,11 +47,8 @@ STEP_REPR = (
     "ReductionStep(kind=<StepKind.SERIES: 'series'>, consumed=('c1', 'c2'), "
     f"eliminated='m', produced='r0', cost={CV_REPR})"
 )
-TRACE = ReductionTrace((STEP,), ("A", "B"), ("r0",))
-TRACE_REPR = (
-    f"ReductionTrace(steps=({STEP_REPR},), terminal_nodes=('A', 'B'), "
-    "terminal_channels=('r0',))"
-)
+TRACE = ReductionTrace((STEP,))
+TRACE_REPR = f"ReductionTrace(steps=({STEP_REPR},))"
 DIAG = RouteDiagnostics(1, 2, 3)
 DIAG_REPR = "RouteDiagnostics(paths_examined=1, candidates_evaluated=2, reduction_steps=3)"
 
@@ -113,7 +110,7 @@ CASES = {
     ),
     "ReductionTrace": (
         ReductionTrace,
-        dict(steps=(STEP,), terminal_nodes=("A", "B"), terminal_channels=("r0",)),
+        dict(steps=(STEP,)),
         dict(steps=()),
         TRACE_REPR,
     ),
@@ -200,8 +197,8 @@ def test_missing_arguments_raise(case):
             cls(**{key: value for key, value in fields.items() if key != field})
 
 
-def test_only_validating_classes_define_init():
-    # A subclass defines __init__ only to validate a field or derive a slot.
+def _value_classes() -> list[type]:
+    """Every Value subclass defined in a qnet module, all modules imported."""
     for module in pkgutil.iter_modules(qnet.__path__, "qnet."):
         if module.name != "qnet.__main__":
             importlib.import_module(module.name)
@@ -210,14 +207,29 @@ def test_only_validating_classes_define_init():
         subclasses = todo.pop().__subclasses__()
         classes += subclasses
         todo += subclasses
-    own = {
-        cls.__name__
-        for cls in classes
-        if cls.__module__.startswith("qnet.") and "__init__" in vars(cls)
-    }
+    return [cls for cls in classes if cls.__module__.startswith("qnet.")]
+
+
+def test_only_validating_classes_define_init():
+    # A subclass defines __init__ only to validate or normalise a field.
+    own = {cls.__name__ for cls in _value_classes() if "__init__" in vars(cls)}
     assert own == {
         "CostVector", "OperationCosts", "GridSpec", "RouteRequest", "Channel"
     }
+
+
+def test_value_classes_store_only_their_fields():
+    # The slots of a class and its bases are exactly _fields, in order, and
+    # no class in between adds a __dict__: equality, hashing, printing and
+    # pickling read _fields only, so any other slot would be state they miss.
+    # (Swap and Purify declare no slots of their own; _Operation holds them.)
+    classes = _value_classes()
+    assert len(classes) >= 15
+    for cls in classes:
+        slots = tuple(
+            name for k in reversed(cls.__mro__[:-1]) for name in vars(k)["__slots__"]
+        )
+        assert slots == cls._fields, cls.__name__
 
 
 def test_equality_and_hash(case):
@@ -360,19 +372,24 @@ def test_swap_and_purify_never_compare_equal():
 
 
 def test_channel_endpoints_are_sorted_and_pair_is_derived():
+    # No pair is derived any more: a Channel stores exactly its four fields.
     swapped = Channel("c1", "B", "A", CV)
     assert (swapped.a, swapped.b) == ("A", "B")
-    assert swapped.pair == frozenset(("A", "B"))
+    assert Channel.__slots__ == Channel._fields == ("id", "a", "b", "cost")
     assert swapped == Channel("c1", "A", "B", CV)
     assert repr(swapped) == f"Channel(id='c1', a='A', b='B', cost={CV_REPR})"
-    assert pickle.loads(pickle.dumps(swapped)).pair == frozenset(("A", "B"))
+    twin = pickle.loads(pickle.dumps(swapped))
+    assert (twin.a, twin.b) == ("A", "B")
 
 
 def test_channel_equality_and_hash_ignore_pair():
+    # There is no pair left to ignore: a Channel has no slot for one, so
+    # even object.__setattr__ cannot store it, and assignment is refused.
     plain = Channel("c1", "A", "B", CV)
-    odd = Channel("c1", "A", "B", CV)
-    object.__setattr__(odd, "pair", frozenset())
-    assert odd == plain and hash(odd) == hash(plain)
+    twin = Channel("c1", "A", "B", CV)
+    with pytest.raises(AttributeError):
+        object.__setattr__(twin, "pair", frozenset())
+    assert twin == plain and hash(twin) == hash(plain)
     with pytest.raises(AttributeError):
         plain.pair = frozenset()
 
