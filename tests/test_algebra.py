@@ -402,7 +402,7 @@ def test_swap_copies_match_swap_chain():
 @pytest.mark.parametrize("strategy", list(GridStrategy))
 def test_grid_cost_folds_without_lists(strategy):
     """A grid 10**6 channels deep is folded over its depth: grid_cost holds
-    no list of it (the peak was 24 MB when it swapped [rung] * depth)."""
+    no list of it, where [rung] * depth alone would take 8 MB."""
     tracemalloc.start()
     try:
         grid_cost(GridSpec(10, 10**6, 0.9, 0.9, strategy))
