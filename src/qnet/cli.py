@@ -37,7 +37,6 @@ from .reduction import (
 )
 from .routing import (
     DEFAULT_MAX_BRUTEFORCE_EDGES,
-    UNBOUNDED_PATHS,
     InfeasibleRouteError,
     RouteRequest,
     RouteResult,
@@ -110,7 +109,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--target")
     p_sim.add_argument("--min-success", type=float)
     for p in (p_route, p_sim):
-        p.add_argument("--max-paths", type=int, default=UNBOUNDED_PATHS)
         p.add_argument(
             "--max-bruteforce-edges",
             type=int,
@@ -180,8 +178,7 @@ def _cmd_reduce(args) -> int:
 
 def _route_request(args) -> RouteRequest:
     return RouteRequest(
-        args.source, args.target, args.min_success,
-        args.max_paths, args.max_bruteforce_edges,
+        args.source, args.target, args.min_success, args.max_bruteforce_edges
     )
 
 
@@ -198,10 +195,8 @@ def _route_obj(result: RouteResult) -> dict:
         "strategy": None
         if result.strategy is None
         else RawJSON(serialize_strategy(result.strategy)),
-        "paths_harvested": result.paths_harvested,
         "subgraph": RawJSON(write_graph(result.subgraph)),
         "diagnostics": {
-            "paths_examined": diagnostics.paths_examined,
             "candidates_evaluated": diagnostics.candidates_evaluated,
             "reduction_steps": diagnostics.reduction_steps,
         },

@@ -1,12 +1,9 @@
 """Reference implementations that the optimized code paths are checked against.
 
-reference_harvest_paths is the restart-Dijkstra path harvester as first
-written: every sweep lists each node's channels afresh from g.channels, in
-channel-id order, re-reads each channel and converts its success to
-log-loss on every relaxation, and keeps a set of live channel ids.  It is
-slow but obviously right, and harvest_paths, which compiles out-edge
-lists once and walks chains of two-channel routers, must return exactly
-what it returns.
+simple_paths lists every simple source-target path through routers by
+depth-first enumeration, and reference_block is the union of their
+channels: what qnet.routing._block must find by Hopcroft and Tarjan's
+walk.  Its feasible paths are what qnet.routing._floor_prune must keep.
 
 reference_canonical_dumps is the canonical JSON emitter as first written:
 one isinstance chain per value and one json.dumps call per string and per
@@ -56,12 +53,10 @@ trace must equal its steps one for one.
 brute_force_best is the reference optimum for graphs of up to 8 channels:
 it merges virtual pairs two at a time in every order, without reduction,
 sharing only the pair-merge rule and tie-break of qnet.routing.  route
-must match it whenever its subgraph holds every channel the oracle used,
-and never beat it.
+must match it.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import re
@@ -74,7 +69,6 @@ from qnet.algebra import (
     _checked,
     purify_cost,
     swap_cost,
-    to_log_loss,
 )
 from qnet.graph import Channel, GraphFormatError, NetworkGraph, NodeRole
 from qnet.jsonutil import RawJSON
@@ -91,7 +85,6 @@ from qnet.reduction import (
 )
 from qnet.routing import (
     InfeasibleRouteError,
-    RouteRequest,
     SearchBoundError,
     _better,
     _check_endpoints,
@@ -99,87 +92,41 @@ from qnet.routing import (
 )
 
 
-def _dijkstra(
-    g: NetworkGraph,
-    alive: set[str],
-    source: str,
-    target: str,
-    swap_loss: float,
-) -> tuple[list[str], float] | None:
-    """Cheapest swap-only path by log-loss, or None if target is unreachable.
+def simple_paths(
+    g: NetworkGraph, source: str, target: str
+) -> list[tuple[tuple[str, ...], float]]:
+    """Every simple source-target path through routers, with its success.
 
-    Edge weight is the channel's log-loss; every interior node adds the
-    swap operation's log-loss.  Only the source and repeater nodes may be
-    traversed, so no foreign endpoint ever sits inside a path.
+    A path is a tuple of channel ids; parallel channels give distinct
+    paths.  Its success is the product of its channels' successes and one
+    swap_success per interior router.
     """
-    neighbors: dict[str, list[tuple[str, str]]] = {}
-    for cid, c in sorted(g.channels.items()):
-        neighbors.setdefault(c.a, []).append((cid, c.b))
-        neighbors.setdefault(c.b, []).append((cid, c.a))
-    dist: dict[str, float] = {source: 0.0}
-    parent: dict[str, tuple[str, str]] = {}
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == target:
-            break
-        if u != source and g.node(u).role is not NodeRole.ROUTER:
-            continue
-        hop = swap_loss if u != source else 0.0
-        for cid, v in neighbors.get(u, ()):
-            if cid not in alive or v in done:
+    _check_endpoints(g, source, target)
+    found = []
+
+    def extend(node: str, visited: set[str], path: list[Channel]) -> None:
+        for c in g.channels.values():
+            if node not in (c.a, c.b):
                 continue
-            nd = d + hop + to_log_loss(g.channel(cid).cost.success)
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                parent[v] = (cid, u)
-                heapq.heappush(heap, (nd, v))
-    if target not in done:
-        return None
-    path: list[str] = []
-    node = target
-    while node != source:
-        cid, prev = parent[node]
-        path.append(cid)
-        node = prev
-    path.reverse()
-    success = 1.0
-    for cid in path:
-        success *= g.channel(cid).cost.success
-    for _ in range(len(path) - 1):
-        success *= g.op_costs.swap_success
-    return path, success
+            far = c.b if node == c.a else c.a
+            if far == target:
+                hops = path + [c]
+                success = 1.0
+                for hop in hops:
+                    success *= hop.cost.success
+                for _ in range(len(hops) - 1):
+                    success *= g.op_costs.swap_success
+                found.append((tuple(h.id for h in hops), success))
+            elif far not in visited and g.node(far).role is NodeRole.ROUTER:
+                extend(far, visited | {far}, path + [c])
+
+    extend(source, {source}, [])
+    return found
 
 
-def reference_harvest_paths(
-    g: NetworkGraph, request: RouteRequest
-) -> tuple[list[tuple[str, ...]], int]:
-    """Channel-disjoint swap-only paths, best first.
-
-    Repeats Dijkstra, withdrawing each found path's channels, until the
-    graph is exhausted, the best remaining path falls below min_success,
-    or max_paths is reached.  Returns (paths, sweeps run).
-    """
-    _check_endpoints(g, request.source, request.target)
-    alive = set(g.channels)
-    swap_loss = to_log_loss(g.op_costs.swap_success)
-    paths: list[tuple[str, ...]] = []
-    examined = 0
-    while len(paths) < request.max_paths:
-        examined += 1
-        found = _dijkstra(g, alive, request.source, request.target, swap_loss)
-        if found is None:
-            break
-        path, success = found
-        if success < request.min_success:
-            break
-        paths.append(tuple(path))
-        alive.difference_update(path)
-    return paths, examined
+def reference_block(g: NetworkGraph, source: str, target: str) -> set[str]:
+    """Ids of the channels on some simple source-target path through routers."""
+    return {cid for path, _ in simple_paths(g, source, target) for cid in path}
 
 
 def _emit(obj, out: list[str]) -> None:

@@ -48,7 +48,6 @@ from qnet import (
 )
 from qnet.algebra import swap_value, to_log_loss
 from qnet.reduction import strategy_leaves
-from qnet.routing import harvest_paths
 
 
 def test_composition_laws_hold():
@@ -170,7 +169,7 @@ def test_simulation_matches_analytics():
 
 def test_routing_matches_exhaustive_oracle():
     started = time.perf_counter()
-    matched = recovered = gaps = infeasible = 0
+    matched = infeasible = 0
     for seed in range(200):
         rng = seeded(5000 + seed)
         g = random_connected_graph(rng, max_channels=8)
@@ -183,31 +182,17 @@ def test_routing_matches_exhaustive_oracle():
             infeasible += 1
             continue
         assert result.search is not SearchKind.INFEASIBLE
-        paths, _ = harvest_paths(g, request)
-        covered = set()
-        for path in paths:
-            covered.update(path)
-        leaves = set(strategy_leaves(oracle_tree))
-        if leaves <= covered:
-            assert abs(result.cost.fidelity - oracle_cost.fidelity) <= 1e-9
-            matched += 1
-        elif leaves <= set(result.subgraph.channels):
-            # The harvest union missed a channel the oracle used, but the
-            # node-induced subgraph recovered it, and the search is exact
-            # over whatever subgraph it was given.
-            assert abs(result.cost.fidelity - oracle_cost.fidelity) <= 1e-9
-            recovered += 1
-        else:
-            # The oracle used channels the search never saw; the routed
-            # answer must still never claim more than the true optimum.
-            assert result.cost.fidelity <= oracle_cost.fidelity + 1e-12
-            gaps += 1
-    assert matched > 0
+        # The block holds every channel the oracle used, and the search is
+        # exact over it, so every feasible case matches.
+        assert set(strategy_leaves(oracle_tree)) <= set(result.subgraph.channels)
+        assert abs(result.cost.fidelity - oracle_cost.fidelity) <= 1e-9
+        matched += 1
+    assert matched > 150
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     print(
-        f"PASS oracle routing: {matched} matched, {recovered} recovered, "
-        f"{gaps} coverage gaps, {infeasible} infeasible, {elapsed:.1f}s"
+        f"PASS oracle routing: {matched} matched, {infeasible} infeasible, "
+        f"{elapsed:.1f}s"
     )
 
 

@@ -298,7 +298,6 @@ def test_route_flag_defaults_match_route_request():
         ["simulate", "g.json", "--samples", "1"],
     ):
         args = parser.parse_args(argv)
-        assert args.max_paths == request.max_paths
         assert args.max_bruteforce_edges == request.max_bruteforce_edges
 
 
@@ -312,7 +311,8 @@ def test_route_report(two_path_doc):
     assert doc["search"] == "FullyReduced"
     assert doc["cost"]["fidelity"] == 0.9540295119182747
     assert doc["cost"]["success"] == 0.46241928000000015
-    assert doc["paths_harvested"] == 2
+    assert "paths_harvested" not in doc
+    assert set(doc["diagnostics"]) == {"candidates_evaluated", "reduction_steps"}
     assert doc["strategy"]["op"] == "purify"
     assert len(doc["subgraph"]["edges"]) == 4
     assert doc["diagnostics"]["reduction_steps"] == 3
@@ -356,6 +356,18 @@ def test_usage_errors_exit_one(two_path_doc):
     assert proc.returncode == 1
     proc = run_cli(["unknown-command"])
     assert proc.returncode == 1
+
+
+def test_removed_max_paths_option_is_a_usage_error(two_path_doc):
+    route = ["route", two_path_doc, "--source", "A", "--target", "B", "--min-success", "0.4"]
+    simulate = ["simulate", two_path_doc, "--samples", "10", *route[2:]]
+    for argv in (route, simulate):
+        proc = run_cli([*argv, "--max-paths", "3"])
+        assert proc.returncode == 1
+        doc = json.loads(proc.stdout)
+        assert doc["code"] == 1
+        assert doc["message"] == "unrecognized arguments: --max-paths 3"
+        assert "Traceback" not in proc.stderr
 
 
 def test_bad_request_values_exit_one(two_path_doc, tmp_path):

@@ -237,6 +237,7 @@ def test_parse_rejects_non_numeric_costs():
 def test_channel_normalizes_endpoint_order():
     c = Channel("c9", "B", "A", CostVector(0.9, 0.9))
     assert (c.a, c.b) == ("A", "B")
+    assert c == Channel("c9", "A", "B", CostVector(0.9, 0.9))
 
 
 def test_graph_accessors():

@@ -38,7 +38,7 @@ from qnet._value import Value
 from qnet.algebra import swap_inverse, swap_value
 from qnet.montecarlo import McEstimate
 from qnet.reduction import ReductionStep, ReductionTrace, StepKind
-from qnet.routing import UNBOUNDED_PATHS, RouteDiagnostics
+from qnet.routing import RouteDiagnostics
 
 CV = CostVector(0.9, 0.8)
 CV_REPR = "CostVector(fidelity=0.9, success=0.8)"
@@ -49,8 +49,8 @@ STEP_REPR = (
 )
 TRACE = ReductionTrace((STEP,))
 TRACE_REPR = f"ReductionTrace(steps=({STEP_REPR},))"
-DIAG = RouteDiagnostics(1, 2, 3)
-DIAG_REPR = "RouteDiagnostics(paths_examined=1, candidates_evaluated=2, reduction_steps=3)"
+DIAG = RouteDiagnostics(2, 3)
+DIAG_REPR = "RouteDiagnostics(candidates_evaluated=2, reduction_steps=3)"
 
 
 def _graph(fidelity=0.9):
@@ -123,25 +123,24 @@ CASES = {
     ),
     "RouteRequest": (
         RouteRequest,
-        dict(source="A", target="B", min_success=0.5, max_paths=3,
-             max_bruteforce_edges=4),
-        dict(max_paths=5),
-        "RouteRequest(source='A', target='B', min_success=0.5, max_paths=3, "
+        dict(source="A", target="B", min_success=0.5, max_bruteforce_edges=4),
+        dict(max_bruteforce_edges=5),
+        "RouteRequest(source='A', target='B', min_success=0.5, "
         "max_bruteforce_edges=4)",
     ),
     "RouteDiagnostics": (
         RouteDiagnostics,
-        dict(paths_examined=1, candidates_evaluated=2, reduction_steps=3),
+        dict(candidates_evaluated=2, reduction_steps=3),
         dict(reduction_steps=4),
         DIAG_REPR,
     ),
     "RouteResult": (
         RouteResult,
-        dict(subgraph=_graph(), strategy=Leaf("c1"), cost=CV, paths_harvested=1,
+        dict(subgraph=_graph(), strategy=Leaf("c1"), cost=CV,
              search=SearchKind.FULLY_REDUCED, diagnostics=DIAG),
         dict(subgraph=_graph(0.5)),
         "RouteResult(subgraph=NetworkGraph(2 nodes, 1 channels), "
-        f"strategy=Leaf(channel='c1'), cost={CV_REPR}, paths_harvested=1, "
+        f"strategy=Leaf(channel='c1'), cost={CV_REPR}, "
         f"search=<SearchKind.FULLY_REDUCED: 'FullyReduced'>, diagnostics={DIAG_REPR})",
     ),
     "McEstimate": (
@@ -285,7 +284,6 @@ def test_defaults():
     spec = GridSpec(2, 3, 0.9, 0.8)
     assert spec.strategy is GridStrategy.PURIFY_THEN_SWAP
     request = RouteRequest("A", "B", 0.5)
-    assert request.max_paths == UNBOUNDED_PATHS
     assert request.max_bruteforce_edges == 12
 
 
@@ -337,8 +335,6 @@ def test_values_are_normalised_to_float():
          r"^min_success 0\.0 outside \(0, 1\]$"),
         (lambda: RouteRequest("A", "B", 1.5), ValueError,
          r"^min_success 1\.5 outside \(0, 1\]$"),
-        (lambda: RouteRequest("A", "B", 0.5, max_paths=0), ValueError,
-         r"^max_paths must be >= 1$"),
         (lambda: RouteRequest("A", "B", 0.5, max_bruteforce_edges=0), ValueError,
          r"^max_bruteforce_edges must be >= 1$"),
         (lambda: RouteRequest("A", "B", 0.5, max_bruteforce_edges=21), ValueError,
@@ -371,10 +367,9 @@ def test_swap_and_purify_never_compare_equal():
     assert Swap(left, right) == Swap(Leaf("c1"), Leaf("c2"))
 
 
-def test_channel_endpoints_are_sorted_and_pair_is_derived():
-    # A Channel stores exactly its four fields; no endpoint pair is derived.
+def test_channel_stores_exactly_its_four_fields():
+    # No endpoint pair is derived.  test_graph.py checks endpoint order.
     swapped = Channel("c1", "B", "A", CV)
-    assert (swapped.a, swapped.b) == ("A", "B")
     assert Channel.__slots__ == Channel._fields == ("id", "a", "b", "cost")
     assert swapped == Channel("c1", "A", "B", CV)
     assert repr(swapped) == f"Channel(id='c1', a='A', b='B', cost={CV_REPR})"
@@ -382,7 +377,7 @@ def test_channel_endpoints_are_sorted_and_pair_is_derived():
     assert (twin.a, twin.b) == ("A", "B")
 
 
-def test_channel_equality_and_hash_ignore_pair():
+def test_channel_has_no_slot_for_a_pair():
     # A Channel has no slot for a pair, so not even object.__setattr__ can
     # store one, and assignment is refused.
     plain = Channel("c1", "A", "B", CV)
