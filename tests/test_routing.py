@@ -384,9 +384,8 @@ def test_route_is_deterministic():
 def test_route_matches_oracle_when_harvest_covers_it():
     """route matches the brute-force optimum on every feasible graph.
 
-    The block holds every channel of the oracle's strategy, so the case
-    this test once had to set apart, a strategy using a channel no path
-    of the planner held, no longer arises.
+    The block holds every channel of the oracle's strategy, so no feasible
+    case is set apart.
     """
     matches = infeasible = 0
     for seed in range(40):
