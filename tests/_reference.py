@@ -124,9 +124,9 @@ def simple_paths(
     return found
 
 
-def reference_block(g: NetworkGraph, source: str, target: str) -> set[str]:
-    """Ids of the channels on some simple source-target path through routers."""
-    return {cid for path, _ in simple_paths(g, source, target) for cid in path}
+def reference_block(paths: list[tuple[tuple[str, ...], float]]) -> set[str]:
+    """Ids of the channels on the paths simple_paths listed."""
+    return {cid for path, _ in paths for cid in path}
 
 
 def _emit(obj, out: list[str]) -> None:

@@ -45,7 +45,12 @@ from qnet.routing import (
     _exhaustive_search,
     _floor_prune,
 )
-from qnet.reduction import serialize_strategy, strategy_leaves
+from qnet.reduction import (
+    is_fully_reduced_pair,
+    reduce_to_fixpoint,
+    serialize_strategy,
+    strategy_leaves,
+)
 
 TWO_PATH_COST = CostVector(0.9540295119182747, 0.46241928000000015)
 TWO_PATH_TREE = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
@@ -151,40 +156,35 @@ def _random_block_case(rng):
     return g, source, target, floor
 
 
-def test_block_matches_the_path_reference():
-    """The block is every channel of a simple path through routers.
+def test_block_and_prune_match_the_path_reference():
+    """The block is every channel of a simple path through routers, and
+    the prune keeps every channel of each path meeting the floor.
 
     On random graphs of up to 10 channels, against an enumeration of
     simple paths: the block's channels are exactly the paths' in the
     graph's order, and its nodes are the endpoints and the channels' ends,
-    in id order.
+    in id order.  The pruned block is part of the block and keeps each
+    path whose success is at least the floor, a success exactly equal to
+    it included.
     """
-    outside = 0
+    outside = dropped = exact = 0
     for seed in range(3000):
-        g, source, target, _ = _random_block_case(seeded(9000 + seed))
+        g, source, target, floor = _random_block_case(seeded(9000 + seed))
         block = _block(g, source, target)
-        expected = reference_block(g, source, target)
+        paths = simple_paths(g, source, target)
+        expected = reference_block(paths)
         assert list(block.channels) == [c for c in g.channels if c in expected], seed
         ends = {source, target} | {n for c in block.channels.values() for n in (c.a, c.b)}
         assert list(block.nodes) == sorted(ends), seed
         outside += len(block.channels) < len(g.channels)
-    assert outside > 1000
-
-
-def test_prune_keeps_every_path_that_meets_the_floor():
-    """The pruned block keeps every channel of each path whose success is
-    at least the floor, a success exactly equal to it included."""
-    dropped = exact = 0
-    for seed in range(3000):
-        g, source, target, floor = _random_block_case(seeded(9000 + seed))
-        block = _block(g, source, target)
         pruned = _floor_prune(block, source, target, floor)
         assert set(pruned.channels) <= set(block.channels), seed
-        for path, success in simple_paths(g, source, target):
+        for path, success in paths:
             if success >= floor:
                 assert set(path) <= set(pruned.channels), seed
                 exact += success == floor
         dropped += len(pruned.channels) < len(block.channels)
+    assert outside > 1000
     assert dropped > 300
     assert exact > 100
 
@@ -559,6 +559,85 @@ def test_route_refuses_low_fidelity_kernel():
     # a graph the reduction collapses never reaches the search
     collapsed = route(two_path_graph(fidelity=0.3), RouteRequest("A", "B", 0.05))
     assert collapsed.search is SearchKind.FULLY_REDUCED
+
+
+@pytest.mark.parametrize("floor", [0.01, 0.5])
+def test_route_leaves_a_channel_below_half_out_of_a_worse_collapse(floor):
+    """ROADMAP item 11's graph with c2 at fidelity 0.4.
+
+    The block's full collapse purifies c1 against Swap(c2, c3), of
+    fidelity 0.42, and answers F 0.72 at floor 0.01; at 0.5 it misses the
+    floor, and the search would refuse that kernel channel.  Collapsing
+    the block of the channels of fidelity at least 1/2, c0 and c1, gives
+    the optimum, F 0.77, at both floors.
+    """
+    g = build_graph(
+        [
+            ("c0", "A", "m1", 0.95, 0.9),
+            ("c1", "m1", "B", 0.8, 0.9),
+            ("c2", "m1", "m2", 0.4, 0.9),
+            ("c3", "m2", "B", 0.9, 0.9),
+        ]
+    )
+    result = route(g, RouteRequest("A", "B", floor))
+    assert result.search is SearchKind.FULLY_REDUCED
+    assert serialize_strategy(result.strategy) == serialize_strategy(
+        Swap(Leaf("c0"), Leaf("c1"))
+    )
+    assert list(result.subgraph.channels) == ["c0", "c1"]
+    assert result.diagnostics == RouteDiagnostics(2, 1)
+    _, oracle = brute_force_best(g, "A", "B", floor)
+    assert result.cost == oracle
+    assert result.cost.fidelity == pytest.approx(0.77, abs=1e-12)
+
+
+def _collapse_fidelity(block, floor):
+    """Fidelity of block's full collapse when it meets the floor, else None."""
+    collapsed = reduce_to_fixpoint(block)
+    if not is_fully_reduced_pair(collapsed.graph, "A", "B"):
+        return None
+    (channel,) = collapsed.graph.channels.values()
+    return channel.cost.fidelity if channel.cost.success >= floor else None
+
+
+def test_route_with_fidelities_below_half_against_the_oracle():
+    """Random graphs with fidelities from [0.02, 0.98].
+
+    route refuses (a kernel channel below 1/2) or answers infeasible
+    exactly when the oracle does, or answers with a strategy over its
+    subgraph whose cost evaluate_strategy confirms, never above the
+    optimum.  When the block collapses, the answer is at least that
+    collapse and that of the block of the channels of fidelity at least
+    1/2, whichever meet the floor; the second must beat the first on some
+    graphs.
+    """
+    seen = {"refused": 0, "infeasible": 0, "optimal": 0, "short": 0, "sound": 0}
+    for seed in range(5000, 5100):
+        g = random_connected_graph(seeded(seed), max_channels=7, fidelity=(0.02, 0.98))
+        for floor in (1e-6, 0.3):
+            try:
+                result = route(g, RouteRequest("A", "B", floor))
+            except AlgebraDomainError:
+                seen["refused"] += 1
+                continue
+            try:
+                _, oracle = brute_force_best(g, "A", "B", floor)
+            except InfeasibleRouteError:
+                assert result.search is SearchKind.INFEASIBLE, seed
+                seen["infeasible"] += 1
+                continue
+            assert result.search is not SearchKind.INFEASIBLE, seed
+            assert evaluate_strategy(result.strategy, g) == result.cost, seed
+            assert set(strategy_leaves(result.strategy)) <= set(result.subgraph.channels)
+            fidelity = result.cost.fidelity
+            assert fidelity <= oracle.fidelity + 1e-12, seed
+            seen["optimal" if fidelity >= oracle.fidelity - 1e-12 else "short"] += 1
+            whole = _collapse_fidelity(_block(g, "A", "B"), floor)
+            sound = _collapse_fidelity(_block(g, "A", "B", least_fidelity=0.5), floor)
+            if whole is not None or sound is not None:
+                assert fidelity >= max(f for f in (whole, sound) if f is not None), seed
+            seen["sound"] += sound is not None and (whole is None or sound > whole)
+    assert seen["sound"] > 20 and seen["refused"] > 20 and seen["optimal"] > 80, seen
 
 
 def _search_agrees_with_reference(g, floor):
