@@ -3,14 +3,17 @@
 One bit-sliced executor runs a strategy tree over many samples at once.
 A row is one Python int with one bit per sample, bit i for sample i, and
 every step of the walk is a handful of whole-row AND, XOR and OR
-operations.  Each sample tracks a (delivered, phase_flipped) pair per
-node.  A channel reads one uniform u: it delivers if u < success and
-arrives phase-flipped if u < success * (1 - fidelity), so a delivered pair
-is flipped with probability 1 - fidelity.  An operation reads one more
-uniform for its own success.  Swapping XORs the flip bits of its inputs,
-purification post-selects on agreement.  Estimates tally delivery and flip
-rates over the samples with int.bit_count().  The 4x4 density-matrix check
-of the dephasing channel is a test oracle, in tests/_reference.py.
+operations.  Every leaf's and every operation's success is an independent
+Bernoulli draw that only ANDs into delivery, so each sample first reads
+one uniform u and delivers iff u < S, the product of those probabilities
+in post-order.  The walk then draws each leaf's flip, with probability
+1 - fidelity, for the samples still delivered.  Swapping XORs the flip
+bits of its inputs, purification post-selects on agreement.  The joint
+law of (delivered, flips) is unchanged by drawing S once; only the bits
+a seed gives are.  success_hat samples the kernel's own product S, so a
+success factor the algebra drops still shows.  Estimates tally delivery
+and flip rates with int.bit_count().  The 4x4 density-matrix check of the
+dephasing channel is a test oracle, in tests/_reference.py.
 
 With physical acceptance off, a purification whose flips disagree still
 delivers, as the algebra charges no acceptance to success; the fidelity is
@@ -25,16 +28,11 @@ The comparison of a row of samples against T keeps the undecided samples,
 those whose bits so far equal T's; a level decides those whose bit differs
 from T's.  Levels stop at T's lowest set bit (every sample still undecided
 there has k >= T) or once no sample is undecided, so a comparison draws
-about log2(n) + 2 masks, not 53.  The undecided set starts at the running
-delivered row: a sample that has already failed is never resolved, as
-nothing it reads can change the tallies.  A leaf compares its one uniform
-with s and with s * (1 - fidelity) through the same masks.
-
-Every operation only ANDs deliveries, so a sample's root delivers exactly
-when every delivery bit the walk reads holds: the walk keeps one running
-delivered row and a stack of flip rows.  Success multiplies across the
-tree, so on a large tree every sample of a chunk often fails long before
-the root; before every node, a chunk whose delivered row is 0 stops.
+about log2(n) + 2 masks, not 53.  A chunk of a tree of L leaves makes
+L + 1 comparisons: the success draw, then one per leaf over the delivered
+row only.  On a large tree the success draw often delivers no sample of a
+chunk, which then stops before any flip, as it does once purifications
+have failed every sample.
 
 Memory: a row of n samples is an int of ceil(n / 30) four-byte digits,
 2/15 byte a sample.  A chunk holds depth + 12 rows (the flip stack and,
@@ -79,7 +77,7 @@ _MAX_SAMPLES = 1 << 40
 _UNIT = 1 << 53  # the uniforms are k / _UNIT for 53-bit integers k
 
 Threshold = int  # T = ceil(p * 2**53), in [0, 2**53]
-Step = tuple[type[StrategyTree], Threshold, Threshold]
+Step = tuple[type[StrategyTree], Threshold]
 
 
 class McEstimate(Value):
@@ -162,7 +160,11 @@ def _below(
 
 
 def _run_chunk(
-    steps: list[Step], acceptance: bool, draw: Callable[[int], int], n: int
+    success: Threshold,
+    steps: list[Step],
+    acceptance: bool,
+    draw: Callable[[int], int],
+    n: int,
 ) -> tuple[int, int, int]:
     """Delivered / accepted / accepted-and-unflipped tallies of n samples.
 
@@ -170,26 +172,21 @@ def _run_chunk(
     purification; with physical acceptance on, a disagreement already
     fails the purification, so every delivered sample is accepted.
 
-    steps holds one (kind, hi, lo) per post-order node: a leaf's
-    thresholds of s and s * (1 - fidelity), an operation's of its success
-    and 0.  The delivered row keeps the running AND of every bit the walk
-    reads: each leaf's u < s, each operation's u < p and, with acceptance
-    on, each purification's agreement.  A leaf arrives flipped if u < q
-    (given delivery u / s is uniform, and the flip of a sample that fails
-    is never counted) and pushes its flip row onto the stack; a swap XORs
-    its operands' flips into the left one, a purification compares them
-    before its own success is drawn.  A chunk whose delivered row is 0
-    stops: its tallies are 0.
+    The delivered row starts as the samples below success, the threshold
+    of S.  steps holds one (kind, t) per post-order node, t being a leaf's
+    threshold of 1 - fidelity and an operation's 0.  A leaf pushes its
+    flip row, drawn over the delivered samples; a swap XORs its operands'
+    flips into the left one, a purification compares them.  A chunk whose
+    delivered row is 0 stops: its tallies are 0.
     """
-    delivered = (1 << n) - 1
+    delivered = _below(draw, n, (1 << n) - 1, success)[0]
     disagreed = 0  # acceptance off: the samples whose flips ever disagreed
     flips: list[int] = []
-    for kind, hi, lo in steps:
+    for kind, t in steps:
         if not delivered:
             return 0, 0, 0  # every sample has failed
         if kind is Leaf:
-            delivered, flip = _below(draw, n, delivered, hi, lo)
-            flips.append(flip)
+            flips.append(_below(draw, n, delivered, t)[0])
             continue
         flip = flips.pop()
         if kind is Swap:
@@ -200,7 +197,6 @@ def _run_chunk(
                 delivered ^= delivered & flip
             else:
                 disagreed |= flip
-        delivered = _below(draw, n, delivered, hi)[0]
     accepted = delivered ^ (delivered & disagreed)
     unflipped = accepted ^ (accepted & flips[0])
     return delivered.bit_count(), accepted.bit_count(), unflipped.bit_count()
@@ -233,19 +229,21 @@ def estimate(
     check_strategy(tree, g)
     ops = g.op_costs
     steps: list[Step] = []
+    success = 1.0
     height = depth = 0
     for node in postorder(tree):
         if isinstance(node, Leaf):
             cost = g.channel(node.channel).cost
-            flip = cost.success * (1.0 - cost.fidelity)
-            steps.append((Leaf, _threshold(cost.success), _threshold(flip)))
+            success *= cost.success
+            steps.append((Leaf, _threshold(1.0 - cost.fidelity)))
             height += 1
             depth = max(depth, height)
         else:
             swap = isinstance(node, Swap)
-            success = ops.swap_success if swap else ops.purify_success
-            steps.append((type(node), _threshold(success), 0))
+            success *= ops.swap_success if swap else ops.purify_success
+            steps.append((type(node), 0))
             height -= 1
+    threshold = _threshold(success)
     # The fewest chunks that fit, of nearly equal size, one after another
     # from one stream.
     chunks = -(-samples // _chunk_samples(depth))
@@ -253,7 +251,7 @@ def estimate(
     delivered = accepted = unflipped = start = 0
     for k in range(1, chunks + 1):
         end = samples * k // chunks
-        d, a, u = _run_chunk(steps, ops.physical_acceptance, draw, end - start)
+        d, a, u = _run_chunk(threshold, steps, ops.physical_acceptance, draw, end - start)
         delivered, accepted, unflipped = delivered + d, accepted + a, unflipped + u
         start = end
 

@@ -13,11 +13,11 @@ qnet.jsonutil.canonical_dumps and the report templates write must equal
 what these give.
 
 scalar_walk_tallies is an independent oracle for the bit-sliced Monte
-Carlo kernel.  It is fed the masks the kernel drew for each post-order node
-of one chunk and walks the tree one sample at a time: it reads each
-sample's 53-bit uniform k top bit first from those masks, decides k < T
-from that prefix alone, and refuses a prefix that leaves a decision open
-for a sample that still delivers.  Its delivered / accepted / unflipped
+Carlo kernel.  It is fed the masks the kernel drew for each comparison of
+one chunk (the success draw, then each leaf's flip) and walks the tree one
+sample at a time: it reads each sample's 53-bit uniform k top bit first
+from those masks, decides k < T from that prefix alone, and refuses a
+prefix that leaves a decision open for a sample that still delivers.  Its delivered / accepted / unflipped
 tallies must equal the chunk's exactly, with physical acceptance on or off.
 
 philox_two_draw_tallies is the Monte Carlo kernel as it was before it drew
@@ -288,45 +288,48 @@ def scalar_walk_tallies(
     nodes: list[StrategyTree],
     g: NetworkGraph,
     n: int,
-    node_masks: list[list[int]],
+    masks: list[list[int]],
 ) -> tuple[int, int, int]:
     """Delivered / accepted / accepted-and-unflipped tallies of n samples.
 
-    node_masks[j] holds the masks drawn for post-order node j; the list is
-    shorter when the chunk stopped early, which is right only if every
-    sample had failed by then.  A leaf reads s and s * (1 - fidelity) from
-    one uniform, an operation its success; a purification tests agreement
-    before its success is read.  Each sample carries, per node,
-    (delivered, flipped, agreed), agreed meaning that the flips agreed at
-    every purification below it; with physical acceptance on, a
-    disagreement fails the purification instead.  `alive` is the running
-    AND of every bit read so far: a decision the masks leave open is an
-    error for a sample still alive, and harmless otherwise, as such a
-    sample can no longer reach the tallies.
+    masks[0] holds the masks of the success draw, one uniform per sample
+    against S, the product in post-order of every leaf's and operation's
+    success probability; masks[1 + j] those of the j-th leaf's flip, against
+    1 - fidelity.  The list is shorter when the chunk stopped early, which
+    is right only if every sample had failed by then.  A purification tests
+    agreement.  Each sample carries, per node, (flipped, agreed), agreed
+    meaning that the flips agreed at every purification below it; with
+    physical acceptance on, a disagreement fails the sample instead.
+    `alive` is the running AND of the success draw and those agreements: a
+    decision the masks leave open is an error for a sample still alive, and
+    harmless otherwise, as such a sample can no longer reach the tallies.
     """
     physical = g.op_costs.physical_acceptance
-    ops = g.op_costs
 
     def threshold(p: float) -> int:
         return math.ceil(p * float(_UNIT))
 
-    plans = []  # per node: (kind, thresholds, prefixes, levels)
-    for j, node in enumerate(nodes):
+    success = 1.0
+    flip_thresholds = []
+    for node in nodes:
         if isinstance(node, Leaf):
             cost = g.channel(node.channel).cost
-            ts = (threshold(cost.success), threshold(cost.success * (1.0 - cost.fidelity)))
+            success *= cost.success
+            flip_thresholds.append(threshold(1.0 - cost.fidelity))
         else:
-            ts = (threshold(_op_success(node, g)),)
-        masks = node_masks[j] if j < len(node_masks) else None
-        prefixes = None if masks is None else _prefixes(masks, n)
-        plans.append((type(node), ts, prefixes, None if masks is None else len(masks)))
+            success *= _op_success(node, g)
+    plans = []  # per comparison: (threshold, prefixes, levels)
+    for j, t in enumerate([threshold(success)] + flip_thresholds):
+        if j < len(masks):
+            plans.append((t, _prefixes(masks[j], n), len(masks[j])))
+        else:
+            plans.append((t, None, None))
     tallies = [0, 0, 0]
     for i in range(n):
-        alive = True
-        values: list[tuple[bool, bool, bool]] = []
 
-        def read(t, prefixes, levels):
-            if prefixes is None:  # the chunk stopped before this node
+        def read(plan, alive):
+            t, prefixes, levels = plan
+            if prefixes is None:  # the chunk stopped before this comparison
                 assert not alive, f"sample {i} still delivers where the chunk stopped"
                 return False
             below = uniform_below(prefixes[i], levels, t)
@@ -335,30 +338,26 @@ def scalar_walk_tallies(
                 return False
             return below
 
-        for kind, ts, prefixes, levels in plans:
-            if kind is Leaf:
-                delivered = read(ts[0], prefixes, levels)
-                flipped = read(ts[1], prefixes, levels)
-                alive = alive and delivered
-                values.append((delivered, flipped, True))
+        alive = read(plans[0], True)
+        leaf_plans = iter(plans[1:])
+        values: list[tuple[bool, bool]] = []
+        for node in nodes:
+            if isinstance(node, Leaf):
+                values.append((read(next(leaf_plans), alive), True))
                 continue
-            db, zb, ab = values.pop()
-            da, za, aa = values.pop()
+            zb, ab = values.pop()
+            za, aa = values.pop()
             agree = za == zb
-            if kind is Purify and physical:
-                alive = alive and agree
-            ok = read(ts[0], prefixes, levels)
-            alive = alive and ok
-            if kind is Swap:
-                values.append((da and db and ok, za != zb, aa and ab))
+            if isinstance(node, Swap):
+                values.append((za != zb, aa and ab))
             elif physical:
-                values.append((da and db and ok and agree, za, aa and ab))
+                alive = alive and agree
+                values.append((za, aa and ab))
             else:
-                values.append((da and db and ok, za, aa and ab and agree))
-        ((delivered, flipped, agreed),) = values
-        assert delivered == alive
-        accepted = delivered and agreed
-        tallies[0] += delivered
+                values.append((za, aa and ab and agree))
+        ((flipped, agreed),) = values
+        accepted = alive and agreed
+        tallies[0] += alive
         tallies[1] += accepted
         tallies[2] += accepted and not flipped
     return tuple(tallies)

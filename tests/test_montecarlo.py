@@ -7,6 +7,7 @@ import tracemalloc
 from contextlib import ExitStack, contextmanager
 from math import sqrt
 from random import Random
+from statistics import mean, stdev
 from unittest import mock
 
 import numpy as np
@@ -46,7 +47,7 @@ from qnet import (
     evaluate_strategy,
     swap_fidelity,
 )
-from qnet import montecarlo
+from qnet import algebra, montecarlo
 from qnet.reduction import postorder
 
 
@@ -147,14 +148,15 @@ def test_estimate_validation():
 @contextmanager
 def _recorded(chunk=None, budget=None):
     """Record each chunk estimate runs, as [n, tallies, masks], masks
-    holding the masks each node's comparison drew, in post-order; under a
-    chunk sample cap or a byte budget if given."""
+    holding the masks each comparison drew: the success draw's, then each
+    leaf's flip, in post-order; under a chunk sample cap or a byte budget
+    if given."""
     chunks = []
     run_chunk, below = montecarlo._run_chunk, montecarlo._below
 
-    def recording_chunk(steps, acceptance, draw, n):
-        chunks.append([n, None, []])
-        chunks[-1][1] = run_chunk(steps, acceptance, draw, n)
+    def recording_chunk(*args):
+        chunks.append([args[-1], None, []])
+        chunks[-1][1] = run_chunk(*args)
         return chunks[-1][1]
 
     def recording_below(draw, n, undecided, hi, lo=0):
@@ -236,7 +238,7 @@ def test_chunks_run_as_a_stream():
     class Started(Exception):
         pass
 
-    def first_chunk(steps, acceptance, draw, n):
+    def first_chunk(*args):
         raise Started
 
     tracemalloc.start()
@@ -264,7 +266,7 @@ def test_samples_are_bounded(samples, refused):
     assert montecarlo._MAX_SAMPLES == 1 << 40
     g = build_graph([("c1", "A", "B", 0.9, 0.9)])
 
-    def first_chunk(steps, acceptance, draw, n):
+    def first_chunk(*args):
         raise _Started
 
     if refused:
@@ -364,10 +366,16 @@ def test_comparator_decides_k_below_t_exactly(p, lo):
         assert len(drawn) == want_levels
 
 
+def _comparisons(tree):
+    """Comparisons of a chunk that runs to the end: the success draw, then
+    one per leaf."""
+    return 1 + sum(isinstance(node, Leaf) for node in postorder(tree))
+
+
 def _check_against_scalar_walk(tree, g, chunks):
     nodes = postorder(tree)
     for n, tallies, masks in chunks:
-        assert len(masks) <= len(nodes)
+        assert len(masks) <= _comparisons(tree)
         assert tallies == scalar_walk_tallies(nodes, g, n, masks)
 
 
@@ -432,15 +440,17 @@ def _weak_chain_case(leaves, success, acceptance):
     return tree, g
 
 
-# (case, samples, chunk, seed) where every chunk of 97 samples stops
-# early, and where the first stops early but a later one delivers
+# (case, samples, chunk, seed) where every chunk of 97 samples stops at its
+# success draw, and where the first stops early but a later one delivers:
+# with acceptance on, the first chunk delivers some samples and stops once
+# purifications have failed them all
 _ALL_CHUNKS_STOP = [
     (_weak_chain_case(20, 0.5, True), 700, 97, 5),
     (_weak_chain_case(20, 0.5, False), 700, 97, 5),
 ]
 _FIRST_CHUNK_STOPS = [
-    (_weak_chain_case(12, 0.7, True), 700, 97, 1),
-    (_weak_chain_case(16, 0.75, False), 700, 97, 7),
+    (_weak_chain_case(12, 0.7, True), 700, 97, 0),
+    (_weak_chain_case(16, 0.75, False), 700, 97, 2),
 ]
 
 
@@ -480,23 +490,24 @@ def test_stopping_examples_stop_the_chunks_they_name(
     case, samples, chunk, seed, every
 ):
     tree, g = case
-    nodes = len(postorder(tree))
     with _recorded(chunk) as chunks:
         estimate(tree, g, samples, seed)
     visited = [len(masks) for _, _, masks in chunks]
     assert len(visited) == -(-samples // chunk)
     delivered = sum(tallies[0] for _, tallies, _ in chunks)
     if every:
-        assert max(visited) < nodes and delivered == 0
+        assert visited == [1] * len(visited) and delivered == 0
+    elif g.op_costs.physical_acceptance:
+        assert 1 < visited[0] < _comparisons(tree) and delivered > 0
     else:
-        assert visited[0] < nodes and delivered > 0
+        assert visited[0] == 1 and delivered > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_a_chunk_stops_once_every_sample_has_failed(seed):
-    """A 40-leaf chain whose first leaf never delivers: each chunk reads
-    the first post-order node and stops before the second, whatever the
-    seed."""
+    """A 40-leaf chain whose first leaf never delivers: S = 0, so each
+    chunk makes its success comparison, which draws no mask, and stops
+    before any flip, whatever the seed."""
     hops = ["A"] + [f"m{i}" for i in range(1, 40)] + ["B"]
     g = build_graph(
         [
@@ -510,7 +521,7 @@ def test_a_chunk_stops_once_every_sample_has_failed(seed):
     with _recorded(chunk=100) as chunks:
         estimate(tree, g, 1000, seed)
     assert len(chunks) == 10
-    # success 0 is T = 0: the first leaf draws no mask and delivers nothing
+    # S = 0 is T = 0: the success draw reads no mask and delivers nothing
     assert [masks for _, _, masks in chunks] == [[[]]] * 10
     assert [tallies for _, tallies, _ in chunks] == [(0, 0, 0)] * 10
 
@@ -527,31 +538,35 @@ def test_a_chunk_stops_once_every_sample_has_failed(seed):
     ],
 )
 def test_one_leaf_reads_one_uniform_per_sample(seed, success, fidelity):
-    """Sample i of a 1-leaf tree reads bit i of successive getrandbits(n)
-    masks of random.Random(seed) as its k, top bit first, chunk after
-    chunk from one stream: delivered iff k < T(s), flipped iff
-    k < T(s * (1 - f)).  Rebuilt here one sample at a time."""
+    """Each chunk of a 1-leaf tree reads successive getrandbits(n) masks of
+    random.Random(seed), chunk after chunk from one stream, bit i of a mask
+    being the next bit of sample i's k, top bit first: first the success
+    masks over every sample, delivered iff k < T(s), then the flip masks
+    over the delivered samples only, flipped iff k' < T(1 - f).  Rebuilt
+    here one sample at a time."""
     samples, chunk = 30001, 4096
     g = build_graph([("c1", "A", "B", fidelity, success)])
     tallies = _chunk_tallies(Leaf("c1"), g, samples, seed, chunk)
     hi = math.ceil(success * 2**53)
-    lo = math.ceil(success * (1.0 - fidelity) * 2**53)
+    lo = math.ceil((1.0 - fidelity) * 2**53)
     rng = Random(seed)
+
+    def compare(n, asked, t):
+        """Which of the samples in `asked` read a k below t."""
+        prefixes, levels = [0] * n, 0
+        while any(uniform_below(prefixes[i], levels, t) is None for i in asked):
+            mask = rng.getrandbits(n)
+            prefixes = [k << 1 | (mask >> i) & 1 for i, k in enumerate(prefixes)]
+            levels += 1
+        return [i for i in asked if uniform_below(prefixes[i], levels, t)]
+
     chunks = -(-samples // chunk)
     delivered = flipped = 0
     for c in range(chunks):
         n = samples * (c + 1) // chunks - samples * c // chunks
-        prefixes, levels = [0] * n, 0
-        while any(
-            uniform_below(k, levels, t) is None
-            for k in prefixes
-            for t in (hi, lo)
-        ):
-            mask = rng.getrandbits(n)
-            prefixes = [k << 1 | (mask >> i) & 1 for i, k in enumerate(prefixes)]
-            levels += 1
-        delivered += sum(uniform_below(k, levels, hi) for k in prefixes)
-        flipped += sum(uniform_below(k, levels, lo) for k in prefixes)
+        alive = compare(n, range(n), hi)
+        flipped += len(compare(n, alive, lo))  # no mask when alive is empty
+        delivered += len(alive)
     assert len(tallies) == chunks
     assert [sum(column) for column in zip(*tallies)] == [
         delivered, delivered, delivered - flipped,
@@ -591,11 +606,11 @@ def test_worker_buffers_stay_within_chunk_bytes(shape, leaves, samples, monkeypa
     peaks = []
     run_chunk = montecarlo._run_chunk
 
-    def measured(steps, acceptance, draw, n):
+    def measured(*args):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        result = run_chunk(steps, acceptance, draw, n)
-        peaks.append((n, tracemalloc.get_traced_memory()[1] - before))
+        result = run_chunk(*args)
+        peaks.append((args[-1], tracemalloc.get_traced_memory()[1] - before))
         return result
 
     monkeypatch.setattr(montecarlo, "_run_chunk", measured)
@@ -685,19 +700,20 @@ def test_estimate_is_reproducible_per_seed():
 
 def test_estimate_thread_count_never_changes_numbers():
     """estimate takes no thread count.  Its numbers on four chunks (50,000,
-    50,000, 50,000 and 50,001 samples) are those that estimate gave at every
-    thread count from 1 to 4 when it still took one."""
+    50,000, 50,000 and 50,001 samples) were pinned at every thread count
+    from 1 to 4 when it still took one, and pinned again once each sample
+    drew its success once."""
     g = two_path_graph()
     tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
     est = estimate(tree, g, 200001, seed=9)
     assert est == estimate(tree, g, 200001, seed=9)
     assert (est.fidelity_hat, est.success_hat) == (
-        0.9541793796427069,
-        0.4637626811865941,
+        0.9529730022182547,
+        0.4620726896365518,
     )
     assert (est.std_error_fidelity, est.std_error_success) == (
-        0.0006865647679035152,
-        0.0011150910574862242,
+        0.0006963742307997007,
+        0.0011148100204232403,
     )
     with pytest.raises(TypeError):
         estimate(tree, g, 200001, 9, 2)
@@ -766,6 +782,97 @@ def test_random_trees_match_analytic_costs():
             accepted = round(est.success_hat * n)  # acceptance on: all delivered
             se_f = max(sqrt(f * (1.0 - f) / accepted), 1e-6)
             assert abs(est.fidelity_hat - f) <= 4 * se_f
+
+
+def _z_scores(acceptance, trees, samples):
+    """Success and fidelity z-scores of one estimate per random tree against
+    its analytic cost, each at the analytic value's standard error; an
+    outcome expected fewer than _SMALL_COUNT times in its base is left out,
+    as its count is not near normal."""
+    success, fidelity = [], []
+    for i in range(trees):
+        tree, g = random_strategy_tree(seeded(i), acceptance=acceptance)
+        # the two modes read different streams: their scores are independent
+        seed = 2 * i + acceptance
+        ((delivered, accepted, unflipped),) = _chunk_tallies(tree, g, samples, seed)
+        analytic = evaluate_strategy(tree, g)
+        for rate, hits, base, scores in (
+            (analytic.success, delivered, samples, success),
+            (analytic.fidelity, unflipped, accepted, fidelity),
+        ):
+            if min(rate, 1.0 - rate) * base >= _SMALL_COUNT:
+                scores.append((hits / base - rate) / sqrt(rate * (1.0 - rate) / base))
+    return success, fidelity
+
+
+@pytest.mark.parametrize("acceptance", [True, False], ids=["on", "off"])
+def test_estimates_are_calibrated_against_analytic_costs(acceptance):
+    """Over 400 random trees at 10,000 samples, the z-scores of success and
+    of fidelity have a mean within 0.2 of 0 and a standard deviation within
+    0.15 of 1: the estimate is neither biased nor over- or under-dispersed.
+    """
+    for scores in _z_scores(acceptance, 400, 10000):
+        assert len(scores) >= 200
+        assert abs(mean(scores)) <= 0.2
+        assert 0.85 <= stdev(scores) <= 1.15
+
+
+def _dropped_swap_success(f1, s1, f2, s2, ops):
+    return algebra.swap_value(f1, f2), s1 * s2
+
+
+def _dropped_purify_success(f1, s1, f2, s2, ops):
+    agree = algebra.swap_value(f1, f2)
+    return f1 * f2 / agree, s1 * s2 * (agree if ops.physical_acceptance else 1.0)
+
+
+def _dropped_agreement(f1, s1, f2, s2, ops):
+    agree = algebra.swap_value(f1, f2)
+    return f1 * f2 / agree, s1 * s2 * ops.purify_success
+
+
+def _ten_leaf_case(acceptance):
+    ops = OperationCosts(
+        swap_success=0.9, purify_success=0.9, physical_acceptance=acceptance
+    )
+    costs = [
+        (0.9, 0.95), (0.8, 0.9), (0.85, 0.97), (0.75, 0.92), (0.95, 0.9),
+        (0.7, 0.99), (0.88, 0.93), (0.8, 0.96), (0.92, 0.9), (0.78, 0.94),
+    ]
+    g = build_graph(
+        [(f"c{i}", "A", "B", f, s) for i, (f, s) in enumerate(costs)], ops=ops
+    )
+    c = [Leaf(f"c{i}") for i in range(10)]
+    tree = Swap(
+        Purify(Swap(c[0], c[1]), Purify(c[2], c[3])),
+        Purify(Swap(c[4], Purify(c[5], c[6])), Swap(c[7], Purify(c[8], c[9]))),
+    )
+    return tree, g
+
+
+@pytest.mark.parametrize(
+    "name, defect, acceptance",
+    [
+        ("swap_floats", _dropped_swap_success, True),
+        ("swap_floats", _dropped_swap_success, False),
+        ("purify_floats", _dropped_purify_success, True),
+        ("purify_floats", _dropped_purify_success, False),
+        ("purify_floats", _dropped_agreement, True),
+    ],
+    ids=["swap-on", "swap-off", "purify-on", "purify-off", "agreement-on"],
+)
+def test_estimate_catches_a_dropped_success_factor(name, defect, acceptance):
+    """The kernel multiplies the success factors itself, from the graph, so a
+    factor the algebra drops shows: the estimate lies more than 5 standard
+    errors from the defective analytic cost and within 5 of the real one."""
+    tree, g = _ten_leaf_case(acceptance)
+    est = estimate(tree, g, 20000, seed=32)
+    real = evaluate_strategy(tree, g)
+    with mock.patch.object(algebra, name, defect):
+        planted = evaluate_strategy(tree, g)
+    assert abs(est.success_hat - real.success) <= 5 * est.std_error_success
+    assert abs(est.fidelity_hat - real.fidelity) <= 5 * est.std_error_fidelity
+    assert abs(est.success_hat - planted.success) > 5 * est.std_error_success
 
 
 def test_density_matrix_validation():

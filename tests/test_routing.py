@@ -10,6 +10,7 @@ from _generators import (
     bridge_graph,
     build_graph,
     random_connected_graph,
+    random_sp_graph,
     seeded,
     two_path_graph,
 )
@@ -346,6 +347,27 @@ def test_route_endpoint_validation():
         route(g, RouteRequest("A", "ghost", 0.5))
 
 
+def test_full_collapse_is_at_least_as_faithful_as_any_strategy():
+    """On 100 random series-parallel graphs of 8-12 channels, acceptance
+    alternately on and off, the full collapse's fidelity is at least that
+    of the best strategy the exhaustive search finds over every subset and
+    composition, with a success floor of the smallest positive float (so
+    no feasible candidate is dropped), within 1e-12 relative."""
+    cases = seed = 0
+    while cases < 100:
+        g = random_sp_graph(seeded(16000 + seed), max_edges=12)
+        seed += 1
+        if not 8 <= len(g.channels) <= 12:
+            continue
+        ops = g.op_costs
+        ops = OperationCosts(ops.swap_success, ops.purify_success, cases % 2 == 0)
+        g = NetworkGraph(list(g.nodes.values()), list(g.channels.values()), ops)
+        cases += 1
+        (collapse,) = reduce_to_fixpoint(g).graph.channels.values()
+        (_, best), _ = _exhaustive_search(g, "A", "B", 5e-324)
+        assert collapse.cost.fidelity >= best.fidelity * (1.0 - 1e-12), seed - 1
+
+
 def test_exhaustive_search_directly():
     (tree, cost), _ = _exhaustive_search(two_path_graph(), "A", "B", 0.3)
     assert cost == TWO_PATH_COST
@@ -502,7 +524,14 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys):
     route planned over the block of its endpoints and the path harvest
     went, the 22 route reports were pinned again without paths_harvested
     and diagnostics.paths_examined, every other byte kept; the 17 reduce
-    and simulate cases kept their bytes.
+    and simulate cases kept their bytes.  Once each sample drew its success
+    once, against the product of every success probability, and then only
+    the flips of the samples still delivered, the twelve simulate cases were
+    produced again: the same eight changed their estimates, and the four
+    100-leaf cases still deliver nothing and kept their bytes, as did every
+    route and reduce case.  Each pinned simulate estimate must lie within 5
+    standard errors of its own analytic cost, so that no re-pin can lock in
+    a biased kernel.
     """
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) == 39
@@ -513,6 +542,26 @@ def test_route_reports_match_pinned_search_results(tmp_path, capsys):
         assert run(argv) == 0, case["name"]
         out, _ = capsys.readouterr()
         assert out == case["report"], case["name"]
+        if case["argv"][0] == "simulate":
+            _assert_estimate_near_analytic(json.loads(out))
+
+
+def _assert_estimate_near_analytic(report):
+    """The estimate lies within 5 standard errors of the analytic cost.
+
+    A standard error is the larger of the estimate's own and one taken at
+    the analytic value, over every sample for success and over the
+    delivered ones for fidelity, so that an estimate of exactly 0 or 1,
+    whose own standard error is 0, is not held to 0.
+    """
+    est, analytic = report["estimate"], report["analytic"]
+    n, s, f = est["samples"], analytic["success"], analytic["fidelity"]
+    se = max(est["std_error_success"], math.sqrt(s * (1.0 - s) / n))
+    assert abs(est["success_hat"] - s) <= 5 * se, report
+    if est["fidelity_hat"] is not None:
+        delivered = est["success_hat"] * n
+        se = max(est["std_error_fidelity"], math.sqrt(f * (1.0 - f) / delivered))
+        assert abs(est["fidelity_hat"] - f) <= 5 * se, report
 
 
 def test_search_refuses_fidelity_below_half():
