@@ -71,8 +71,8 @@ _CHUNK_BYTES = 32 << 20
 _ROWS = 12
 _ROW_HEADER = 48
 # An estimate takes at most _MAX_SAMPLES samples, a few hours of drawing:
-# one leaf runs at 1.05-1.25e8 samples/s (2-core VM), so 2**40 take
-# 2.5-2.9 h, and a larger request is refused rather than left running.
+# one leaf runs at 0.8-1.4e8 samples/s (2-core VM), so 2**40 take
+# 2.2-3.9 h, and a larger request is refused rather than left running.
 _MAX_SAMPLES = 1 << 40
 _UNIT = 1 << 53  # the uniforms are k / _UNIT for 53-bit integers k
 
@@ -243,7 +243,7 @@ def estimate(
             success *= ops.swap_success if swap else ops.purify_success
             steps.append((type(node), 0))
             height -= 1
-    threshold = _threshold(success)
+    success_t, acceptance = _threshold(success), ops.physical_acceptance
     # The fewest chunks that fit, of nearly equal size, one after another
     # from one stream.
     chunks = -(-samples // _chunk_samples(depth))
@@ -251,7 +251,7 @@ def estimate(
     delivered = accepted = unflipped = start = 0
     for k in range(1, chunks + 1):
         end = samples * k // chunks
-        d, a, u = _run_chunk(threshold, steps, ops.physical_acceptance, draw, end - start)
+        d, a, u = _run_chunk(success_t, steps, acceptance, draw, end - start)
         delivered, accepted, unflipped = delivered + d, accepted + a, unflipped + u
         start = end
 

@@ -17,8 +17,9 @@ Carlo kernel.  It is fed the masks the kernel drew for each comparison of
 one chunk (the success draw, then each leaf's flip) and walks the tree one
 sample at a time: it reads each sample's 53-bit uniform k top bit first
 from those masks, decides k < T from that prefix alone, and refuses a
-prefix that leaves a decision open for a sample that still delivers.  Its delivered / accepted / unflipped
-tallies must equal the chunk's exactly, with physical acceptance on or off.
+prefix that leaves a decision open for a sample that still delivers.  Its
+delivered / accepted / unflipped tallies must equal the chunk's exactly,
+with physical acceptance on or off.
 
 philox_two_draw_tallies is the Monte Carlo kernel as it was before it drew
 one uniform per leaf: two Philox draws per leaf (delivery, then flip), one
