@@ -8,6 +8,7 @@ floats); human-readable diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from enum import IntEnum
@@ -27,7 +28,7 @@ from .graph import (
     parse_graph,
     write_graph,
 )
-from .jsonutil import RawJSON, canonical_dumps, float_text, quote
+from .jsonutil import RawJSON, canonical_dumps, quote
 from .reduction import (
     StrategyTree,
     evaluate_strategy,
@@ -135,21 +136,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_STEP = '{"consumed":[%s],"eliminated":%s,"fidelity":%s,"kind":%s,"produced":%s,"success":%s}'
+# The engine range-checks every step's floats, so they are finite and
+# take '%.17g' directly, as float_text would write them.
+_STEP = '{"consumed":[%s,%s],"eliminated":%s,"fidelity":%.17g,"kind":%s,"produced":%s,"success":%.17g}'
 
 
 def _write_trace(steps) -> str:
-    """The canonical JSON array of a reduction trace, as text."""
+    """The canonical JSON array of a reduction trace's rows, as text."""
     return "[%s]" % ",".join([
         _STEP % (
-            ",".join(map(quote, s.consumed)),
-            "null" if s.eliminated is None else quote(s.eliminated),
-            float_text(s.cost.fidelity),
-            quote(s.kind.value),
-            quote(s.produced),
-            float_text(s.cost.success),
+            quote(first),
+            quote(second),
+            "null" if eliminated is None else quote(eliminated),
+            fidelity + 0.0,
+            quote(kind.value),
+            quote(produced),
+            success + 0.0,
         )
-        for s in steps
+        for kind, (first, second), eliminated, produced, fidelity, success in steps
     ])
 
 
@@ -335,6 +339,17 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Process entry of `python -m qnet` and the `qnet` script: run(argv)
+    with the cyclic garbage collector switched off.
+
+    A command builds its whole document, graph and reduction at once, and
+    the collector's passes would re-traverse that growing heap to find
+    cyclic garbage it does not hold: a command leaves a few hundred cyclic
+    objects (the argument parser's), whatever the size of its document,
+    and the process ends when the command does.  run(), which callers
+    embedding qnet use, leaves the collector as it finds it.
+    """
+    gc.disable()
     return run(argv)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from ._value import Value, _set
 from .algebra import CostVector, OperationCosts
-from .jsonutil import canonical_dumps, float_text, quote
+from .jsonutil import canonical_dumps, quote
 
 __all__ = [
     "Channel",
@@ -87,23 +87,24 @@ class NetworkGraph:
         op_costs: OperationCosts | None = None,
     ) -> None:
         self._nodes: dict[str, Node] = {}
-        for n in nodes:
-            _check_id("node", n.id)
-            if n.id in self._nodes:
-                raise GraphFormatError(f"duplicate node id {n.id!r}")
-            self._nodes[n.id] = n
         self._channels: dict[str, Channel] = {}
+        known, joined = self._nodes, self._channels
+        for n in nodes:
+            nid = _check_id("node", n.id)
+            if nid in known:
+                raise GraphFormatError(f"duplicate node id {nid!r}")
+            known[nid] = n
         for c in channels:
-            _check_id("channel", c.id)
-            if c.id in self._channels:
-                raise GraphFormatError(f"duplicate channel id {c.id!r}")
-            if c.a not in self._nodes or c.b not in self._nodes:
+            cid, a, b = _check_id("channel", c.id), c.a, c.b
+            if cid in joined:
+                raise GraphFormatError(f"duplicate channel id {cid!r}")
+            if a not in known or b not in known:
                 raise GraphFormatError(
-                    f"channel {c.id!r} references unknown node"
+                    f"channel {cid!r} references unknown node"
                 )
-            if c.a == c.b:
-                raise GraphFormatError(f"channel {c.id!r} is a self-loop")
-            self._channels[c.id] = c
+            if a == b:
+                raise GraphFormatError(f"channel {cid!r} is a self-loop")
+            joined[cid] = c
         self.op_costs = op_costs if op_costs is not None else OperationCosts()
 
     @property
@@ -292,15 +293,17 @@ def write_graph(g: NetworkGraph) -> str:
 
     The document holds edges (a, b, fidelity, id, success) and nodes (id,
     role), each sorted by id, op_costs and "version": 1, with the sorted
-    keys and float text of canonical_dumps; one template per record.
+    keys and float text of canonical_dumps; one template per record.  A
+    CostVector's floats lie in [0, 1], so the edge template writes them
+    with '%.17g' itself, as float_text would.
     """
     edges = ",".join([
-        '{"a":%s,"b":%s,"fidelity":%s,"id":%s,"success":%s}' % (
+        '{"a":%s,"b":%s,"fidelity":%.17g,"id":%s,"success":%.17g}' % (
             quote(c.a),
             quote(c.b),
-            float_text(c.cost.fidelity),
+            c.cost.fidelity + 0.0,
             quote(cid),
-            float_text(c.cost.success),
+            c.cost.success + 0.0,
         )
         for cid, c in sorted(g._channels.items())
     ])

@@ -6,18 +6,20 @@ Repeating both to a fixpoint collapses any series-parallel topology to a
 single channel whose cost is independent of the step order; irreducible
 remainders (bridge-like topologies) survive and are handed to search.
 
-Every step is recorded in a trace, and every produced channel carries a
-strategy tree saying which physical operations build it.
+Every step is recorded in a trace as one plain row, a ReductionStep
+(kind, consumed, eliminated, produced, fidelity, success), and every
+produced channel carries a strategy tree saying which physical operations
+build it.
 """
 from __future__ import annotations
 
 import heapq
 import re
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from ._value import Value
-from .algebra import CostVector, purify_cost, swap_cost
+from .algebra import CostVector, purify_cost, purify_floats, swap_cost, swap_floats
 from .graph import Channel, GraphFormatError, NetworkGraph, NodeRole
 from .jsonutil import quote
 
@@ -198,13 +200,19 @@ class StepKind(Enum):
     PARALLEL = "parallel"
 
 
-class ReductionStep(Value):
-    __slots__ = _fields = ("kind", "consumed", "eliminated", "produced", "cost")
+class ReductionStep(NamedTuple):
+    """One rewrite step: a plain row, not a validated record.
+
+    The engine fills it from values it has checked itself, so it carries
+    the produced channel's cost as two floats rather than a CostVector.
+    """
+
     kind: StepKind
     consumed: tuple[str, str]
     eliminated: str | None
     produced: str
-    cost: CostVector
+    fidelity: float
+    success: float
 
 
 class ReductionTrace(Value):
@@ -228,45 +236,64 @@ def _synthetic_start(g: NetworkGraph) -> int:
     return top + 1
 
 
+# The engine makes strategy nodes as Value.__init__ would, without its
+# argument binding: object.__new__, then each slot's own setter.
+_new = object.__new__
+_set_channel = Leaf.channel.__set__
+_set_left, _set_right = _Operation.left.__set__, _Operation.right.__set__
+
+
 class _Engine:
     """Mutable rewrite machinery of reduce_to_fixpoint.
 
     run() reduces to a fixpoint: parallel steps are exhausted before series
     steps, and within each kind the candidate carrying the lowest channel id
     goes first; routers that tie on it go in id order.  A live channel is
-    chan[id] = (a, b, cost) with a <= b, and inc[n] holds the live ids at
-    live node n.  pairs[(a, b)] is a heap of exactly the live ids spanning a
-    and b.  par_heap holds an entry for the smallest id of every pair with
-    two or more, and ser_heap an entry (lowest id, router) for every router
-    of two channels, each plus stale entries dropped when they reach the
-    top.  A par_heap entry whose channel is live is still its pair's
-    smallest, in a pair of two or more: a smaller id of the pair would have
-    an entry of its own, and channels leave a pair of several only two
-    smallest at a time, by a parallel step.  The whole run is
-    O(|E| log |E|).
+    the row chan[id] = (a, b, fidelity, success) with a <= b, and inc[n]
+    holds the live ids at live node n.  pairs[(a, b)] is a heap of exactly
+    the live ids spanning a and b.  par_heap holds an entry for the smallest
+    id of every pair with two or more, and ser_heap an entry (lowest id,
+    router) for every router of two channels, each plus stale entries
+    dropped when they reach the top.  A par_heap entry whose channel is
+    live is still its pair's smallest, in a pair of two or more: a smaller
+    id of the pair would have an entry of its own, and channels leave a
+    pair of several only two smallest at a time, by a parallel step.  The
+    whole run is O(|E| log |E|).
+
+    Costs stay plain floats: swap_floats and purify_floats compose them,
+    and each result gets CostVector's [0, 1] check inline, a CostVector
+    being built only to raise its error.  Each step is appended to steps
+    as a ReductionStep row made by tuple.__new__, so no record is
+    validated per step.
     """
 
     def __init__(self, g: NetworkGraph) -> None:
         self.graph = g
         self.routers = {nid for nid, n in g.nodes.items() if n.role is NodeRole.ROUTER}
         self.inc: dict[str, set[str]] = {nid: set() for nid in g.nodes}
-        self.chan: dict[str, tuple[str, str, CostVector]] = {}
+        self.chan: dict[str, tuple[str, str, float, float]] = {}
         self.pairs: dict[tuple[str, str], list[str]] = {}
+        self.trees: dict[str, StrategyTree] = {}
+        routers, inc, chan, pairs, trees = (
+            self.routers, self.inc, self.chan, self.pairs, self.trees
+        )
         for cid, c in g.channels.items():
-            self.chan[cid] = (c.a, c.b, c.cost)
-            self.inc[c.a].add(cid)
-            self.inc[c.b].add(cid)
-            self.pairs.setdefault((c.a, c.b), []).append(cid)
-        self.trees: dict[str, StrategyTree] = {cid: Leaf(cid) for cid in self.chan}
+            a, b, cost = c.a, c.b, c.cost
+            chan[cid] = (a, b, cost.fidelity, cost.success)
+            inc[a].add(cid)
+            inc[b].add(cid)
+            pairs.setdefault((a, b), []).append(cid)
+            trees[cid] = leaf = _new(Leaf)
+            _set_channel(leaf, cid)
         self.steps: list[ReductionStep] = []
         self.next_id = _synthetic_start(g)
-        for members in self.pairs.values():
+        for members in pairs.values():
             heapq.heapify(members)
-        self.par_heap = [m[0] for m in self.pairs.values() if len(m) > 1]
+        self.par_heap = [m[0] for m in pairs.values() if len(m) > 1]
         self.ser_heap = [
             (min(ids), nid)
-            for nid, ids in self.inc.items()
-            if len(ids) == 2 and nid in self.routers
+            for nid, ids in inc.items()
+            if len(ids) == 2 and nid in routers
         ]
         heapq.heapify(self.par_heap)
         heapq.heapify(self.ser_heap)
@@ -278,25 +305,28 @@ class _Engine:
         )
         par_heap, ser_heap = self.par_heap, self.ser_heap
         push, pop = heapq.heappush, heapq.heappop
+        swap, purify = swap_floats, purify_floats
+        new, new_row, set_left, set_right = _new, tuple.__new__, _set_left, _set_right
+        row, SERIES, PARALLEL = ReductionStep, StepKind.SERIES, StepKind.PARALLEL
+        next_id = self.next_id
         while True:
-            produced = f"r{self.next_id}"
             while par_heap and par_heap[0] not in chan:
                 pop(par_heap)
             if par_heap and not series_only:
                 # The parallel step: the live top and the next id of its pair.
                 cid1 = pop(par_heap)
-                u, w, cost1 = chan.pop(cid1)
+                u, w, f1, s1 = chan.pop(cid1)
                 members = pairs[u, w]
                 pop(members)
                 cid2 = pop(members)
-                cost = purify_cost(cost1, chan.pop(cid2)[2], ops)
-                steps.append(
-                    ReductionStep(StepKind.PARALLEL, (cid1, cid2), None, produced, cost)
-                )
-                tree = Purify(trees.pop(cid1), trees.pop(cid2))
-                for end in (u, w):
-                    inc[end].remove(cid1)
-                    inc[end].remove(cid2)
+                _, _, f2, s2 = chan.pop(cid2)
+                f, s = purify(f1, s1, f2, s2, ops)
+                kind, eliminated, tree = PARALLEL, None, new(Purify)
+                at_u, at_w = inc[u], inc[w]
+                at_u.remove(cid1)
+                at_u.remove(cid2)
+                at_w.remove(cid1)
+                at_w.remove(cid2)
             else:
                 # The series step: the router of two channels, to two
                 # distinct nodes, whose lower id is the lowest.
@@ -304,10 +334,12 @@ class _Engine:
                     key, nid = ser_heap[0]
                     ids = inc.get(nid)
                     if ids is not None and len(ids) == 2:
-                        cid1, cid2 = sorted(ids)
+                        cid1, cid2 = ids
+                        if cid2 < cid1:
+                            cid1, cid2 = cid2, cid1
                         if key == cid1:
-                            a1, b1, cost1 = chan[cid1]
-                            a2, b2, cost2 = chan[cid2]
+                            a1, b1, f1, s1 = chan[cid1]
+                            a2, b2, f2, s2 = chan[cid2]
                             u = b1 if a1 == nid else a1
                             w = b2 if a2 == nid else a2
                             if u != w:
@@ -316,37 +348,44 @@ class _Engine:
                 else:
                     break  # no step applies
                 pop(ser_heap)
-                cost = swap_cost(cost1, cost2, ops)
-                steps.append(
-                    ReductionStep(StepKind.SERIES, (cid1, cid2), nid, produced, cost)
-                )
-                tree = Swap(trees.pop(cid1), trees.pop(cid2))
+                f, s = swap(f1, s1, f2, s2, ops)
+                kind, eliminated, tree = SERIES, nid, new(Swap)
                 # a router of two channels is the only node of both pairs
                 del chan[cid1], chan[cid2], pairs[a1, b1], pairs[a2, b2], inc[nid]
-                inc[u].remove(cid1)
-                inc[w].remove(cid2)
+                at_u, at_w = inc[u], inc[w]
+                at_u.remove(cid1)
+                at_w.remove(cid2)
                 if w < u:
-                    u, w = w, u
-            self.next_id += 1
-            chan[produced] = (u, w, cost)
+                    u, w, at_u, at_w = w, u, at_w, at_u
+            if not (0.0 <= f <= 1.0 and 0.0 <= s <= 1.0):
+                CostVector(f, s)  # raises its range error
+            produced = f"r{next_id}"
+            next_id += 1
+            steps.append(new_row(row, (kind, (cid1, cid2), eliminated, produced, f, s)))
+            # the strategy node made above gets its two children
+            set_left(tree, trees.pop(cid1))
+            set_right(tree, trees.pop(cid2))
             trees[produced] = tree
+            chan[produced] = (u, w, f, s)
             members = pairs.setdefault((u, w), [])
             push(members, produced)
             if len(members) > 1:
                 push(par_heap, members[0])
-            for end in (u, w):
-                ids = inc[end]
-                ids.add(produced)
-                if len(ids) == 2 and end in routers:
-                    push(ser_heap, (min(ids), end))
+            at_u.add(produced)
+            if len(at_u) == 2 and u in routers:
+                push(ser_heap, (min(at_u), u))
+            at_w.add(produced)
+            if len(at_w) == 2 and w in routers:
+                push(ser_heap, (min(at_w), w))
+        self.next_id = next_id
 
     def result(self) -> ReductionResult:
         nodes, channels = self.graph.nodes, self.graph.channels
         graph = NetworkGraph(
             [nodes[nid] for nid in self.inc],
             [
-                channels[cid] if cid in channels else Channel(cid, a, b, cost)
-                for cid, (a, b, cost) in self.chan.items()
+                channels[cid] if cid in channels else Channel(cid, a, b, CostVector(f, s))
+                for cid, (a, b, f, s) in self.chan.items()
             ],
             self.graph.op_costs,
         )

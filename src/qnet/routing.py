@@ -115,10 +115,16 @@ def _check_endpoints(g: NetworkGraph, source: str, target: str) -> None:
 def _subgraph(
     g: NetworkGraph, channels: list[Channel], source: str, target: str
 ) -> NetworkGraph:
-    """The endpoints, the channels given and their nodes, in id order."""
+    """The endpoints, the channels given and their nodes, in id order.
+
+    channels are distinct channels of g; when they and their nodes are all
+    of g, that is g itself, which is returned without a copy.
+    """
     ends = {source, target}
     for c in channels:
         ends.update((c.a, c.b))
+    if len(channels) == len(g.channels) and len(ends) == len(g.nodes):
+        return g
     return NetworkGraph([g.node(n) for n in sorted(ends)], channels, g.op_costs)
 
 

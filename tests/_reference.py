@@ -182,8 +182,8 @@ def reference_step_obj(step) -> dict:
         "consumed": list(step.consumed),
         "eliminated": step.eliminated,
         "produced": step.produced,
-        "fidelity": step.cost.fidelity,
-        "success": step.cost.success,
+        "fidelity": step.fidelity,
+        "success": step.success,
     }
 
 
@@ -685,7 +685,9 @@ class Rewriter:
         else:
             combine, tree = purify_cost, Purify
         cost = combine(c1.cost, c2.cost, self.ops)
-        step = ReductionStep(kind, (c1.id, c2.id), eliminated, produced, cost)
+        step = ReductionStep(
+            kind, (c1.id, c2.id), eliminated, produced, cost.fidelity, cost.success
+        )
         self.trees[produced] = tree(self.trees.pop(c1.id), self.trees.pop(c2.id))
         del self.channels[c1.id], self.channels[c2.id]
         self.channels[produced] = Channel(produced, *ends, cost)
@@ -805,6 +807,7 @@ def replay_trace(g: NetworkGraph, document: str | bytes) -> NetworkGraph:
             step = rewriter.parallel(*entry["consumed"], entry["produced"])
         if list(step.consumed) != entry["consumed"]:
             raise ReductionError(f"trace step {entry!r} consumed {step.consumed} on replay")
-        if (step.cost.fidelity, step.cost.success) != (entry["fidelity"], entry["success"]):
-            raise ReductionError(f"trace step {entry!r} costs {step.cost} on replay")
+        cost = (step.fidelity, step.success)
+        if cost != (entry["fidelity"], entry["success"]):
+            raise ReductionError(f"trace step {entry!r} costs {cost} on replay")
     return rewriter.graph()

@@ -1,4 +1,7 @@
 """Command-line interface: reports, exit codes, determinism."""
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -21,6 +24,7 @@ from qnet import (
     serialize_graph,
     serialize_strategy,
 )
+from qnet import cli
 
 
 def run_cli(args, env=None, timeout=None):
@@ -165,14 +169,18 @@ def test_deeply_nested_documents_fail_cleanly(tmp_path, two_path_doc):
         assert json.loads(proc.stdout)["code"] == 1
 
 
-def test_commands_handle_a_3000_rung_ladder(tmp_path):
-    rungs = 3000
+def _ladder_graph(rungs):
+    """A-B chain of rungs hops, each hop two parallel channels."""
     hops = ["A"] + [f"m{i}" for i in range(1, rungs)] + ["B"]
     edges = []
     for i in range(rungs):
         edges.append((f"c{2 * i}", hops[i], hops[i + 1], 0.99, 0.999))
         edges.append((f"c{2 * i + 1}", hops[i], hops[i + 1], 0.98, 0.998))
-    g = build_graph(edges)
+    return build_graph(edges)
+
+
+def test_commands_handle_a_3000_rung_ladder(tmp_path):
+    g = _ladder_graph(3000)
     path = tmp_path / "ladder.json"
     path.write_bytes(serialize_graph(g))
     (tree,) = reduce_to_fixpoint(g).strategies.values()
@@ -193,6 +201,74 @@ def test_commands_handle_a_3000_rung_ladder(tmp_path):
         doc = json.loads(proc.stdout.replace(strategy, "null"))
         cost = cost_of(doc)
         assert (cost["fidelity"], cost["success"]) == (want.fidelity, want.success)
+
+
+@pytest.fixture(scope="module")
+def ladder_doc(tmp_path_factory):
+    """The 2,000-channel ladder's document."""
+    path = tmp_path_factory.mktemp("graphs") / "ladder.json"
+    path.write_bytes(serialize_graph(_ladder_graph(1000)))
+    return str(path)
+
+
+def _run_in_process(argv):
+    """(exit code, stdout) of cli.run(argv)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+def _subcommands(doc, large):
+    route = ["--source", "A", "--target", "B", "--min-success", "1e-60"]
+    side = ["40", "50"] if large else ["2", "2"]
+    return [
+        ["reduce", doc, "--trace"],
+        ["route", doc, *route],
+        ["simulate", doc, "--samples", "200"],
+        ["grid", "--breadth", side[0], "--depth", side[1],
+         "--fidelity", "0.9", "--success", "0.9"],
+    ]
+
+
+def test_commands_leave_little_cyclic_garbage(two_path_doc, ladder_doc):
+    """cli.main switches the cyclic collector off for the process, which
+    holds only while a command leaves a small, fixed amount of cyclic
+    garbage (the argument parser's) whatever the size of its document:
+    here the README document and the 2,000-channel ladder, or a 2 x 2 and
+    a 40 x 50 grid.  cli.run itself leaves the collector as it found it."""
+    enabled = gc.isenabled()
+    try:
+        for small, large in zip(
+            _subcommands(two_path_doc, False), _subcommands(ladder_doc, True)
+        ):
+            found = []
+            for argv in (small, large):
+                gc.collect()
+                gc.disable()
+                code, _ = _run_in_process(argv)
+                assert code == 0 and not gc.isenabled()
+                found.append(gc.collect())
+                gc.enable()
+                assert _run_in_process(argv)[0] == 0 and gc.isenabled()
+            assert found[0] == found[1] and found[0] < 1000, (small[0], found)
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_fresh_process_prints_what_run_prints(ladder_doc):
+    """python -m qnet, which runs without the cyclic collector, writes the
+    same report as cli.run."""
+    argv = ["reduce", ladder_doc, "--trace"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qnet", *argv], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    code, text = _run_in_process(argv)
+    assert (proc.returncode, proc.stdout) == (code, text.encode("ascii"))
 
 
 def _loaded_after(code, modules):

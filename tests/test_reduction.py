@@ -78,7 +78,7 @@ def test_series_step_swaps_through_router():
     assert step.consumed == ("c1", "c2")
     assert step.eliminated == "m1"
     assert step.produced == "r0"
-    assert step.cost == CostVector(0.8200000000000001, 0.81 * 0.5)
+    assert (step.fidelity, step.success) == (0.8200000000000001, 0.81 * 0.5)
     assert set(g2.channels) == {"r0"}
     assert "m1" not in g2.nodes
     assert (g2.channel("r0").a, g2.channel("r0").b) == ("A", "B")
@@ -89,7 +89,7 @@ def test_series_step_identity_channel():
         [("c1", "A", "m1", 1.0, 1.0), ("c2", "m1", "B", 0.77, 0.6)]
     )
     g2, step = series_step(g, "m1")
-    assert step.cost == CostVector(0.77, 0.6)
+    assert (step.fidelity, step.success) == (0.77, 0.6)
 
 
 def test_series_step_rejects_bad_nodes():
@@ -123,8 +123,8 @@ def test_parallel_step_purifies_pair():
     assert step.kind is StepKind.PARALLEL
     assert step.consumed == ("c1", "c2")  # normalized order
     assert step.eliminated is None
-    assert step.cost.fidelity == 0.9540295119182747
-    assert abs(step.cost.success - 0.81**2 * 0.7048) <= 1e-12
+    assert step.fidelity == 0.9540295119182747
+    assert abs(step.success - 0.81**2 * 0.7048) <= 1e-12
     assert set(g2.channels) == {"r0"}
 
 
@@ -134,13 +134,13 @@ def test_parallel_step_identity_and_inverse_partners():
         ops=OperationCosts(physical_acceptance=False),
     )
     _, step = parallel_step(g, "c1", "c2")
-    assert step.cost.fidelity == 0.77
+    assert step.fidelity == 0.77
     g = build_graph(
         [("c1", "A", "B", 0.77, 0.9), ("c2", "A", "B", 0.23, 1.0)],
         ops=OperationCosts(physical_acceptance=False),
     )
     _, step = parallel_step(g, "c1", "c2")
-    assert abs(step.cost.fidelity - 0.5) <= 1e-12
+    assert abs(step.fidelity - 0.5) <= 1e-12
 
 
 def test_parallel_step_rejections():
@@ -156,6 +156,47 @@ def test_parallel_step_rejections():
     )
     with pytest.raises(AlgebraDomainError):
         parallel_step(singular, "c1", "c2")
+
+
+@pytest.mark.parametrize("kernel", ["swap_floats", "purify_floats"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1.5, 0.5), r"^fidelity 1\.5 outside \[0, 1\]$"),
+        ((0.5, 1.5), r"^success probability 1\.5 outside \[0, 1\]$"),
+        ((float("nan"), 0.5), r"^fidelity nan outside \[0, 1\]$"),
+    ],
+    ids=["fidelity", "success", "nan"],
+)
+def test_engine_range_checks_every_step(monkeypatch, kernel, bad, message):
+    """The engine composes plain floats, so it checks each step's result as
+    CostVector would: a kernel whose first result lies outside [0, 1]
+    raises CostVector's error at that step.
+
+    The steps are purify c1, c2 at A-m; swap at m; swap at n.  The last
+    swap, with a channel of fidelity 1/2, would bring a bad fidelity or
+    success of the first two steps back into [0, 1], so only a check at
+    the step itself sees it.
+    """
+    real = getattr(reduction, kernel)
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        return bad if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(reduction, kernel, planted)
+    g = build_graph(
+        [
+            ("c1", "A", "m", 0.9, 0.9),
+            ("c2", "A", "m", 0.9, 0.9),
+            ("c3", "m", "n", 0.9, 0.9),
+            ("c4", "n", "B", 0.5, 0.5),
+        ]
+    )
+    with pytest.raises(AlgebraDomainError, match=message):
+        reduce_to_fixpoint(g)
+    assert len(calls) == 1
 
 
 def test_fixpoint_two_path_graph():
@@ -477,7 +518,7 @@ def test_series_heap_pushes_stay_linear(monkeypatch):
 
 def _assert_exact_pair_heaps(engine):
     live = {}
-    for cid, (a, b, _) in engine.chan.items():
+    for cid, (a, b, _, _) in engine.chan.items():
         assert a <= b
         live.setdefault((a, b), []).append(cid)
     assert set(engine.pairs) == set(live)
@@ -489,7 +530,7 @@ def _assert_exact_pair_heaps(engine):
 def test_engine_keeps_only_live_node_pairs():
     engine = _Engine(_ladder(2000))
     engine.run()
-    live = {(a, b) for a, b, _ in engine.chan.values()}
+    live = {(a, b) for a, b, _, _ in engine.chan.values()}
     assert len(live) == 1
     assert set(engine.pairs) == live
     # series_only leaves pairs of several channels behind, and a full run
@@ -505,7 +546,7 @@ def test_engine_keeps_only_live_node_pairs():
 def _steps_bits(steps):
     return [
         (s.kind, s.consumed, s.eliminated, s.produced,
-         s.cost.fidelity.hex(), s.cost.success.hex())
+         s.fidelity.hex(), s.success.hex())
         for s in steps
     ]
 

@@ -45,6 +45,7 @@ from qnet.routing import (
     _block,
     _exhaustive_search,
     _floor_prune,
+    _subgraph,
 )
 from qnet.reduction import (
     is_fully_reduced_pair,
@@ -164,9 +165,12 @@ def test_block_and_prune_match_the_path_reference():
     On random graphs of up to 10 channels, against an enumeration of
     simple paths: the block's channels are exactly the paths' in the
     graph's order, and its nodes are the endpoints and the channels' ends,
-    in id order.  The pruned block is part of the block and keeps each
-    path whose success is at least the floor, a success exactly equal to
-    it included.
+    in id order.  The block equals the subgraph of those channels, and it
+    is the graph itself exactly when it keeps every channel and every
+    node, as the block of a block does.  The pruned block is part of the
+    block and keeps each path whose success is at least the floor, a
+    success exactly equal to it included; it is the block itself exactly
+    when it keeps all of it.
     """
     outside = dropped = exact = 0
     for seed in range(3000):
@@ -177,9 +181,20 @@ def test_block_and_prune_match_the_path_reference():
         assert list(block.channels) == [c for c in g.channels if c in expected], seed
         ends = {source, target} | {n for c in block.channels.values() for n in (c.a, c.b)}
         assert list(block.nodes) == sorted(ends), seed
+        kept = list(block.channels.values())
+        copied = NetworkGraph([g.node(n) for n in sorted(ends)], kept, g.op_costs)
+        assert block == _subgraph(g, kept, source, target) == copied, seed
+        whole = len(kept) == len(g.channels) and len(ends) == len(g.nodes)
+        assert (block is g) == whole, seed
+        assert _block(block, source, target) is block, seed
         outside += len(block.channels) < len(g.channels)
         pruned = _floor_prune(block, source, target, floor)
         assert set(pruned.channels) <= set(block.channels), seed
+        whole = (
+            len(pruned.channels) == len(block.channels)
+            and len(pruned.nodes) == len(block.nodes)
+        )
+        assert (pruned is block) == whole, seed
         for path, success in paths:
             if success >= floor:
                 assert set(path) <= set(pruned.channels), seed
