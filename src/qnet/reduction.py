@@ -252,19 +252,21 @@ class _Engine:
     the row chan[id] = (a, b, fidelity, success) with a <= b, and inc[n]
     holds the live ids at live node n.  pairs[(a, b)] is a heap of exactly
     the live ids spanning a and b.  par_heap holds an entry for the smallest
-    id of every pair with two or more, and ser_heap an entry (lowest id,
-    router) for every router of two channels, each plus stale entries
-    dropped when they reach the top.  A par_heap entry whose channel is
-    live is still its pair's smallest, in a pair of two or more: a smaller
-    id of the pair would have an entry of its own, and channels leave a
-    pair of several only two smallest at a time, by a parallel step.  The
-    whole run is O(|E| log |E|).
+    id of every pair with two or more, and ser_heap the lower id of every
+    router of two channels, each plus stale entries dropped when they reach
+    the top.  A ser_heap entry names a channel, not a router: the
+    channel's ends a <= b are tried in that order, the order of routers
+    that tie on it, so the heap compares plain strings.  A par_heap entry
+    whose channel is live is still its pair's smallest, in a pair of two or
+    more: a smaller id of the pair would have an entry of its own, and
+    channels leave a pair of several only two smallest at a time, by a
+    parallel step.  The whole run is O(|E| log |E|).
 
     Costs stay plain floats: swap_floats and purify_floats compose them,
     and each result gets CostVector's [0, 1] check inline, a CostVector
     being built only to raise its error.  Each step is appended to steps
-    as a ReductionStep row made by tuple.__new__, so no record is
-    validated per step.
+    as a ReductionStep row made by tuple.__new__, and strategy nodes skip
+    Value's argument binding, so no record is validated per step.
     """
 
     def __init__(self, g: NetworkGraph) -> None:
@@ -291,9 +293,7 @@ class _Engine:
             heapq.heapify(members)
         self.par_heap = [m[0] for m in pairs.values() if len(m) > 1]
         self.ser_heap = [
-            (min(ids), nid)
-            for nid, ids in inc.items()
-            if len(ids) == 2 and nid in routers
+            min(ids) for nid, ids in inc.items() if len(ids) == 2 and nid in routers
         ]
         heapq.heapify(self.par_heap)
         heapq.heapify(self.ser_heap)
@@ -329,25 +329,29 @@ class _Engine:
                 at_w.remove(cid2)
             else:
                 # The series step: the router of two channels, to two
-                # distinct nodes, whose lower id is the lowest.
-                while ser_heap:
-                    key, nid = ser_heap[0]
-                    ids = inc.get(nid)
-                    if ids is not None and len(ids) == 2:
-                        cid1, cid2 = ids
-                        if cid2 < cid1:
-                            cid1, cid2 = cid2, cid1
-                        if key == cid1:
-                            a1, b1, f1, s1 = chan[cid1]
-                            a2, b2, f2, s2 = chan[cid2]
-                            u = b1 if a1 == nid else a1
-                            w = b2 if a2 == nid else a2
-                            if u != w:
-                                break
+                # distinct nodes, whose lower id is the lowest; of the two
+                # ends of that channel, a <= b, the lower goes first.
+                nid = None
+                while ser_heap and nid is None:
+                    cid1 = ser_heap[0]
+                    if cid1 in chan:
+                        a1, b1, f1, s1 = chan[cid1]
+                        for nid in (a1, b1):
+                            ids = inc[nid]
+                            if len(ids) == 2 and nid in routers:
+                                first, second = ids
+                                cid2 = second if first == cid1 else first
+                                if cid1 < cid2:
+                                    a2, b2, f2, s2 = chan[cid2]
+                                    u = b1 if a1 == nid else a1
+                                    w = b2 if a2 == nid else a2
+                                    if u != w:
+                                        break
+                        else:
+                            nid = None
                     pop(ser_heap)
-                else:
+                if nid is None:
                     break  # no step applies
-                pop(ser_heap)
                 f, s = swap(f1, s1, f2, s2, ops)
                 kind, eliminated, tree = SERIES, nid, new(Swap)
                 # a router of two channels is the only node of both pairs
@@ -373,10 +377,10 @@ class _Engine:
                 push(par_heap, members[0])
             at_u.add(produced)
             if len(at_u) == 2 and u in routers:
-                push(ser_heap, (min(at_u), u))
+                push(ser_heap, min(at_u))
             at_w.add(produced)
             if len(at_w) == 2 and w in routers:
-                push(ser_heap, (min(at_w), w))
+                push(ser_heap, min(at_w))
         self.next_id = next_id
 
     def result(self) -> ReductionResult:

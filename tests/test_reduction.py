@@ -509,10 +509,11 @@ def test_series_heap_pushes_stay_linear(monkeypatch):
         engine.run()
         assert len(engine.chan) == 1
         steps = len(engine.steps)
-        series = sum(isinstance(item, tuple) for _, item in pushed)
+        series = sum(heap is engine.ser_heap for heap, _ in pushed)
         parallel = sum(heap is engine.par_heap for heap, _ in pushed)
         routers = len(g.nodes) - 2
         assert series <= routers + 2 * steps, series
+        assert (series > 0) == (routers > 0)
         assert parallel <= len(g.channels) + steps, parallel
 
 
