@@ -15,6 +15,9 @@ __all__ = ["Value"]
 
 # Stores a slot from __init__, past Value.__setattr__.
 _set = object.__setattr__
+# Makes an instance without __init__, for code on a hot path that checks
+# the fields itself and stores each with _set (or the slot's own setter).
+_new = object.__new__
 
 
 def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:

@@ -13,7 +13,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._value import Value, _set
+from ._value import Value, _new, _set
 from .algebra import CostVector, OperationCosts
 from .jsonutil import canonical_dumps, quote
 
@@ -185,6 +185,12 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
     Any id of 1-64 non-whitespace characters is accepted, 'r<n>' included,
     so every graph qnet writes parses again; reduction numbers the channels
     it creates past any such id already in the graph.
+
+    Each node, cost and channel is made as its constructor would make it,
+    without the call: the fields are checked here (a cost's range as
+    CostVector checks it, raising its error) and stored with _set, and a
+    channel's ends are sorted as Channel sorts them.  NetworkGraph then
+    checks the ids and the ends.
     """
     if isinstance(document, bytes):
         try:
@@ -250,7 +256,10 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
             raise GraphFormatError(
                 f"nodes[{i}]: role {entry['role']!r} must be 'endpoint' or 'router'"
             ) from None
-        nodes.append(Node(nid, role))
+        node = _new(Node)
+        _set(node, "id", nid)
+        _set(node, "role", role)
+        nodes.append(node)
 
     if not isinstance(doc["edges"], list):
         raise GraphFormatError("edges must be an array")
@@ -260,21 +269,33 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
             raise GraphFormatError(f"edges[{i}] must be an object")
         if entry.keys() != _EDGE_FIELDS.keys():
             _require_keys(entry, _EDGE_FIELDS, f"edges[{i}]")
-        cid = entry["id"]
+        cid, a, b = entry["id"], entry["a"], entry["b"]
         if not isinstance(cid, str):
             raise GraphFormatError(f"edges[{i}]: id must be a string")
-        for end in ("a", "b"):
-            if not isinstance(entry[end], str):
-                raise GraphFormatError(f"edges[{i}]: {end} must be a string")
+        if not isinstance(a, str):
+            raise GraphFormatError(f"edges[{i}]: a must be a string")
+        if not isinstance(b, str):
+            raise GraphFormatError(f"edges[{i}]: b must be a string")
         fidelity, success = entry["fidelity"], entry["success"]
         if type(fidelity) is not float or type(success) is not float:
             fidelity = _number(entry, "fidelity", f"edges[{i}]")
             success = _number(entry, "success", f"edges[{i}]")
-        try:
-            cost = CostVector(fidelity, success)
-        except ValueError as exc:
-            raise GraphFormatError(f"edges[{i}]: {exc}") from None
-        channels.append(Channel(cid, entry["a"], entry["b"], cost))
+        if not (0.0 <= fidelity <= 1.0 and 0.0 <= success <= 1.0):
+            try:
+                CostVector(fidelity, success)  # raises its range error
+            except ValueError as exc:
+                raise GraphFormatError(f"edges[{i}]: {exc}") from None
+        cost = _new(CostVector)
+        _set(cost, "fidelity", fidelity)
+        _set(cost, "success", success)
+        if b < a:
+            a, b = b, a
+        channel = _new(Channel)
+        _set(channel, "id", cid)
+        _set(channel, "a", a)
+        _set(channel, "b", b)
+        _set(channel, "cost", cost)
+        channels.append(channel)
 
     return NetworkGraph(nodes, channels, ops)
 

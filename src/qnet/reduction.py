@@ -18,7 +18,7 @@ import re
 from enum import Enum
 from typing import NamedTuple, Union
 
-from ._value import Value
+from ._value import Value, _new
 from .algebra import CostVector, purify_cost, purify_floats, swap_cost, swap_floats
 from .graph import Channel, GraphFormatError, NetworkGraph, NodeRole
 from .jsonutil import quote
@@ -237,8 +237,7 @@ def _synthetic_start(g: NetworkGraph) -> int:
 
 
 # The engine makes strategy nodes as Value.__init__ would, without its
-# argument binding: object.__new__, then each slot's own setter.
-_new = object.__new__
+# argument binding: _new, then each slot's own setter.
 _set_channel = Leaf.channel.__set__
 _set_left, _set_right = _Operation.left.__set__, _Operation.right.__set__
 
