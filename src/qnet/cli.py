@@ -30,6 +30,7 @@ from .graph import (
 )
 from .jsonutil import RawJSON, canonical_dumps, quote
 from .reduction import (
+    StepKind,
     StrategyTree,
     evaluate_strategy,
     reduce_to_fixpoint,
@@ -139,6 +140,7 @@ def _build_parser() -> _Parser:
 # The engine range-checks every step's floats, so they are finite and
 # take '%.17g' directly, as float_text would write them.
 _STEP = '{"consumed":[%s,%s],"eliminated":%s,"fidelity":%.17g,"kind":%s,"produced":%s,"success":%.17g}'
+_KIND_TEXT = {kind: quote(kind.value) for kind in StepKind}
 
 
 def _write_trace(steps) -> str:
@@ -149,7 +151,7 @@ def _write_trace(steps) -> str:
             quote(second),
             "null" if eliminated is None else quote(eliminated),
             fidelity + 0.0,
-            quote(kind.value),
+            _KIND_TEXT[kind],
             quote(produced),
             success + 0.0,
         )

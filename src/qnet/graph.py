@@ -144,6 +144,7 @@ class NetworkGraph:
 
 
 _ROLES = {role.value: role for role in NodeRole}
+_ROLE_TEXT = {role: quote(role.value) for role in NodeRole}
 _NODE_FIELDS = {"id": True, "role": True}
 _EDGE_FIELDS = dict.fromkeys(("id", "a", "b", "fidelity", "success"), True)
 
@@ -329,7 +330,7 @@ def write_graph(g: NetworkGraph) -> str:
         for cid, c in sorted(g._channels.items())
     ])
     nodes = ",".join([
-        '{"id":%s,"role":%s}' % (quote(nid), quote(n.role.value))
+        '{"id":%s,"role":%s}' % (quote(nid), _ROLE_TEXT[n.role])
         for nid, n in sorted(g._nodes.items())
     ])
     return '{"edges":[%s],"nodes":[%s],"op_costs":%s,"version":1}' % (

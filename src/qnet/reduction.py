@@ -229,8 +229,7 @@ class ReductionResult(Value):
 
 def _synthetic_start(g: NetworkGraph) -> int:
     top = -1
-    for cid in g.channels:
-        m = _SYNTHETIC_ID_RE.match(cid)
+    for m in map(_SYNTHETIC_ID_RE.match, g.channels):
         if m:
             top = max(top, int(m.group(1)))
     return top + 1
