@@ -386,7 +386,8 @@ class _Engine:
         graph = NetworkGraph(
             [nodes[nid] for nid in self.inc],
             [
-                channels[cid] if cid in channels else Channel(cid, a, b, CostVector(f, s))
+                channels[cid] if cid in channels
+                else Channel(cid, a, b, CostVector(f, s))
                 for cid, (a, b, f, s) in self.chan.items()
             ],
             self.graph.op_costs,

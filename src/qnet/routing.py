@@ -117,8 +117,8 @@ def _subgraph(
 ) -> NetworkGraph:
     """The endpoints, the channels given and their nodes, in id order.
 
-    channels are distinct channels of g; when they and their nodes are all
-    of g, that is g itself, which is returned without a copy.
+    channels are distinct channels of g.  When they and their nodes are
+    all of g, the answer is g itself, uncopied, in g's own order.
     """
     ends = {source, target}
     for c in channels:
