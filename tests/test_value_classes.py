@@ -156,9 +156,7 @@ CASES = {
 }
 # hold a NetworkGraph, or a dict, so hashing raises TypeError
 UNHASHABLE = {"ReductionResult", "RouteResult"}
-# Named tuples, not Value subclasses: the reduction engine builds a trace
-# row with tuple.__new__, unvalidated.  A row equals the plain tuple of its
-# fields, and its constructor is __new__.
+# named tuples, not Value records (see the module docstring)
 ROWS = {"ReductionStep"}
 
 
