@@ -19,6 +19,7 @@ __all__ = [
     "GridSpec",
     "GridStrategy",
     "OperationCosts",
+    "check_cost",
     "dephasing_bell_fidelity",
     "grid_cost",
     "purify_acceptance",
@@ -65,6 +66,13 @@ class CostVector(Value):
     def __init__(self, fidelity: float, success: float) -> None:
         _set(self, "fidelity", _checked(fidelity))
         _set(self, "success", _checked(success, _SUCCESS))
+
+
+def check_cost(fidelity: float, success: float) -> None:
+    """Refuse plain floats outside [0, 1] with CostVector's error."""
+    if not (0.0 <= fidelity <= 1.0 and 0.0 <= success <= 1.0):
+        _checked(fidelity)
+        _checked(success, _SUCCESS)
 
 
 class OperationCosts(Value):

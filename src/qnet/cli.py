@@ -168,12 +168,12 @@ def _cmd_reduce(args) -> int:
         "terminal": RawJSON(write_graph(result.graph)),
         "channels": [
             {
-                "id": c.id,
-                "fidelity": c.cost.fidelity,
-                "success": c.cost.success,
-                "strategy": RawJSON(serialize_strategy(result.strategies[c.id])),
+                "id": cid,
+                "fidelity": fidelity,
+                "success": success,
+                "strategy": RawJSON(serialize_strategy(result.strategies[cid])),
             }
-            for c in sorted(result.graph.channels.values(), key=lambda c: c.id)
+            for cid, (_, _, fidelity, success) in sorted(result.graph._channels.items())
         ],
     }
     if args.trace:

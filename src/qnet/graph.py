@@ -1,20 +1,21 @@
 """Network graph model and its JSON document format.
 
-Multigraph of endpoint/repeater nodes joined by channels, each channel
-carrying a (fidelity, success) cost vector.  Documents are versioned and
-strict: unknown fields are rejected, serialization is canonical, and
-parse(serialize(g)) reproduces g exactly.
+Multigraph of endpoint/repeater nodes joined by channels.  A graph keeps
+each channel as one row, id -> (a, b, fidelity, success) with a <= b, from
+the document to the report, and builds a Channel record only on request.
+Documents are versioned and strict: unknown fields are rejected,
+serialization is canonical, and parse(serialize(g)) reproduces g exactly.
 """
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
-from ._value import Value, _new, _set
-from .algebra import CostVector, OperationCosts
+from ._value import Value
+from .algebra import CostVector, OperationCosts, check_cost
 from .jsonutil import canonical_dumps, quote
 
 __all__ = [
@@ -57,12 +58,7 @@ class Channel(Value):
     cost: CostVector
 
     def __init__(self, id: str, a: str, b: str, cost: CostVector) -> None:
-        if b < a:
-            a, b = b, a
-        _set(self, "id", id)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "cost", cost)
+        Value.__init__(self, id, *sorted((a, b)), cost)
 
 
 def _check_id(kind: str, value: str) -> str:
@@ -73,10 +69,32 @@ def _check_id(kind: str, value: str) -> str:
     return value
 
 
+# A channel as a graph keeps it: (a, b, fidelity, success), a <= b.
+Row = tuple[str, str, float, float]
+
+
+class _Channels(Mapping):
+    """Read-only view of a graph's rows as Channel records, built on access."""
+
+    def __init__(self, rows: dict[str, Row]) -> None:
+        self._rows = rows
+
+    def __getitem__(self, cid: str) -> Channel:
+        a, b, fidelity, success = self._rows[cid]
+        return Channel(cid, a, b, CostVector(fidelity, success))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+
 class NetworkGraph:
     """Immutable multigraph with per-operation cost factors.
 
-    nodes and channels are read-only views of the graph's own maps; the
+    _channels maps each channel id to its row.  nodes and channels are
+    read-only views, channels building each Channel on access; the
     instance should be treated as frozen once constructed.
     """
 
@@ -86,25 +104,45 @@ class NetworkGraph:
         channels: Iterable[Channel],
         op_costs: OperationCosts | None = None,
     ) -> None:
+        self._load(
+            nodes,
+            [(c.id, (c.a, c.b, c.cost.fidelity, c.cost.success)) for c in channels],
+            op_costs,
+        )
+
+    @classmethod
+    def _of_rows(cls, nodes, channels, op_costs) -> NetworkGraph:
+        """The graph of nodes and (id, row) pairs, checked as __init__ checks."""
+        g = cls.__new__(cls)
+        g._load(nodes, channels, op_costs)
+        return g
+
+    def _load(
+        self,
+        nodes: Iterable[Node],
+        channels: Iterable[tuple[str, Row]],
+        op_costs: OperationCosts | None,
+    ) -> None:
+        """Check and store the nodes, then the channels' ids and ends; each
+        row's costs must already lie in [0, 1] and its ends be sorted."""
         self._nodes: dict[str, Node] = {}
-        self._channels: dict[str, Channel] = {}
+        self._channels: dict[str, Row] = {}
         known, joined = self._nodes, self._channels
         for n in nodes:
             nid = _check_id("node", n.id)
             if nid in known:
                 raise GraphFormatError(f"duplicate node id {nid!r}")
             known[nid] = n
-        for c in channels:
-            cid, a, b = _check_id("channel", c.id), c.a, c.b
+        for cid, row in channels:
+            _check_id("channel", cid)
             if cid in joined:
                 raise GraphFormatError(f"duplicate channel id {cid!r}")
+            a, b = row[0], row[1]
             if a not in known or b not in known:
-                raise GraphFormatError(
-                    f"channel {cid!r} references unknown node"
-                )
+                raise GraphFormatError(f"channel {cid!r} references unknown node")
             if a == b:
                 raise GraphFormatError(f"channel {cid!r} is a self-loop")
-            joined[cid] = c
+            joined[cid] = row
         self.op_costs = op_costs if op_costs is not None else OperationCosts()
 
     @property
@@ -113,7 +151,7 @@ class NetworkGraph:
 
     @property
     def channels(self) -> Mapping[str, Channel]:
-        return MappingProxyType(self._channels)
+        return _Channels(self._channels)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -121,11 +159,15 @@ class NetworkGraph:
         except KeyError:
             raise GraphFormatError(f"unknown node {node_id!r}") from None
 
-    def channel(self, channel_id: str) -> Channel:
+    def _row(self, channel_id: str) -> Row:
         try:
             return self._channels[channel_id]
         except KeyError:
             raise GraphFormatError(f"unknown channel {channel_id!r}") from None
+
+    def channel(self, channel_id: str) -> Channel:
+        a, b, fidelity, success = self._row(channel_id)
+        return Channel(channel_id, a, b, CostVector(fidelity, success))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetworkGraph):
@@ -187,11 +229,10 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
     so every graph qnet writes parses again; reduction numbers the channels
     it creates past any such id already in the graph.
 
-    Each node, cost and channel is made as its constructor would make it,
-    without the call: the fields are checked here (a cost's range as
-    CostVector checks it, raising its error) and stored with _set, and a
-    channel's ends are sorted as Channel sorts them.  NetworkGraph then
-    checks the ids and the ends.
+    Each edge becomes a row, its fields checked here (the costs by
+    check_cost) and its ends sorted as Channel sorts them.  NetworkGraph
+    then checks the ids and the ends, so every entry's fields are checked
+    before any id.
     """
     if isinstance(document, bytes):
         try:
@@ -243,6 +284,7 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
     if not isinstance(doc["nodes"], list):
         raise GraphFormatError("nodes must be an array")
     nodes = []
+    names: dict[str, str] = {}
     for i, entry in enumerate(doc["nodes"]):
         if not isinstance(entry, dict):
             raise GraphFormatError(f"nodes[{i}] must be an object")
@@ -257,10 +299,8 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
             raise GraphFormatError(
                 f"nodes[{i}]: role {entry['role']!r} must be 'endpoint' or 'router'"
             ) from None
-        node = _new(Node)
-        _set(node, "id", nid)
-        _set(node, "role", role)
-        nodes.append(node)
+        nodes.append(Node(nid, role))
+        names[nid] = nid
 
     if not isinstance(doc["edges"], list):
         raise GraphFormatError("edges must be an array")
@@ -281,24 +321,17 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         if type(fidelity) is not float or type(success) is not float:
             fidelity = _number(entry, "fidelity", f"edges[{i}]")
             success = _number(entry, "success", f"edges[{i}]")
-        if not (0.0 <= fidelity <= 1.0 and 0.0 <= success <= 1.0):
-            try:
-                CostVector(fidelity, success)  # raises its range error
-            except ValueError as exc:
-                raise GraphFormatError(f"edges[{i}]: {exc}") from None
-        cost = _new(CostVector)
-        _set(cost, "fidelity", fidelity)
-        _set(cost, "success", success)
+        try:
+            check_cost(fidelity, success)
+        except ValueError as exc:
+            raise GraphFormatError(f"edges[{i}]: {exc}") from None
+        # rows share the nodes' id strings; copies would add about 110 B each
+        a, b = names.get(a, a), names.get(b, b)
         if b < a:
             a, b = b, a
-        channel = _new(Channel)
-        _set(channel, "id", cid)
-        _set(channel, "a", a)
-        _set(channel, "b", b)
-        _set(channel, "cost", cost)
-        channels.append(channel)
+        channels.append((cid, (a, b, fidelity, success)))
 
-    return NetworkGraph(nodes, channels, ops)
+    return NetworkGraph._of_rows(nodes, channels, ops)
 
 
 def op_costs_obj(ops: OperationCosts) -> dict:
@@ -315,19 +348,15 @@ def write_graph(g: NetworkGraph) -> str:
 
     The document holds edges (a, b, fidelity, id, success) and nodes (id,
     role), each sorted by id, op_costs and "version": 1, with the sorted
-    keys and float text of canonical_dumps; one template per record.  A
-    CostVector's floats lie in [0, 1], so the edge template writes them
-    with '%.17g' itself, as float_text would.
+    keys and float text of canonical_dumps; one template per row or node.
+    A row's floats lie in [0, 1], so the edge template writes them with
+    '%.17g' itself, as float_text would.
     """
     edges = ",".join([
         '{"a":%s,"b":%s,"fidelity":%.17g,"id":%s,"success":%.17g}' % (
-            quote(c.a),
-            quote(c.b),
-            c.cost.fidelity + 0.0,
-            quote(cid),
-            c.cost.success + 0.0,
+            quote(a), quote(b), fidelity + 0.0, quote(cid), success + 0.0
         )
-        for cid, c in sorted(g._channels.items())
+        for cid, (a, b, fidelity, success) in sorted(g._channels.items())
     ])
     nodes = ",".join([
         '{"id":%s,"role":%s}' % (quote(nid), _ROLE_TEXT[n.role])

@@ -227,15 +227,15 @@ def estimate(
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} outside [0, 2**128)")
     check_strategy(tree, g)
-    ops = g.op_costs
+    ops, rows = g.op_costs, g._channels
     steps: list[Step] = []
     success = 1.0
     height = depth = 0
     for node in postorder(tree):
         if isinstance(node, Leaf):
-            cost = g.channel(node.channel).cost
-            success *= cost.success
-            steps.append((Leaf, _threshold(1.0 - cost.fidelity)))
+            _, _, fidelity, leaf_success = rows[node.channel]
+            success *= leaf_success
+            steps.append((Leaf, _threshold(1.0 - fidelity)))
             height += 1
             depth = max(depth, height)
         else:

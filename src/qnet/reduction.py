@@ -18,9 +18,10 @@ import re
 from enum import Enum
 from typing import NamedTuple, Union
 
+from . import algebra
 from ._value import Value, _new
-from .algebra import CostVector, purify_cost, purify_floats, swap_cost, swap_floats
-from .graph import Channel, GraphFormatError, NetworkGraph, NodeRole
+from .algebra import CostVector, check_cost, purify_floats, swap_floats
+from .graph import GraphFormatError, NetworkGraph, NodeRole
 from .jsonutil import quote
 
 __all__ = [
@@ -229,7 +230,7 @@ class ReductionResult(Value):
 
 def _synthetic_start(g: NetworkGraph) -> int:
     top = -1
-    for m in map(_SYNTHETIC_ID_RE.match, g.channels):
+    for m in map(_SYNTHETIC_ID_RE.match, g._channels):
         if m:
             top = max(top, int(m.group(1)))
     return top + 1
@@ -260,26 +261,22 @@ class _Engine:
     channels leave a pair of several only two smallest at a time, by a
     parallel step.  The whole run is O(|E| log |E|).
 
-    Costs stay plain floats: swap_floats and purify_floats compose them,
-    and each result gets CostVector's [0, 1] check inline, a CostVector
-    being built only to raise its error.  Each step is appended to steps
-    as a ReductionStep row made by tuple.__new__, and strategy nodes skip
-    Value's argument binding, so no record is validated per step.
+    chan starts as a copy of the graph's rows, and result() hands the live
+    ones to the graph it returns.  swap_floats and purify_floats compose
+    them, check_cost checks each result, each step is appended to steps as
+    a ReductionStep row made by tuple.__new__, and strategy nodes skip
+    Value's argument binding, so no record is built or validated per step.
     """
 
     def __init__(self, g: NetworkGraph) -> None:
         self.graph = g
         self.routers = {nid for nid, n in g.nodes.items() if n.role is NodeRole.ROUTER}
         self.inc: dict[str, set[str]] = {nid: set() for nid in g.nodes}
-        self.chan: dict[str, tuple[str, str, float, float]] = {}
+        self.chan = dict(g._channels)
         self.pairs: dict[tuple[str, str], list[str]] = {}
         self.trees: dict[str, StrategyTree] = {}
-        routers, inc, chan, pairs, trees = (
-            self.routers, self.inc, self.chan, self.pairs, self.trees
-        )
-        for cid, c in g.channels.items():
-            a, b, cost = c.a, c.b, c.cost
-            chan[cid] = (a, b, cost.fidelity, cost.success)
+        routers, inc, pairs, trees = self.routers, self.inc, self.pairs, self.trees
+        for cid, (a, b, _, _) in self.chan.items():
             inc[a].add(cid)
             inc[b].add(cid)
             pairs.setdefault((a, b), []).append(cid)
@@ -303,7 +300,7 @@ class _Engine:
         )
         par_heap, ser_heap = self.par_heap, self.ser_heap
         push, pop = heapq.heappush, heapq.heappop
-        swap, purify = swap_floats, purify_floats
+        swap, purify, check = swap_floats, purify_floats, check_cost
         new, new_row, set_left, set_right = _new, tuple.__new__, _set_left, _set_right
         row, SERIES, PARALLEL = ReductionStep, StepKind.SERIES, StepKind.PARALLEL
         next_id = self.next_id
@@ -359,8 +356,7 @@ class _Engine:
                 at_w.remove(cid2)
                 if w < u:
                     u, w, at_u, at_w = w, u, at_w, at_u
-            if not (0.0 <= f <= 1.0 and 0.0 <= s <= 1.0):
-                CostVector(f, s)  # raises its range error
+            check(f, s)
             produced = f"r{next_id}"
             next_id += 1
             steps.append(new_row(row, (kind, (cid1, cid2), eliminated, produced, f, s)))
@@ -382,15 +378,9 @@ class _Engine:
         self.next_id = next_id
 
     def result(self) -> ReductionResult:
-        nodes, channels = self.graph.nodes, self.graph.channels
-        graph = NetworkGraph(
-            [nodes[nid] for nid in self.inc],
-            [
-                channels[cid] if cid in channels
-                else Channel(cid, a, b, CostVector(f, s))
-                for cid, (a, b, f, s) in self.chan.items()
-            ],
-            self.graph.op_costs,
+        g = self.graph
+        graph = NetworkGraph._of_rows(
+            [g._nodes[nid] for nid in self.inc], self.chan.items(), g.op_costs
         )
         trace = ReductionTrace(tuple(self.steps))
         return ReductionResult(graph, trace, dict(self.trees))
@@ -419,18 +409,18 @@ def is_fully_reduced_pair(g: NetworkGraph, source: str, target: str) -> bool:
         raise GraphFormatError("source and target must differ")
     if set(g.nodes) != {source, target}:
         return False
-    chans = g.channels
-    if len(chans) != 1:
+    rows = g._channels
+    if len(rows) != 1:
         return False
-    (c,) = chans.values()
-    return {c.a, c.b} == {source, target}
+    ((a, b, _, _),) = rows.values()
+    return {a, b} == {source, target}
 
 
 def check_strategy(tree: StrategyTree, g: NetworkGraph) -> None:
     """Every leaf must name a channel of g, and no channel may appear twice."""
     seen = set()
     for cid in strategy_leaves(tree):
-        g.channel(cid)
+        g._row(cid)
         if cid in seen:
             raise ReductionError(f"channel {cid!r} consumed twice by strategy")
         seen.add(cid)
@@ -439,13 +429,24 @@ def check_strategy(tree: StrategyTree, g: NetworkGraph) -> None:
 def evaluate_strategy(tree: StrategyTree, g: NetworkGraph) -> CostVector:
     """Cost of executing a strategy tree against a graph's channels.
 
-    Each channel may be consumed by at most one leaf.
+    Each channel may be consumed by at most one leaf.  The fold runs on
+    the rows' floats through algebra's swap_floats and purify_floats, read
+    at the call as swap_cost reads them, and check_cost checks each step.
     """
     check_strategy(tree, g)
-    ops = g.op_costs
-    return fold(
+    ops, rows = g.op_costs, g._channels
+
+    def checked(kernel):
+        def compose(x, y):
+            cost = kernel(*x, *y, ops)
+            check_cost(*cost)
+            return cost
+
+        return compose
+
+    return CostVector(*fold(
         tree,
-        lambda cid: g.channel(cid).cost,
-        lambda a, b: swap_cost(a, b, ops),
-        lambda a, b: purify_cost(a, b, ops),
-    )
+        lambda cid: rows[cid][2:],
+        checked(algebra.swap_floats),
+        checked(algebra.purify_floats),
+    ))

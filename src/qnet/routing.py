@@ -16,11 +16,12 @@ from ._value import Value
 from .algebra import (
     AlgebraDomainError,
     CostVector,
+    check_cost,
     purify_floats,
     swap_floats,
     to_log_loss,
 )
-from .graph import Channel, GraphFormatError, NetworkGraph, NodeRole
+from .graph import GraphFormatError, NetworkGraph, NodeRole
 from .reduction import (
     Leaf,
     Purify,
@@ -113,19 +114,21 @@ def _check_endpoints(g: NetworkGraph, source: str, target: str) -> None:
 
 
 def _subgraph(
-    g: NetworkGraph, channels: list[Channel], source: str, target: str
+    g: NetworkGraph, channels: list[str], source: str, target: str
 ) -> NetworkGraph:
     """The endpoints, the channels given and their nodes, in id order.
 
-    channels are distinct channels of g.  When they and their nodes are
+    channels are distinct channel ids of g.  When they and their nodes are
     all of g, the answer is g itself, uncopied, in g's own order.
     """
+    rows = g._channels
+    kept = [(cid, rows[cid]) for cid in channels]
     ends = {source, target}
-    for c in channels:
-        ends.update((c.a, c.b))
-    if len(channels) == len(g.channels) and len(ends) == len(g.nodes):
+    for _, (a, b, _, _) in kept:
+        ends.update((a, b))
+    if len(kept) == len(rows) and len(ends) == len(g.nodes):
         return g
-    return NetworkGraph([g.node(n) for n in sorted(ends)], channels, g.op_costs)
+    return NetworkGraph._of_rows([g.node(n) for n in sorted(ends)], kept, g.op_costs)
 
 
 def _block(
@@ -142,13 +145,13 @@ def _block(
     usable = {nid for nid, n in g.nodes.items() if n.role is NodeRole.ROUTER}
     usable.update((source, target))
     channels = [
-        c for c in g.channels.values()
-        if c.a in usable and c.b in usable and c.cost.fidelity >= least_fidelity
+        (cid, a, b) for cid, (a, b, f, _) in g._channels.items()
+        if a in usable and b in usable and f >= least_fidelity
     ]
     adjacent: dict[str, list[tuple[str, int]]] = {nid: [] for nid in usable}
-    for i, c in enumerate(channels):
-        adjacent[c.a].append((c.b, i))
-        adjacent[c.b].append((c.a, i))
+    for i, (_, a, b) in enumerate(channels):
+        adjacent[a].append((b, i))
+        adjacent[b].append((a, i))
     disc = {source: 0, target: 1}
     low = {target: 1}
     edges: list[int] = []  # the edge stack, as indices into channels
@@ -172,7 +175,7 @@ def _block(
                 if low[v] >= disc[u]:
                     del edges[mark:]
                 low[u] = min(low[u], low[v])
-    return _subgraph(g, [channels[i] for i in sorted(edges)], source, target)
+    return _subgraph(g, [channels[i][0] for i in sorted(edges)], source, target)
 
 
 def _floor_prune(
@@ -190,11 +193,13 @@ def _floor_prune(
     """
     swap_loss = to_log_loss(sub.op_costs.swap_success)
     nodes = sub.nodes
-    losses = [(c, to_log_loss(c.cost.success)) for c in sub.channels.values()]
+    losses = [
+        (cid, a, b, to_log_loss(s)) for cid, (a, b, _, s) in sub._channels.items()
+    ]
     adjacent: dict[str, list[tuple[str, float]]] = {nid: [] for nid in nodes}
-    for c, w in losses:
-        adjacent[c.a].append((c.b, w))
-        adjacent[c.b].append((c.a, w))
+    for _, a, b, w in losses:
+        adjacent[a].append((b, w))
+        adjacent[b].append((a, w))
 
     def sweep(origin: str) -> dict[str, float]:
         # leave[x]: the least loss from origin to x plus x's own swap, which
@@ -215,8 +220,8 @@ def _floor_prune(
     near, far = sweep(source), sweep(target)
     limit = -math.log(floor) * (1.0 + 1e-9) + 1e-9
     kept = [
-        c for c, w in losses
-        if w + min(near[c.a] + far[c.b], near[c.b] + far[c.a]) <= limit
+        cid for cid, a, b, w in losses
+        if w + min(near[a] + far[b], near[b] + far[a]) <= limit
     ]
     return _subgraph(sub, kept, source, target)
 
@@ -309,25 +314,25 @@ def _exhaustive_search(
     operands, so each unordered split is taken once, with the lowest
     channel in its first part.
     """
-    ids = sorted(g.channels)
+    rows = g._channels
+    ids = sorted(rows)
     roles = {nid: n.role for nid, n in g.nodes.items()}
     ops = g.op_costs
     joins: dict = {}
     # frontiers[mask]: (node pair, entries) of every non-empty state.
     frontiers: list[list] = [[]] * (1 << len(ids))
     for i, cid in enumerate(ids):
-        c = g.channel(cid)
-        if c.cost.fidelity < 0.5:
+        a, b, fidelity, success = rows[cid]
+        if fidelity < 0.5:
             raise AlgebraDomainError(
-                f"kernel channel {cid!r} has fidelity {c.cost.fidelity!r} "
+                f"kernel channel {cid!r} has fidelity {fidelity!r} "
                 "below 1/2; the exhaustive search is exact only for "
                 "fidelities >= 1/2"
             )
-        if c.cost.success >= min_success:
+        if success >= min_success:
             tree = Leaf(cid)
-            ser = serialize_strategy(tree)
-            entry = (c.cost.fidelity, c.cost.success, ser, tree)
-            frontiers[1 << i] = [((c.a, c.b), [entry])]
+            entry = (fidelity, success, serialize_strategy(tree), tree)
+            frontiers[1 << i] = [((a, b), [entry])]
     evaluated = 0
     for mask in range(3, 1 << len(ids)):
         low = mask & -mask
@@ -358,8 +363,7 @@ def _exhaustive_search(
                         fa, sa = a[0], a[1]
                         for b in eb:
                             fid, succ = merge(fa, sa, b[0], b[1], ops)
-                            if not (0.0 <= fid <= 1.0 and 0.0 <= succ <= 1.0):
-                                CostVector(fid, succ)  # raises its range error
+                            check_cost(fid, succ)
                             if succ < min_success:
                                 continue
                             for k, e in enumerate(bucket):
@@ -442,22 +446,21 @@ def route(g: NetworkGraph, request: RouteRequest) -> RouteResult:
     search, evaluated = SearchKind.INFEASIBLE, 0
     if is_fully_reduced_pair(collapsed.graph, source, target):
         plans = [(sub, collapsed)]
-        if any(c.cost.fidelity < 0.5 for c in sub.channels.values()):
+        if any(row[2] < 0.5 for row in sub._channels.values()):
             sound = _block(g, source, target, least_fidelity=0.5)
             plans.append((sound, reduce_to_fixpoint(sound)))
         answers = [
-            (c.cost, plan.strategies[c.id], block, len(plan.trace.steps))
+            (f, s, plan.strategies[cid], block, len(plan.trace.steps))
             for block, plan in plans
             if is_fully_reduced_pair(plan.graph, source, target)
-            for c in plan.graph.channels.values()
-            if c.cost.success >= request.min_success
+            for cid, (_, _, f, s) in plan.graph._channels.items()
+            if s >= request.min_success
         ]
         if len(answers) > 1:
-            answers.sort(
-                key=lambda a: (-a[0].fidelity, -a[0].success, serialize_strategy(a[1]))
-            )
+            answers.sort(key=lambda a: (-a[0], -a[1], serialize_strategy(a[2])))
         if answers:
-            cost, strategy, sub, steps = answers[0]
+            f, s, strategy, sub, steps = answers[0]
+            cost = CostVector(f, s)
             search, evaluated = SearchKind.FULLY_REDUCED, len(plans)
     if strategy is None:
         sub = _floor_prune(sub, source, target, request.min_success)

@@ -277,7 +277,7 @@ def test_reports_are_deterministic(tmp_path):
         outputs = set()
         for _ in range(3):
             proc = subprocess.run(
-                [sys.executable, "-m", "qnet", *args], capture_output=True
+                [sys.executable, "-m", "qnet", *args], capture_output=True, timeout=120
             )
             assert proc.returncode == 0
             outputs.add(proc.stdout)

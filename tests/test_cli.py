@@ -27,7 +27,7 @@ from qnet import (
 from qnet import cli
 
 
-def run_cli(args, env=None, timeout=None):
+def run_cli(args, env=None, timeout=120):
     full_env = os.environ.copy()
     if env:
         full_env.update(env)
@@ -275,7 +275,7 @@ def _loaded_after(code, modules):
     """Which of modules a fresh interpreter has loaded after running code."""
     probe = f"{code}; import sys; print(*[m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
@@ -347,6 +347,7 @@ def test_commands_run_with_numpy_blocked(two_path_doc):
             [sys.executable, "-c", _RUN_ALL.format(block=block, commands=commands)],
             capture_output=True,
             text=True,
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         outputs[block] = json.loads(proc.stdout)

@@ -183,7 +183,7 @@ def test_block_and_prune_match_the_path_reference():
         assert list(block.nodes) == sorted(ends), seed
         kept = list(block.channels.values())
         copied = NetworkGraph([g.node(n) for n in sorted(ends)], kept, g.op_costs)
-        assert block == _subgraph(g, kept, source, target) == copied, seed
+        assert block == _subgraph(g, list(block.channels), source, target) == copied, seed
         whole = len(kept) == len(g.channels) and len(ends) == len(g.nodes)
         assert (block is g) == whole, seed
         assert _block(block, source, target) is block, seed
@@ -653,6 +653,60 @@ def test_route_leaves_a_channel_below_half_out_of_a_worse_collapse(floor):
     _, oracle = brute_force_best(g, "A", "B", floor)
     assert result.cost == oracle
     assert result.cost.fidelity == pytest.approx(0.77, abs=1e-12)
+
+
+def test_search_breaks_a_fidelity_tie_toward_higher_success():
+    """Two paths of equal fidelity: the one of higher success answers.
+
+    Swap(c1, c2) and Swap(c3, c4) both have F 0.82, at success 0.81 and
+    0.36.  The middle channel is too weak to help, and purifying the two
+    paths misses the floor, so the tie-break alone decides.
+    """
+    g = build_graph(
+        [
+            ("c1", "A", "u", 0.9, 0.9),
+            ("c2", "u", "B", 0.9, 0.9),
+            ("c3", "A", "v", 0.9, 0.6),
+            ("c4", "v", "B", 0.9, 0.6),
+            ("c5", "u", "v", 0.9, 0.01),
+        ]
+    )
+    result = route(g, RouteRequest("A", "B", 0.3))
+    assert result.search is SearchKind.EXHAUSTIVE_SEARCH
+    assert result.strategy == Swap(Leaf("c1"), Leaf("c2"))
+    assert result.cost == evaluate_strategy(result.strategy, g)
+    assert result.cost.success == pytest.approx(0.81)
+
+
+def test_collapse_meeting_the_floor_exactly_answers():
+    # success equal to the floor meets it
+    g = build_graph([("c1", "A", "B", 0.9, 0.5)])
+    result = route(g, RouteRequest("A", "B", 0.5))
+    assert result.search is SearchKind.FULLY_REDUCED
+    assert result.strategy == Leaf("c1")
+    assert result.diagnostics == RouteDiagnostics(1, 0)
+
+
+def test_search_takes_a_kernel_channel_of_fidelity_exactly_half():
+    # the search is exact for fidelities of at least 1/2, 1/2 included
+    result = route(bridge_graph(bridge_fidelity=0.5), RouteRequest("A", "B", 0.01))
+    assert result.search is SearchKind.EXHAUSTIVE_SEARCH
+    assert result.strategy is not None
+
+
+def test_channel_of_fidelity_exactly_half_needs_no_second_collapse():
+    # Only a channel below 1/2 starts the collapse of the sound block,
+    # which would count as a second candidate.
+    g = build_graph(
+        [
+            ("c1", "A", "m", 0.9, 0.9),
+            ("c2", "m", "B", 0.5, 0.9),
+            ("c3", "A", "B", 0.9, 0.9),
+        ]
+    )
+    result = route(g, RouteRequest("A", "B", 0.1))
+    assert result.search is SearchKind.FULLY_REDUCED
+    assert result.diagnostics.candidates_evaluated == 1
 
 
 def _collapse_fidelity(block, floor):
