@@ -52,7 +52,7 @@ from typing import Callable
 
 from ._value import Value
 from .graph import NetworkGraph
-from .reduction import Leaf, StrategyTree, Swap, check_strategy, postorder
+from .reduction import Leaf, StrategyTree, Swap, check_strategy
 
 __all__ = ["McEstimate", "estimate"]
 
@@ -105,58 +105,31 @@ def _threshold(p: float) -> Threshold:
     return ceil(p * float(_UNIT))
 
 
-def _start(t: Threshold, undecided: int) -> tuple[int, int, int]:
-    """(below, undecided, levels) of a comparison with t before any level.
+def _below(draw: Callable[[int], int], n: int, undecided: int, t: Threshold) -> int:
+    """Row of the samples of `undecided` whose uniform k is below t.
 
-    levels is the number of bit levels down to t's lowest set bit; t = 0
-    needs none (no k is below it) and t = 2**53 none (every k is).
+    Level j draws one mask, draw(n), bit i being bit 52 - j of sample i's
+    k.  At a level where t's bit is 1, an undecided sample whose bit is 0
+    is below t; where it is 0, one whose bit is 1 is not.  t = 2**53 takes
+    every sample and t = 0 none, drawing nothing; otherwise the levels
+    stop at t's lowest set bit, where every sample still undecided has
+    k >= t, or once no sample is undecided.
     """
     if t == _UNIT:
-        return undecided, 0, 0
+        return undecided
     if not t:
-        return 0, 0, 0
-    return 0, undecided, 54 - (t & -t).bit_length()
-
-
-def _below(
-    draw: Callable[[int], int], n: int, undecided: int, hi: Threshold, lo: Threshold = 0
-) -> tuple[int, int]:
-    """Rows of the samples of `undecided` whose uniform k is below hi, and below lo.
-
-    Both comparisons read the same masks, one draw(n) per level, bit i of
-    level j being bit 52 - j of sample i's k.  At a level where the
-    threshold's bit is 1, an undecided sample whose bit is 0 is below it;
-    where it is 0, one whose bit is 1 is not.  The levels stop once neither
-    comparison has an undecided sample left above its threshold's lowest
-    set bit.
-    """
-    below_hi, left_hi, levels_hi = _start(hi, undecided)
-    below_lo, left_lo, levels_lo = _start(lo, undecided)
-    level = 0
-    while True:
-        if level == levels_hi:
-            left_hi = 0
-        if level == levels_lo:
-            left_lo = 0
-        if not (left_hi or left_lo):
-            return below_hi, below_lo
-        mask = draw(n)
-        shift = 52 - level
-        if left_hi:
-            same = left_hi & mask
-            if hi >> shift & 1:
-                below_hi |= left_hi ^ same
-                left_hi = same
-            else:
-                left_hi ^= same
-        if left_lo:
-            same = left_lo & mask
-            if lo >> shift & 1:
-                below_lo |= left_lo ^ same
-                left_lo = same
-            else:
-                left_lo ^= same
-        level += 1
+        return 0
+    below = 0
+    for shift in range(52, (t & -t).bit_length() - 2, -1):
+        if not undecided:
+            break
+        same = undecided & draw(n)
+        if t >> shift & 1:
+            below |= undecided ^ same
+            undecided = same
+        else:
+            undecided ^= same
+    return below
 
 
 def _run_chunk(
@@ -179,14 +152,14 @@ def _run_chunk(
     flips into the left one, a purification compares them.  A chunk whose
     delivered row is 0 stops: its tallies are 0.
     """
-    delivered = _below(draw, n, (1 << n) - 1, success)[0]
+    delivered = _below(draw, n, (1 << n) - 1, success)
     disagreed = 0  # acceptance off: the samples whose flips ever disagreed
     flips: list[int] = []
     for kind, t in steps:
         if not delivered:
             return 0, 0, 0  # every sample has failed
         if kind is Leaf:
-            flips.append(_below(draw, n, delivered, t)[0])
+            flips.append(_below(draw, n, delivered, t))
             continue
         flip = flips.pop()
         if kind is Swap:
@@ -226,12 +199,12 @@ def estimate(
         raise ValueError(f"samples must be <= 2**40 ({_MAX_SAMPLES:,})")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} outside [0, 2**128)")
-    check_strategy(tree, g)
+    nodes = check_strategy(tree, g)
     ops, rows = g.op_costs, g._channels
     steps: list[Step] = []
     success = 1.0
     height = depth = 0
-    for node in postorder(tree):
+    for node in nodes:
         if isinstance(node, Leaf):
             _, _, fidelity, leaf_success = rows[node.channel]
             success *= leaf_success

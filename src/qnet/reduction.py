@@ -416,37 +416,38 @@ def is_fully_reduced_pair(g: NetworkGraph, source: str, target: str) -> bool:
     return {a, b} == {source, target}
 
 
-def check_strategy(tree: StrategyTree, g: NetworkGraph) -> None:
-    """Every leaf must name a channel of g, and no channel may appear twice."""
+def check_strategy(tree: StrategyTree, g: NetworkGraph) -> list[StrategyTree]:
+    """postorder(tree), once each leaf in turn names a channel of g (else
+    GraphFormatError) that no earlier leaf named (else ReductionError)."""
+    nodes = postorder(tree)
     seen = set()
-    for cid in strategy_leaves(tree):
-        g._row(cid)
-        if cid in seen:
-            raise ReductionError(f"channel {cid!r} consumed twice by strategy")
-        seen.add(cid)
+    for node in nodes:
+        if isinstance(node, Leaf):
+            cid = node.channel
+            g._row(cid)
+            if cid in seen:
+                raise ReductionError(f"channel {cid!r} consumed twice by strategy")
+            seen.add(cid)
+    return nodes
 
 
 def evaluate_strategy(tree: StrategyTree, g: NetworkGraph) -> CostVector:
     """Cost of executing a strategy tree against a graph's channels.
 
-    Each channel may be consumed by at most one leaf.  The fold runs on
-    the rows' floats through algebra's swap_floats and purify_floats, read
-    at the call as swap_cost reads them, and check_cost checks each step.
+    check_strategy checks every leaf before the walk composes the rows'
+    floats over its list through algebra's swap_floats and purify_floats,
+    read at the call as swap_cost reads them; check_cost checks each step.
     """
-    check_strategy(tree, g)
+    nodes = check_strategy(tree, g)
     ops, rows = g.op_costs, g._channels
-
-    def checked(kernel):
-        def compose(x, y):
-            cost = kernel(*x, *y, ops)
-            check_cost(*cost)
-            return cost
-
-        return compose
-
-    return CostVector(*fold(
-        tree,
-        lambda cid: rows[cid][2:],
-        checked(algebra.swap_floats),
-        checked(algebra.purify_floats),
-    ))
+    swap, purify = algebra.swap_floats, algebra.purify_floats
+    values: list[tuple[float, float]] = []
+    for node in nodes:
+        if isinstance(node, Leaf):
+            values.append(rows[node.channel][2:])
+        else:
+            right = values.pop()
+            kernel = swap if isinstance(node, Swap) else purify
+            values[-1] = kernel(*values[-1], *right, ops)
+            check_cost(*values[-1])
+    return CostVector(*values[0])

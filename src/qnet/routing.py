@@ -226,18 +226,9 @@ def _floor_prune(
     return _subgraph(sub, kept, source, target)
 
 
-def _better(best: tuple | None, cand: tuple) -> tuple:
-    """Higher fidelity, then higher success, then smaller serialization.
-
-    Both are tuples starting (fidelity, success, serialization, ...).
-    """
-    if best is None:
-        return cand
-    if cand[0] != best[0]:
-        return cand if cand[0] > best[0] else best
-    if cand[1] != best[1]:
-        return cand if cand[1] > best[1] else best
-    return cand if cand[2] < best[2] else best
+def _rank(fidelity: float, success: float, serialization: str) -> tuple:
+    """Sort key: higher fidelity, then higher success, then smaller serialization."""
+    return -fidelity, -success, serialization
 
 
 def _pair_join(
@@ -382,12 +373,11 @@ def _exhaustive_search(
                                 bucket.append(_compose(fid, succ, kind, a, b))
         frontiers[mask] = [(p, es) for p, es in frontier.items() if es]
     span = tuple(sorted((source, target)))
-    best: _Entry | None = None
-    for states in frontiers:
-        for p, entries in states:
-            if p == span:
-                for entry in entries:
-                    best = _better(best, entry)
+    best = min(
+        (e for states in frontiers for p, es in states if p == span for e in es),
+        key=lambda e: _rank(*e[:3]),
+        default=None,
+    )
     if best is None:
         return None, evaluated
     return (best[3], CostVector(best[0], best[1])), evaluated
@@ -457,7 +447,7 @@ def route(g: NetworkGraph, request: RouteRequest) -> RouteResult:
             if s >= request.min_success
         ]
         if len(answers) > 1:
-            answers.sort(key=lambda a: (-a[0], -a[1], serialize_strategy(a[2])))
+            answers.sort(key=lambda a: _rank(a[0], a[1], serialize_strategy(a[2])))
         if answers:
             f, s, strategy, sub, steps = answers[0]
             cost = CostVector(f, s)

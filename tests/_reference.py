@@ -87,9 +87,9 @@ from qnet.reduction import (
 from qnet.routing import (
     InfeasibleRouteError,
     SearchBoundError,
-    _better,
     _check_endpoints,
     _pair_join,
+    _rank,
 )
 
 
@@ -511,11 +511,16 @@ def reference_exhaustive_search(
                                 evaluated += 1
                                 _frontier_add(bucket, cost, kind, a, b)
             sub = (sub - 1) & mask
-    best: _Entry | None = None
-    for mask in range(1, 1 << len(ids)):
-        for entry in frontiers[mask].get(span, []):
-            if entry[1] >= min_success:
-                best = _better(best, entry)
+    best = min(
+        (
+            entry
+            for mask in range(1, 1 << len(ids))
+            for entry in frontiers[mask].get(span, [])
+            if entry[1] >= min_success
+        ),
+        key=lambda entry: _rank(*entry[:3]),
+        default=None,
+    )
     if best is None:
         return None, evaluated
     return (best[3], best[4]), evaluated
@@ -605,7 +610,8 @@ def brute_force_best(
         seen.add(key)
         for pair, f, s, ser, tree in state:
             if pair == span and s >= min_success:
-                best = _better(best, (f, s, ser, tree))
+                if best is None or _rank(f, s, ser) < _rank(*best[:3]):
+                    best = (f, s, ser, tree)
         n = len(state)
         for i in range(n):
             for j in range(i + 1, n):

@@ -145,6 +145,45 @@ def test_estimate_validation():
             estimate(Leaf("c1"), g, 100, seed=seed)
 
 
+_HALVES = Purify(Leaf("c1"), Leaf("c2"))  # F 1.0 against F 0.0: singular
+_MISSING = (Swap(_HALVES, Leaf("missing")), GraphFormatError, "unknown channel 'missing'")
+_REPEAT = (
+    Swap(_HALVES, Leaf("c1")), ReductionError, "channel 'c1' consumed twice by strategy"
+)
+_SINGULAR = (
+    _HALVES, algebra.AlgebraDomainError, "singular purification input (1.0, 0.0)"
+)
+
+
+def _sample(tree, g):
+    return estimate(tree, g, 1000, seed=0)
+
+
+@pytest.mark.parametrize(
+    "walk, tree, error, message",
+    [
+        pytest.param(evaluate_strategy, *_MISSING, id="evaluate_strategy-missing"),
+        pytest.param(_sample, *_MISSING, id="estimate-missing"),
+        pytest.param(evaluate_strategy, *_REPEAT, id="evaluate_strategy-repeat"),
+        pytest.param(_sample, *_REPEAT, id="estimate-repeat"),
+        pytest.param(evaluate_strategy, *_SINGULAR, id="evaluate_strategy-singular"),
+        pytest.param(_sample, _HALVES, None, None, id="estimate-singular"),
+    ],
+)
+def test_every_leaf_is_checked_before_anything_composes(walk, tree, error, message):
+    """Both walks check every leaf, in post-order, before composing: a bad
+    leaf after a singular purification decides the error, and the
+    purification alone is refused only by the algebra; sampling it
+    delivers nothing."""
+    g = build_graph([("c1", "A", "B", 1.0, 0.9), ("c2", "A", "B", 0.0, 0.9)])
+    if error is None:
+        assert walk(tree, g).success_hat == 0.0
+        return
+    with pytest.raises(error) as caught:
+        walk(tree, g)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 @contextmanager
 def _recorded(chunk=None, budget=None):
     """Record each chunk estimate runs, as [n, tallies, masks], masks
@@ -159,7 +198,7 @@ def _recorded(chunk=None, budget=None):
         chunks[-1][1] = run_chunk(*args)
         return chunks[-1][1]
 
-    def recording_below(draw, n, undecided, hi, lo=0):
+    def recording_below(draw, n, undecided, t):
         masks = []
         chunks[-1][2].append(masks)
 
@@ -167,7 +206,7 @@ def _recorded(chunk=None, budget=None):
             masks.append(draw(k))
             return masks[-1]
 
-        return below(recording_draw, n, undecided, hi, lo)
+        return below(recording_draw, n, undecided, t)
 
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(montecarlo, "_run_chunk", recording_chunk))
@@ -321,19 +360,35 @@ def _uniforms(t, rng):
     return sorted(ks)
 
 
-def _feed(ks):
-    """A draw that hands out, level by level, bit 52 - j of every k."""
-    masks = iter(
-        [sum(((k >> (52 - j)) & 1) << i for i, k in enumerate(ks)) for j in range(53)]
-    )
+def _masks(ks):
+    """The 53 level masks of uniforms ks: bit i of level j is bit 52 - j of ks[i]."""
+    return [sum(((k >> (52 - j)) & 1) << i for i, k in enumerate(ks)) for j in range(53)]
+
+
+def _feed(masks, n):
+    """A draw(n) that hands out masks in turn, and the list of those drawn."""
+    stream = iter(masks)
     drawn = []
 
-    def draw(n):
-        assert n == len(ks)
-        drawn.append(next(masks))
+    def draw(k):
+        assert k == n
+        drawn.append(next(stream))
         return drawn[-1]
 
     return draw, drawn
+
+
+def _masks_needed(ks, undecided, t):
+    """Levels a comparison of the samples of `undecided` with t must draw:
+    down to t's lowest set bit, or to where the last of them is decided."""
+    return max(
+        (
+            min(_first_difference(k, t), _levels(t))
+            for i, k in enumerate(ks)
+            if undecided >> i & 1
+        ),
+        default=0,
+    )
 
 
 @pytest.mark.parametrize(
@@ -342,28 +397,33 @@ def _feed(ks):
     + [(p, lo) for p in _THRESHOLD_CASES for lo in _THRESHOLD_CASES if lo <= p],
 )
 def test_comparator_decides_k_below_t_exactly(p, lo):
-    """Fixed masks through the comparator: each sample's bit is k < T, for
-    a pair of thresholds read through the same masks as for one, and the
-    levels stop exactly when no undecided sample is left above the lowest
-    set bit of either threshold."""
+    """Fixed masks through the comparator: each asked sample's bit is
+    k < T, and the levels stop exactly when no undecided sample is left
+    above T's lowest set bit.  With lo, a second comparison, against lo's
+    threshold and over the samples the first found below, follows from the
+    same stream, as a chunk's first leaf follows its success draw: it reads
+    exactly the masks after the first comparison's."""
     rng = Random(f"{p}:{lo}")
-    t_hi = montecarlo._threshold(p)
+    t = montecarlo._threshold(p)
     t_lo = montecarlo._threshold(lo) if lo is not None else 0
-    assert t_hi == math.ceil(p * 2**53) and t_hi >> 53 == (p == 1.0)
-    ks = _uniforms(t_hi, rng) + _uniforms(t_lo, rng)
-    everyone = (1 << len(ks)) - 1
-    for undecided in (everyone, rng.getrandbits(len(ks)), 0):
-        draw, drawn = _feed(ks)
-        below_hi, below_lo = montecarlo._below(draw, len(ks), undecided, t_hi, t_lo)
-        want_levels = 0
+    assert t == math.ceil(p * 2**53) and t >> 53 == (p == 1.0)
+    ks = _uniforms(t, rng) + _uniforms(t_lo, rng)
+    ks_lo = ks[::-1]  # the second comparison's uniforms
+    n = len(ks)
+    for undecided in ((1 << n) - 1, rng.getrandbits(n), 0):
+        first = _masks_needed(ks, undecided, t)
+        stream = _masks(ks)[:first] + (_masks(ks_lo) if lo is not None else [])
+        draw, drawn = _feed(stream, n)
+        below = montecarlo._below(draw, n, undecided, t)
         for i, k in enumerate(ks):
-            asked = undecided >> i & 1
-            assert below_hi >> i & 1 == (asked and k < t_hi), (i, k)
-            assert below_lo >> i & 1 == (asked and k < t_lo), (i, k)
-            if asked:
-                for t in (t_hi, t_lo):
-                    want_levels = max(want_levels, min(_first_difference(k, t), _levels(t)))
-        assert len(drawn) == want_levels
+            assert below >> i & 1 == (undecided >> i & 1 and k < t), (i, k)
+        assert len(drawn) == first
+        if lo is None:
+            continue
+        below_lo = montecarlo._below(draw, n, below, t_lo)
+        for i, k in enumerate(ks_lo):
+            assert below_lo >> i & 1 == (below >> i & 1 and k < t_lo), (i, k)
+        assert len(drawn) == first + _masks_needed(ks_lo, below, t_lo)
 
 
 def _comparisons(tree):
