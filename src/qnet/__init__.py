@@ -5,51 +5,11 @@ pair and provides the two composition operations, swapping (series) and
 purification (parallel), together with graph reduction, route planning,
 and a Monte-Carlo cross-check of the analytic costs.
 """
-from .algebra import (
-    AlgebraDomainError,
-    CostVector,
-    GridSpec,
-    GridStrategy,
-    OperationCosts,
-    dephasing_bell_fidelity,
-    grid_cost,
-    purify_acceptance,
-    purify_chain,
-    purify_cost,
-    purify_fidelity,
-    swap_chain,
-    swap_cost,
-    swap_fidelity,
-    swap_inverse,
-)
-from .graph import (
-    Channel,
-    GraphFormatError,
-    NetworkGraph,
-    Node,
-    NodeRole,
-    parse_graph,
-    serialize_graph,
-)
-from .reduction import (
-    Leaf,
-    Purify,
-    ReductionError,
-    ReductionResult,
-    Swap,
-    evaluate_strategy,
-    is_fully_reduced_pair,
-    reduce_to_fixpoint,
-    serialize_strategy,
-)
-from .routing import (
-    InfeasibleRouteError,
-    RouteRequest,
-    RouteResult,
-    SearchBoundError,
-    SearchKind,
-    route,
-)
+# Each module's __all__ is its share of the package API, declared there.
+from .algebra import *
+from .graph import *
+from .reduction import *
+from .routing import *
 
 __version__ = "0.1.0"
 
@@ -74,45 +34,7 @@ def __dir__():
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = [
-    "AlgebraDomainError",
-    "Channel",
-    "CostVector",
-    "GraphFormatError",
-    "GridSpec",
-    "GridStrategy",
-    "InfeasibleRouteError",
-    "Leaf",
-    "McEstimate",
-    "NetworkGraph",
-    "Node",
-    "NodeRole",
-    "OperationCosts",
-    "Purify",
-    "ReductionError",
-    "ReductionResult",
-    "RouteRequest",
-    "RouteResult",
-    "SearchBoundError",
-    "SearchKind",
-    "Swap",
-    "dephasing_bell_fidelity",
-    "estimate",
-    "evaluate_strategy",
-    "grid_cost",
-    "is_fully_reduced_pair",
-    "parse_graph",
-    "purify_acceptance",
-    "purify_chain",
-    "purify_cost",
-    "purify_fidelity",
-    "reduce_to_fixpoint",
-    "route",
-    "serialize_graph",
-    "serialize_strategy",
-    "swap_chain",
-    "swap_cost",
-    "swap_fidelity",
-    "swap_inverse",
-    "__version__",
-]
+__all__ = (
+    algebra.__all__ + graph.__all__ + reduction.__all__ + routing.__all__
+    + list(_LAZY) + ["__version__"]
+)

@@ -8,8 +8,8 @@ success bookkeeping into an additive one.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from ._value import Value, _set
 
@@ -19,22 +19,16 @@ __all__ = [
     "GridSpec",
     "GridStrategy",
     "OperationCosts",
-    "check_cost",
     "dephasing_bell_fidelity",
     "grid_cost",
     "purify_acceptance",
     "purify_chain",
     "purify_cost",
     "purify_fidelity",
-    "purify_floats",
-    "purify_value",
     "swap_chain",
     "swap_cost",
     "swap_fidelity",
-    "swap_floats",
     "swap_inverse",
-    "swap_value",
-    "to_log_loss",
 ]
 
 SINGULAR_EPS = 1e-12

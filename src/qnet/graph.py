@@ -24,10 +24,8 @@ __all__ = [
     "NetworkGraph",
     "Node",
     "NodeRole",
-    "op_costs_obj",
     "parse_graph",
     "serialize_graph",
-    "write_graph",
 ]
 
 _ID_RE = re.compile(r"\S{1,64}")

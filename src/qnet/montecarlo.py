@@ -46,9 +46,9 @@ estimate takes at most 2**40 samples.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import ceil, sqrt
 from random import Random
-from typing import Callable
 
 from ._value import Value
 from .graph import NetworkGraph

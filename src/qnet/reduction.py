@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple, Union
 
 from . import algebra
 from ._value import Value, _new
@@ -29,20 +29,10 @@ __all__ = [
     "Purify",
     "ReductionError",
     "ReductionResult",
-    "ReductionStep",
-    "ReductionTrace",
-    "StepKind",
-    "StrategyTree",
     "Swap",
-    "check_strategy",
     "evaluate_strategy",
-    "fold",
     "is_fully_reduced_pair",
-    "postorder",
     "reduce_to_fixpoint",
-    "strategy_from_obj",
-    "strategy_leaves",
-    "serialize_composite",
     "serialize_strategy",
 ]
 
@@ -103,7 +93,7 @@ class Purify(_Operation):
     __slots__ = ()
 
 
-StrategyTree = Union[Leaf, Swap, Purify]
+StrategyTree = Leaf | Swap | Purify
 
 
 def postorder(tree: StrategyTree) -> list[StrategyTree]:
@@ -201,19 +191,14 @@ class StepKind(Enum):
     PARALLEL = "parallel"
 
 
-class ReductionStep(NamedTuple):
-    """One rewrite step: a plain row, not a validated record.
+ReductionStep = namedtuple(
+    "ReductionStep", "kind consumed eliminated produced fidelity success"
+)
+ReductionStep.__doc__ = """One rewrite step: a plain row, not a validated record.
 
     The engine fills it from values it has checked itself, so it carries
     the produced channel's cost as two floats rather than a CostVector.
     """
-
-    kind: StepKind
-    consumed: tuple[str, str]
-    eliminated: str | None
-    produced: str
-    fidelity: float
-    success: float
 
 
 class ReductionTrace(Value):

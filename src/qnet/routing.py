@@ -36,7 +36,6 @@ from .reduction import (
 
 __all__ = [
     "InfeasibleRouteError",
-    "RouteDiagnostics",
     "RouteRequest",
     "RouteResult",
     "SearchBoundError",

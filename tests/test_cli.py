@@ -271,11 +271,12 @@ def test_fresh_process_prints_what_run_prints(ladder_doc):
     assert (proc.returncode, proc.stdout) == (code, text.encode("ascii"))
 
 
-def _loaded_after(code, modules):
-    """Which of modules a fresh interpreter has loaded after running code."""
+def _loaded_after(code, modules, *flags):
+    """Which of modules a fresh interpreter, started with flags, has loaded
+    after running code."""
     probe = f"{code}; import sys; print(*[m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", probe], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
@@ -300,6 +301,12 @@ def test_planning_does_not_import_numpy(two_path_doc, tmp_path):
             f"code = qnet.cli.run({argv!r}); sys.stdout = out; assert code == 0"
         )
         assert _loaded_after(code, modules) == []
+
+
+def test_import_loads_no_typing():
+    """-S skips site, whose start-up hooks may import typing themselves."""
+    for code in ("import qnet.cli", "import qnet, qnet.montecarlo"):
+        assert _loaded_after(code, ("typing",), "-S") == []
 
 
 def test_no_thread_count_imports_a_pool(two_path_doc):
