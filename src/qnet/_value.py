@@ -5,9 +5,9 @@ make up its value, in the order its constructor takes them.  Value's
 __init__ binds positional and keyword arguments to _fields, as a def with
 those parameters and no defaults would, and stores each with _set.  A
 subclass defines __init__ only to validate or normalise a field.
-Value then compares, hashes, prints and pickles an instance by those
-fields and refuses assignment and deletion; nothing is generated at
-import time, so importing qnet stays cheap.
+Value then compares, hashes, prints, pickles and (by _asdict) lists an
+instance by those fields and refuses assignment and deletion; nothing is
+generated at import time, so importing qnet stays cheap.
 """
 from __future__ import annotations
 
@@ -53,6 +53,10 @@ class Value:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def _asdict(self) -> dict:
+        """The fields by name, in _fields order, as namedtuple._asdict."""
+        return dict(zip(self._fields, self._values()))
 
     def __eq__(self, other):
         # Only the same type compares, so Swap(l, r) != Purify(l, r).

@@ -121,16 +121,10 @@ def swap_inverse(f: float) -> float:
     return x / (2.0 * x - 1.0) + 0.0
 
 
-def _singular(f1: float, f2: float) -> AlgebraDomainError:
-    return AlgebraDomainError(f"singular purification input ({f1!r}, {f2!r})")
-
-
 def purify_value(f1: float, f2: float) -> float:
     """Raw purification quotient, checking only the singular denominator."""
-    denom = swap_value(f1, f2)
-    if abs(denom) <= SINGULAR_EPS:
-        raise _singular(f1, f2)
-    return (f1 * f2) / denom
+    return purify_floats(f1, 1.0, f2, 1.0, _FREE)[0]
+
 
 def purify_fidelity(f1: float, f2: float) -> float:
     """Fidelity after one purification round, conditioned on acceptance."""
@@ -226,12 +220,16 @@ def purify_floats(
     """
     agree = swap_value(f1, f2)
     if abs(agree) <= SINGULAR_EPS:
-        raise _singular(f1, f2)
+        raise AlgebraDomainError(f"singular purification input ({f1!r}, {f2!r})")
     s = s1 * s2 * ops.purify_success
     if ops.physical_acceptance:
         # the acceptance probability is the agreement itself
         s *= agree
     return (f1 * f2) / agree, s
+
+
+# Operation costs that charge nothing, for purify_value.
+_FREE = OperationCosts(1.0, 1.0, False)
 
 
 def swap_cost(c1: CostVector, c2: CostVector, ops: OperationCosts) -> CostVector:

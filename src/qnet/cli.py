@@ -13,18 +13,11 @@ import json
 import sys
 from enum import IntEnum
 
-from .algebra import (
-    CostVector,
-    GridSpec,
-    GridStrategy,
-    OperationCosts,
-    grid_cost,
-)
+from .algebra import GridSpec, GridStrategy, OperationCosts, grid_cost
 from .graph import (
     GraphFormatError,
     NetworkGraph,
     _json_int,
-    op_costs_obj,
     parse_graph,
     write_graph,
 )
@@ -188,24 +181,16 @@ def _route_request(args) -> RouteRequest:
     )
 
 
-def _cost_obj(cost: CostVector) -> dict:
-    return {"fidelity": cost.fidelity, "success": cost.success}
-
-
 def _route_obj(result: RouteResult) -> dict:
-    diagnostics = result.diagnostics
     return {
         "command": "route",
         "search": result.search.value,
-        "cost": None if result.cost is None else _cost_obj(result.cost),
+        "cost": None if result.cost is None else result.cost._asdict(),
         "strategy": None
         if result.strategy is None
         else RawJSON(serialize_strategy(result.strategy)),
         "subgraph": RawJSON(write_graph(result.subgraph)),
-        "diagnostics": {
-            "candidates_evaluated": diagnostics.candidates_evaluated,
-            "reduction_steps": diagnostics.reduction_steps,
-        },
+        "diagnostics": result.diagnostics._asdict(),
     }
 
 
@@ -276,15 +261,8 @@ def _cmd_simulate(args) -> int:
     _emit(
         {
             "command": "simulate",
-            "estimate": {
-                "fidelity_hat": est.fidelity_hat,
-                "success_hat": est.success_hat,
-                "std_error_fidelity": est.std_error_fidelity,
-                "std_error_success": est.std_error_success,
-                "samples": est.samples,
-                "seed": est.seed,
-            },
-            "analytic": _cost_obj(analytic),
+            "estimate": est._asdict(),
+            "analytic": analytic._asdict(),
             "strategy": RawJSON(serialize_strategy(tree)),
         }
     )
@@ -308,13 +286,11 @@ def _cmd_grid(args) -> int:
     _emit(
         {
             "command": "grid",
-            "breadth": spec.breadth,
-            "depth": spec.depth,
-            "channel_fidelity": spec.channel_fidelity,
-            "channel_success": spec.channel_success,
+            **spec._asdict(),
+            # canonical_dumps writes no enum member
             "strategy": spec.strategy.value,
-            "op_costs": op_costs_obj(ops),
-            "cost": _cost_obj(cost),
+            "op_costs": ops._asdict(),
+            "cost": cost._asdict(),
         }
     )
     return int(ExitCode.OK)

@@ -187,6 +187,7 @@ _ROLES = {role.value: role for role in NodeRole}
 _ROLE_TEXT = {role: quote(role.value) for role in NodeRole}
 _NODE_FIELDS = {"id": True, "role": True}
 _EDGE_FIELDS = dict.fromkeys(("id", "a", "b", "fidelity", "success"), True)
+_OP_COSTS_FIELDS = dict.fromkeys(OperationCosts._fields, False)
 
 
 def _require_keys(obj: dict, allowed: dict[str, bool], where: str) -> None:
@@ -258,15 +259,7 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         oc = doc["op_costs"]
         if not isinstance(oc, dict):
             raise GraphFormatError("op_costs must be an object")
-        _require_keys(
-            oc,
-            {
-                "swap_success": False,
-                "purify_success": False,
-                "physical_acceptance": False,
-            },
-            "op_costs",
-        )
+        _require_keys(oc, _OP_COSTS_FIELDS, "op_costs")
         acceptance = oc.get("physical_acceptance", True)
         if not isinstance(acceptance, bool):
             raise GraphFormatError("physical_acceptance must be a boolean")
@@ -332,15 +325,6 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
     return NetworkGraph._of_rows(nodes, channels, ops)
 
 
-def op_costs_obj(ops: OperationCosts) -> dict:
-    """The JSON object form of ops, as documents and reports hold it."""
-    return {
-        "swap_success": ops.swap_success,
-        "purify_success": ops.purify_success,
-        "physical_acceptance": ops.physical_acceptance,
-    }
-
-
 def write_graph(g: NetworkGraph) -> str:
     """g's canonical version-1 document as text.
 
@@ -361,7 +345,7 @@ def write_graph(g: NetworkGraph) -> str:
         for nid, n in sorted(g._nodes.items())
     ])
     return '{"edges":[%s],"nodes":[%s],"op_costs":%s,"version":1}' % (
-        edges, nodes, canonical_dumps(op_costs_obj(g.op_costs))
+        edges, nodes, canonical_dumps(g.op_costs._asdict())
     )
 
 

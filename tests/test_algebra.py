@@ -27,6 +27,7 @@ from qnet.algebra import (
     _purify_copies,
     _swap_copies,
     purify_cost,
+    purify_floats,
     swap_cost,
     swap_value,
     to_log_loss,
@@ -103,9 +104,11 @@ def test_swap_inverse_examples():
     assert swap_inverse(1.0) == 1.0
     assert swap_inverse(0.75) == 1.5
     assert swap_inverse(0.0) == 0.0
+    # just past the puncture the inverse is formal, and huge
+    assert swap_inverse(0.5 + 2e-9) > 1e8
 
 
-@pytest.mark.parametrize("f", [0.5, 0.5 + 1e-10, 0.5 - 1e-10])
+@pytest.mark.parametrize("f", [0.5, 0.5 + 1e-10, 0.5 - 1e-10, 0.5 + 5e-10])
 def test_swap_inverse_puncture(f):
     with pytest.raises(AlgebraDomainError):
         swap_inverse(f)
@@ -122,6 +125,15 @@ def test_purify_singular_pair():
         purify_fidelity(1.0, 0.0)
     with pytest.raises(AlgebraDomainError):
         purify_chain([0.0, 1.0])
+    # the agreement swap_value(1, f) is f: 2e-12 clears SINGULAR_EPS, 1e-12 does not
+    assert purify_fidelity(1.0, 2e-12) == 1.0
+    assert purify_floats(1.0, 1.0, 2e-12, 1.0, OperationCosts()) == (1.0, 2e-12)
+    for singular in (
+        lambda: purify_fidelity(1.0, 1e-12),
+        lambda: purify_floats(1.0, 1.0, 1e-12, 1.0, OperationCosts()),
+    ):
+        with pytest.raises(AlgebraDomainError, match="singular purification input"):
+            singular()
 
 
 # strictness drowns in rounding within a few ulps of 1/2, so stay clear of it

@@ -1,13 +1,15 @@
-"""The value-class contract: equality, hash, repr, immutability, pickling.
+"""The value-class contract: equality, hash, repr, _asdict, immutability,
+pickling.
 
 Every public value class compares equal only to an instance of its own
 type with equal fields, hashes by those fields, prints as
-``Name(field=value, ...)``, refuses assignment and deletion, accepts its
-fields by position or keyword and refuses missing, extra, unknown or
-repeated ones, validates them on construction and survives a pickle or
-copy round trip.  ReductionStep, a trace row, is a named tuple that the
-engine builds unvalidated: it keeps the same contract, except that it
-equals the plain tuple of its fields and its constructor is __new__.
+``Name(field=value, ...)``, lists them by name in ``_asdict()``, refuses
+assignment and deletion, accepts its fields by position or keyword and
+refuses missing, extra, unknown or repeated ones, validates them on
+construction and survives a pickle or copy round trip.  ReductionStep, a
+trace row, is a named tuple that the engine builds unvalidated: it keeps
+the same contract, except that it equals the plain tuple of its fields
+and its constructor is __new__.
 """
 import copy
 import importlib
@@ -266,6 +268,12 @@ def test_repr(case):
     assert repr(cls(**fields)) == text
 
 
+def test_asdict(case):
+    _, cls, fields, _, _ = case
+    # in _fields order, which CASES follows
+    assert list(cls(**fields)._asdict().items()) == list(fields.items())
+
+
 def test_assignment_and_deletion_raise(case):
     _, cls, fields, _, _ = case
     value = cls(**fields)
@@ -365,6 +373,7 @@ def test_size_bounds_admit_their_limit():
     # constructing a spec allocates nothing, so the bounds can be met here
     assert GridSpec(10**6, 10**6, 0.9, 0.8).breadth == 10**6
     assert RouteRequest("A", "B", 0.5, max_bruteforce_edges=20).max_bruteforce_edges == 20
+    assert RouteRequest("A", "B", 1.0).min_success == 1.0
 
 
 def test_formal_fidelity_skips_the_range_check():
