@@ -7,7 +7,9 @@ those parameters and no defaults would, and stores each with _set.  A
 subclass defines __init__ only to validate or normalise a field.
 Value then compares, hashes, prints, pickles and (by _asdict) lists an
 instance by those fields and refuses assignment and deletion; nothing is
-generated at import time, so importing qnet stays cheap.
+generated at import time, so importing qnet stays cheap.  Rows that
+code builds by the thousand from values it has checked itself, a graph's
+Channel and a trace's ReductionStep, are named tuples instead.
 """
 from __future__ import annotations
 

@@ -8,7 +8,6 @@ success bookkeeping into an additive one.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from enum import Enum
 
 from ._value import Value, _set
@@ -19,20 +18,13 @@ __all__ = [
     "GridSpec",
     "GridStrategy",
     "OperationCosts",
-    "dephasing_bell_fidelity",
     "grid_cost",
     "purify_acceptance",
-    "purify_chain",
     "purify_cost",
-    "purify_fidelity",
-    "swap_chain",
     "swap_cost",
-    "swap_fidelity",
-    "swap_inverse",
 ]
 
 SINGULAR_EPS = 1e-12
-PUNCTURE_EPS = 1e-9
 
 
 class AlgebraDomainError(ValueError):
@@ -103,48 +95,9 @@ def swap_value(f1: float, f2: float) -> float:
     return f1 * f2 + (1.0 - f1) * (1.0 - f2)
 
 
-def swap_fidelity(f1: float, f2: float) -> float:
-    """Fidelity after entanglement swapping two pairs."""
-    return swap_value(_checked(f1), _checked(f2))
-
-
-def swap_inverse(f: float) -> float:
-    """The fidelity g with swap_value(f, g) == 1, namely f / (2f - 1).
-
-    Undefined at the domain puncture f = 1/2.  The result is physical only
-    for f in {0, 1}; everything else is a formal value outside [0, 1],
-    which every physical entry point refuses.
-    """
-    x = _checked(f)
-    if abs(x - 0.5) <= PUNCTURE_EPS:
-        raise AlgebraDomainError(f"no inverse at domain puncture f={x!r}")
-    return x / (2.0 * x - 1.0) + 0.0
-
-
-def purify_value(f1: float, f2: float) -> float:
-    """Raw purification quotient, checking only the singular denominator."""
-    return purify_floats(f1, 1.0, f2, 1.0, _FREE)[0]
-
-
-def purify_fidelity(f1: float, f2: float) -> float:
-    """Fidelity after one purification round, conditioned on acceptance."""
-    return purify_value(_checked(f1), _checked(f2))
-
-
 def purify_acceptance(f1: float, f2: float) -> float:
     """Probability that a purification round accepts (both measurements agree)."""
     return swap_value(_checked(f1), _checked(f2))
-
-
-def swap_chain(fs: Iterable[float]) -> float:
-    """Left fold of swap_fidelity over a non-empty sequence."""
-    vals = [_checked(f) for f in fs]
-    if not vals:
-        raise AlgebraDomainError("swap_chain of empty sequence")
-    acc = vals[0]
-    for v in vals[1:]:
-        acc = swap_value(acc, v)
-    return acc
 
 
 # Running products prod(F) and prod(1 - F) of a purification chain, each as
@@ -178,23 +131,6 @@ def _chain_value(state: _ChainState) -> float:
     return kept / (kept + lost)
 
 
-def purify_chain(fs: Iterable[float]) -> float:
-    """Fidelity of purifying n pairs down to one: prod(F) / (prod(F) + prod(1-F)).
-
-    Each running product is kept as a mantissa in [1/2, 1) and a power of
-    two, so long chains do not underflow.  Scaling by a power of two is
-    exact, so the result is bit-identical to plain products wherever those
-    stay normal.  Only both products being exactly zero is singular.
-    """
-    vals = [_checked(f) for f in fs]
-    if not vals:
-        raise AlgebraDomainError("purify_chain of empty sequence")
-    state = _CHAIN_START
-    for v in vals:
-        state = _chain_step(state, v)
-    return _chain_value(state)
-
-
 def to_log_loss(p: float) -> float:
     """-ln(success); 0 maps to the +infinity marker."""
     x = _checked(p, _SUCCESS)
@@ -215,8 +151,7 @@ def purify_floats(
 ) -> tuple[float, float]:
     """(fidelity, success) of purify_cost on plain floats.
 
-    Raises AlgebraDomainError on a singular input, as purify_value does, but
-    checks no range.
+    Raises AlgebraDomainError on a singular input, but checks no range.
     """
     agree = swap_value(f1, f2)
     if abs(agree) <= SINGULAR_EPS:
@@ -226,10 +161,6 @@ def purify_floats(
         # the acceptance probability is the agreement itself
         s *= agree
     return (f1 * f2) / agree, s
-
-
-# Operation costs that charge nothing, for purify_value.
-_FREE = OperationCosts(1.0, 1.0, False)
 
 
 def swap_cost(c1: CostVector, c2: CostVector, ops: OperationCosts) -> CostVector:
@@ -244,11 +175,6 @@ def purify_cost(c1: CostVector, c2: CostVector, ops: OperationCosts) -> CostVect
     return CostVector(
         *purify_floats(c1.fidelity, c1.success, c2.fidelity, c2.success, ops)
     )
-
-
-def dephasing_bell_fidelity(p: float) -> float:
-    """Bell-pair fidelity (1 + p) / 2 after a dephasing channel of strength p."""
-    return (1.0 + _checked(p, "channel strength")) / 2.0
 
 
 class GridStrategy(Enum):
@@ -298,9 +224,10 @@ class GridSpec(Value):
 
 
 def _purify_copies(base: float, count: int) -> tuple[float, float]:
-    """purify_chain([base] * count) and the product of the acceptance
-    probabilities of its count - 1 rounds, in one pass: round i purifies
-    the chain of i copies against one more copy, so its products carry over.
+    """Fidelity of purifying count copies of base down to one pair, and the
+    product of the acceptance probabilities of its count - 1 rounds, in one
+    pass: round i purifies the chain of i copies against one more copy, so
+    its products carry over.
     """
     total = 1.0
     state = _chain_step(_CHAIN_START, base)
@@ -311,7 +238,8 @@ def _purify_copies(base: float, count: int) -> tuple[float, float]:
 
 
 def _swap_copies(base: float, count: int) -> float:
-    """swap_chain([base] * count), folded over the count without a list."""
+    """Fidelity of swapping count copies of base end to end: swap_value
+    folded over the count without a list."""
     acc = base
     for _ in range(1, count):
         acc = swap_value(acc, base)

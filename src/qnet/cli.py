@@ -166,7 +166,7 @@ def _cmd_reduce(args) -> int:
                 "success": success,
                 "strategy": RawJSON(serialize_strategy(result.strategies[cid])),
             }
-            for cid, (_, _, fidelity, success) in sorted(result.graph._channels.items())
+            for cid, (_, _, fidelity, success) in sorted(result.graph.channels.items())
         ],
     }
     if args.trace:

@@ -1,8 +1,8 @@
 """Network graph model and its JSON document format.
 
 Multigraph of endpoint/repeater nodes joined by channels.  A graph keeps
-each channel as one row, id -> (a, b, fidelity, success) with a <= b, from
-the document to the report, and builds a Channel record only on request.
+each channel as one Channel row, id -> (a, b, fidelity, success) with
+a <= b, and hands out the rows it holds, from the document to the report.
 Documents are versioned and strict: unknown fields are rejected,
 serialization is canonical, and parse(serialize(g)) reproduces g exactly.
 """
@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from types import MappingProxyType
 
 from ._value import Value
-from .algebra import CostVector, OperationCosts, check_cost
+from .algebra import OperationCosts, check_cost
 from .jsonutil import canonical_dumps, quote
 
 __all__ = [
@@ -46,17 +47,12 @@ class Node(Value):
     role: NodeRole
 
 
-class Channel(Value):
-    """Undirected channel; endpoints are stored in sorted order."""
+Channel = namedtuple("Channel", "a b fidelity success")
+Channel.__doc__ = """A channel as a graph keeps it under its id: ends a <= b, and cost.
 
-    __slots__ = _fields = ("id", "a", "b", "cost")
-    id: str
-    a: str
-    b: str
-    cost: CostVector
-
-    def __init__(self, id: str, a: str, b: str, cost: CostVector) -> None:
-        Value.__init__(self, id, *sorted((a, b)), cost)
+    A plain row, as ReductionStep is.  NetworkGraph checks rows as input;
+    the parser and the reduction engine build theirs with tuple.__new__.
+    """
 
 
 def _check_id(kind: str, value: str) -> str:
@@ -67,64 +63,25 @@ def _check_id(kind: str, value: str) -> str:
     return value
 
 
-# A channel as a graph keeps it: (a, b, fidelity, success), a <= b.
-Row = tuple[str, str, float, float]
-
-
-class _Channels(Mapping):
-    """Read-only view of a graph's rows as Channel records, built on access."""
-
-    def __init__(self, rows: dict[str, Row]) -> None:
-        self._rows = rows
-
-    def __getitem__(self, cid: str) -> Channel:
-        a, b, fidelity, success = self._rows[cid]
-        return Channel(cid, a, b, CostVector(fidelity, success))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._rows)
-
-
 class NetworkGraph:
     """Immutable multigraph with per-operation cost factors.
 
-    _channels maps each channel id to its row.  nodes and channels are
-    read-only views, channels building each Channel on access; the
-    instance should be treated as frozen once constructed.
+    nodes and channels are read-only views of the dicts _nodes and
+    _channels; treat the instance as frozen once constructed.
     """
 
     def __init__(
         self,
         nodes: Iterable[Node],
-        channels: Iterable[Channel],
+        channels: Iterable[tuple[str, Channel]],
         op_costs: OperationCosts | None = None,
     ) -> None:
-        self._load(
-            nodes,
-            [(c.id, (c.a, c.b, c.cost.fidelity, c.cost.success)) for c in channels],
-            op_costs,
-        )
-
-    @classmethod
-    def _of_rows(cls, nodes, channels, op_costs) -> NetworkGraph:
-        """The graph of nodes and (id, row) pairs, checked as __init__ checks."""
-        g = cls.__new__(cls)
-        g._load(nodes, channels, op_costs)
-        return g
-
-    def _load(
-        self,
-        nodes: Iterable[Node],
-        channels: Iterable[tuple[str, Row]],
-        op_costs: OperationCosts | None,
-    ) -> None:
-        """Check and store the nodes, then the channels' ids and ends; each
-        row's costs must already lie in [0, 1] and its ends be sorted."""
+        """The graph of nodes and (id, row) channels, checked as input with
+        parse_graph's messages: node ids, then each channel's id, ends and
+        costs.  A row is kept as it is if it is a Channel of sorted ends and
+        float costs, and rebuilt as one otherwise."""
         self._nodes: dict[str, Node] = {}
-        self._channels: dict[str, Row] = {}
+        self._channels: dict[str, Channel] = {}
         known, joined = self._nodes, self._channels
         for n in nodes:
             nid = _check_id("node", n.id)
@@ -135,11 +92,19 @@ class NetworkGraph:
             _check_id("channel", cid)
             if cid in joined:
                 raise GraphFormatError(f"duplicate channel id {cid!r}")
-            a, b = row[0], row[1]
+            a, b, fidelity, success = row
             if a not in known or b not in known:
                 raise GraphFormatError(f"channel {cid!r} references unknown node")
             if a == b:
                 raise GraphFormatError(f"channel {cid!r} is a self-loop")
+            try:
+                check_cost(fidelity, success)
+            except ValueError as exc:
+                raise GraphFormatError(f"channel {cid!r}: {exc}") from None
+            if b < a or type(row) is not Channel or not (
+                type(fidelity) is type(success) is float
+            ):
+                row = Channel(*sorted((a, b)), float(fidelity), float(success))
             joined[cid] = row
         self.op_costs = op_costs if op_costs is not None else OperationCosts()
 
@@ -149,7 +114,7 @@ class NetworkGraph:
 
     @property
     def channels(self) -> Mapping[str, Channel]:
-        return _Channels(self._channels)
+        return MappingProxyType(self._channels)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -157,15 +122,11 @@ class NetworkGraph:
         except KeyError:
             raise GraphFormatError(f"unknown node {node_id!r}") from None
 
-    def _row(self, channel_id: str) -> Row:
+    def channel(self, channel_id: str) -> Channel:
         try:
             return self._channels[channel_id]
         except KeyError:
             raise GraphFormatError(f"unknown channel {channel_id!r}") from None
-
-    def channel(self, channel_id: str) -> Channel:
-        a, b, fidelity, success = self._row(channel_id)
-        return Channel(channel_id, a, b, CostVector(fidelity, success))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetworkGraph):
@@ -228,10 +189,9 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
     so every graph qnet writes parses again; reduction numbers the channels
     it creates past any such id already in the graph.
 
-    Each edge becomes a row, its fields checked here (the costs by
-    check_cost) and its ends sorted as Channel sorts them.  NetworkGraph
-    then checks the ids and the ends, so every entry's fields are checked
-    before any id.
+    Each edge becomes a Channel row, its fields checked here (the costs by
+    check_cost) and its ends sorted.  NetworkGraph then checks the ids, the
+    ends and the costs, so every entry's fields are checked before any id.
     """
     if isinstance(document, bytes):
         try:
@@ -296,6 +256,7 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
     if not isinstance(doc["edges"], list):
         raise GraphFormatError("edges must be an array")
     channels = []
+    tuple_new = tuple.__new__
     for i, entry in enumerate(doc["edges"]):
         if not isinstance(entry, dict):
             raise GraphFormatError(f"edges[{i}] must be an object")
@@ -320,9 +281,9 @@ def parse_graph(document: bytes | str) -> NetworkGraph:
         a, b = names.get(a, a), names.get(b, b)
         if b < a:
             a, b = b, a
-        channels.append((cid, (a, b, fidelity, success)))
+        channels.append((cid, tuple_new(Channel, (a, b, fidelity, success))))
 
-    return NetworkGraph._of_rows(nodes, channels, ops)
+    return NetworkGraph(nodes, channels, ops)
 
 
 def write_graph(g: NetworkGraph) -> str:

@@ -200,7 +200,7 @@ def estimate(
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed {seed} outside [0, 2**128)")
     nodes = check_strategy(tree, g)
-    ops, rows = g.op_costs, g._channels
+    ops, rows = g.op_costs, g.channels
     steps: list[Step] = []
     success = 1.0
     height = depth = 0

@@ -21,7 +21,7 @@ from enum import Enum
 from . import algebra
 from ._value import Value, _new
 from .algebra import CostVector, check_cost, purify_floats, swap_floats
-from .graph import GraphFormatError, NetworkGraph, NodeRole
+from .graph import Channel, GraphFormatError, NetworkGraph, NodeRole
 from .jsonutil import quote
 
 __all__ = [
@@ -215,7 +215,7 @@ class ReductionResult(Value):
 
 def _synthetic_start(g: NetworkGraph) -> int:
     top = -1
-    for m in map(_SYNTHETIC_ID_RE.match, g._channels):
+    for m in map(_SYNTHETIC_ID_RE.match, g.channels):
         if m:
             top = max(top, int(m.group(1)))
     return top + 1
@@ -233,7 +233,7 @@ class _Engine:
     run() reduces to a fixpoint: parallel steps are exhausted before series
     steps, and within each kind the candidate carrying the lowest channel id
     goes first; routers that tie on it go in id order.  A live channel is
-    the row chan[id] = (a, b, fidelity, success) with a <= b, and inc[n]
+    the Channel row chan[id] = (a, b, fidelity, success), a <= b; inc[n]
     holds the live ids at live node n.  pairs[(a, b)] is a heap of exactly
     the live ids spanning a and b.  par_heap holds an entry for the smallest
     id of every pair with two or more, and ser_heap the lower id of every
@@ -257,7 +257,7 @@ class _Engine:
         self.graph = g
         self.routers = {nid for nid, n in g.nodes.items() if n.role is NodeRole.ROUTER}
         self.inc: dict[str, set[str]] = {nid: set() for nid in g.nodes}
-        self.chan = dict(g._channels)
+        self.chan = g.channels.copy()
         self.pairs: dict[tuple[str, str], list[str]] = {}
         self.trees: dict[str, StrategyTree] = {}
         routers, inc, pairs, trees = self.routers, self.inc, self.pairs, self.trees
@@ -349,7 +349,7 @@ class _Engine:
             set_left(tree, trees.pop(cid1))
             set_right(tree, trees.pop(cid2))
             trees[produced] = tree
-            chan[produced] = (u, w, f, s)
+            chan[produced] = new_row(Channel, (u, w, f, s))
             members = pairs.setdefault((u, w), [])
             push(members, produced)
             if len(members) > 1:
@@ -364,8 +364,9 @@ class _Engine:
 
     def result(self) -> ReductionResult:
         g = self.graph
-        graph = NetworkGraph._of_rows(
-            [g._nodes[nid] for nid in self.inc], self.chan.items(), g.op_costs
+        nodes = g.nodes
+        graph = NetworkGraph(
+            [nodes[nid] for nid in self.inc], self.chan.items(), g.op_costs
         )
         trace = ReductionTrace(tuple(self.steps))
         return ReductionResult(graph, trace, dict(self.trees))
@@ -394,7 +395,7 @@ def is_fully_reduced_pair(g: NetworkGraph, source: str, target: str) -> bool:
         raise GraphFormatError("source and target must differ")
     if set(g.nodes) != {source, target}:
         return False
-    rows = g._channels
+    rows = g.channels
     if len(rows) != 1:
         return False
     ((a, b, _, _),) = rows.values()
@@ -409,7 +410,7 @@ def check_strategy(tree: StrategyTree, g: NetworkGraph) -> list[StrategyTree]:
     for node in nodes:
         if isinstance(node, Leaf):
             cid = node.channel
-            g._row(cid)
+            g.channel(cid)
             if cid in seen:
                 raise ReductionError(f"channel {cid!r} consumed twice by strategy")
             seen.add(cid)
@@ -424,7 +425,7 @@ def evaluate_strategy(tree: StrategyTree, g: NetworkGraph) -> CostVector:
     read at the call as swap_cost reads them; check_cost checks each step.
     """
     nodes = check_strategy(tree, g)
-    ops, rows = g.op_costs, g._channels
+    ops, rows = g.op_costs, g.channels
     swap, purify = algebra.swap_floats, algebra.purify_floats
     values: list[tuple[float, float]] = []
     for node in nodes:

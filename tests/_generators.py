@@ -30,9 +30,7 @@ def build_graph(edges, endpoints=("A", "B"), ops=None):
         Node(n, NodeRole.ENDPOINT if n in endpoints else NodeRole.ROUTER)
         for n in sorted(names)
     ]
-    channels = [
-        Channel(cid, a, b, CostVector(f, s)) for cid, a, b, f, s in edges
-    ]
+    channels = [(cid, Channel(a, b, f, s)) for cid, a, b, f, s in edges]
     return NetworkGraph(nodes, channels, ops)
 
 
@@ -151,7 +149,7 @@ def reduce_random_order(g, rng):
     while moves := rewriter.moves():
         rewriter.apply(rng.choice(moves))
     (channel,) = rewriter.channels.values()
-    return channel.cost
+    return CostVector(channel.fidelity, channel.success)
 
 
 def uniform_grid(breadth, depth, fidelity=0.99, success=0.9):
@@ -191,12 +189,7 @@ def random_connected_graph(rng, max_channels=8, fidelity=(0.55, 0.95)):
     for _ in range(rng.randint(0, max_channels - len(spans))):
         spans.append(tuple(rng.sample(names, 2)))
     channels = [
-        Channel(
-            f"c{i}",
-            a,
-            b,
-            CostVector(rng.uniform(*fidelity), rng.uniform(0.5, 1.0)),
-        )
+        (f"c{i}", Channel(a, b, rng.uniform(*fidelity), rng.uniform(0.5, 1.0)))
         for i, (a, b) in enumerate(spans)
     ]
     return NetworkGraph(nodes, channels, random_ops(rng))
@@ -212,12 +205,7 @@ def random_strategy_tree(rng, max_leaves=10, acceptance=True):
     n = rng.randint(1, max_leaves)
     nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
     channels = [
-        Channel(
-            f"c{i}",
-            "A",
-            "B",
-            CostVector(rng.uniform(0.55, 1.0), rng.uniform(0.55, 1.0)),
-        )
+        (f"c{i}", Channel("A", "B", rng.uniform(0.55, 1.0), rng.uniform(0.55, 1.0)))
         for i in range(n)
     ]
     ops = OperationCosts(
@@ -233,7 +221,7 @@ def random_strategy_tree(rng, max_leaves=10, acceptance=True):
         kind = Swap if rng.random() < 0.5 else Purify
         return kind(grow(ids[:k]), grow(ids[k:]))
 
-    tree = grow([c.id for c in channels])
+    tree = grow([cid for cid, _ in channels])
     return tree, NetworkGraph(nodes, channels, ops)
 
 

@@ -38,12 +38,20 @@ None, and never evaluate more candidates.
 DensityMatrix4, dephase_bell and bell_fidelity are the dephasing channel
 as quantum mechanics writes it: a Bell pair whose phase flips with
 probability 1 - p, built explicitly as a 4x4 two-qubit density matrix.
-The closed form qnet.algebra.dephasing_bell_fidelity, (1 + p) / 2, must
-equal the matrix's overlap with the Bell pair, so the algebra is checked
-against the physics rather than against itself.
+The closed form dephasing_bell_fidelity, (1 + p) / 2, must equal the
+matrix's overlap with the Bell pair, so the algebra is checked against the
+physics rather than against itself.
+
+swap_fidelity and purify_fidelity are the fidelity halves of
+qnet.algebra.swap_floats and purify_floats under free operations, the
+kernels every command composes with; the algebra's laws are stated
+through them.  swap_chain and purify_chain fold a sequence of fidelities
+(purify_chain through the grid's scaled running products), and
+swap_inverse gives the formal inverse f / (2f - 1); grid_cost's folds
+over copies are checked against the chains.
 
 Rewriter is a plain series/parallel rewriter, written apart from
-qnet.reduction._Engine: it keeps one dict of Channel objects, scans it at
+qnet.reduction._Engine: it keeps one dict of Channel rows, scans it at
 every step (O(|E|) a step), and checks each named step as the package's
 single-step functions once did, with their messages.  series_step,
 parallel_step and replay_trace drive it one step or one `qnet reduce
@@ -67,9 +75,16 @@ import numpy as np
 from qnet.algebra import (
     AlgebraDomainError,
     CostVector,
+    OperationCosts,
+    _CHAIN_START,
+    _chain_step,
+    _chain_value,
     _checked,
     purify_cost,
+    purify_floats,
     swap_cost,
+    swap_floats,
+    swap_value,
 )
 from qnet.graph import Channel, GraphFormatError, NetworkGraph, NodeRole
 from qnet.jsonutil import RawJSON
@@ -105,21 +120,21 @@ def simple_paths(
     _check_endpoints(g, source, target)
     found = []
 
-    def extend(node: str, visited: set[str], path: list[Channel]) -> None:
-        for c in g.channels.values():
+    def extend(node: str, visited: set[str], path: list[str]) -> None:
+        for cid, c in g.channels.items():
             if node not in (c.a, c.b):
                 continue
             far = c.b if node == c.a else c.a
             if far == target:
-                hops = path + [c]
+                hops = path + [cid]
                 success = 1.0
                 for hop in hops:
-                    success *= hop.cost.success
+                    success *= g.channel(hop).success
                 for _ in range(len(hops) - 1):
                     success *= g.op_costs.swap_success
-                found.append((tuple(h.id for h in hops), success))
+                found.append((tuple(hops), success))
             elif far not in visited and g.node(far).role is NodeRole.ROUTER:
-                extend(far, visited | {far}, path + [c])
+                extend(far, visited | {far}, path + [cid])
 
     extend(source, {source}, [])
     return found
@@ -202,13 +217,13 @@ def graph_to_obj(g: NetworkGraph) -> dict:
         ],
         "edges": [
             {
-                "id": c.id,
+                "id": cid,
                 "a": c.a,
                 "b": c.b,
-                "fidelity": c.cost.fidelity,
-                "success": c.cost.success,
+                "fidelity": c.fidelity,
+                "success": c.success,
             }
-            for c in sorted(g.channels.values(), key=lambda c: c.id)
+            for cid, c in sorted(g.channels.items())
         ],
     }
 
@@ -314,7 +329,7 @@ def scalar_walk_tallies(
     flip_thresholds = []
     for node in nodes:
         if isinstance(node, Leaf):
-            cost = g.channel(node.channel).cost
+            cost = g.channel(node.channel)
             success *= cost.success
             flip_thresholds.append(threshold(1.0 - cost.fidelity))
         else:
@@ -386,7 +401,7 @@ def philox_two_draw_tallies(
     col = 0
     for node in nodes:
         if isinstance(node, Leaf):
-            cost = g.channel(node.channel).cost
+            cost = g.channel(node.channel)
             leaf_bits.append(
                 (
                     draws[:, col] < cost.success,
@@ -473,16 +488,16 @@ def reference_exhaustive_search(
     ]
     for i, cid in enumerate(ids):
         c = g.channel(cid)
-        if c.cost.fidelity < 0.5:
+        if c.fidelity < 0.5:
             raise AlgebraDomainError(
-                f"kernel channel {cid!r} has fidelity {c.cost.fidelity!r} "
+                f"kernel channel {cid!r} has fidelity {c.fidelity!r} "
                 "below 1/2; the exhaustive search is exact only for "
                 "fidelities >= 1/2"
             )
         tree = Leaf(cid)
         ser = serialize_strategy(tree)
         frontiers[1 << i][(c.a, c.b)] = [
-            (c.cost.fidelity, c.cost.success, ser, tree, c.cost)
+            (c.fidelity, c.success, ser, tree, CostVector(c.fidelity, c.success))
         ]
     joins: dict = {}
     evaluated = 0
@@ -524,6 +539,67 @@ def reference_exhaustive_search(
     if best is None:
         return None, evaluated
     return (best[3], best[4]), evaluated
+
+
+# Operation costs that charge nothing.
+FREE = OperationCosts(1.0, 1.0, False)
+PUNCTURE_EPS = 1e-9
+
+
+def swap_fidelity(f1: float, f2: float) -> float:
+    """Fidelity after entanglement swapping two pairs, by swap_floats."""
+    return swap_floats(f1, 1.0, f2, 1.0, FREE)[0]
+
+
+def purify_fidelity(f1: float, f2: float) -> float:
+    """Fidelity after one purification round, conditioned on acceptance,
+    by purify_floats; a singular pair raises AlgebraDomainError."""
+    return purify_floats(f1, 1.0, f2, 1.0, FREE)[0]
+
+
+def swap_inverse(f: float) -> float:
+    """The fidelity g with swap_value(f, g) == 1, namely f / (2f - 1).
+
+    Undefined at the domain puncture f = 1/2.  The result is physical only
+    for f in {0, 1}; everything else is a formal value outside [0, 1],
+    which every physical entry point refuses.
+    """
+    x = _checked(f)
+    if abs(x - 0.5) <= PUNCTURE_EPS:
+        raise AlgebraDomainError(f"no inverse at domain puncture f={x!r}")
+    return x / (2.0 * x - 1.0) + 0.0
+
+
+def swap_chain(fs) -> float:
+    """Left fold of swap_value over a non-empty sequence of fidelities."""
+    vals = [_checked(f) for f in fs]
+    if not vals:
+        raise AlgebraDomainError("swap_chain of empty sequence")
+    acc = vals[0]
+    for v in vals[1:]:
+        acc = swap_value(acc, v)
+    return acc
+
+
+def purify_chain(fs) -> float:
+    """Fidelity of purifying n pairs down to one: prod(F) / (prod(F) + prod(1-F)).
+
+    The running products are the grid's, a mantissa and a power of two
+    each, so long chains do not underflow; only both products being
+    exactly zero is singular.
+    """
+    vals = [_checked(f) for f in fs]
+    if not vals:
+        raise AlgebraDomainError("purify_chain of empty sequence")
+    state = _CHAIN_START
+    for v in vals:
+        state = _chain_step(state, v)
+    return _chain_value(state)
+
+
+def dephasing_bell_fidelity(p: float) -> float:
+    """Bell-pair fidelity (1 + p) / 2 after a dephasing channel of strength p."""
+    return (1.0 + _checked(p, "channel strength")) / 2.0
 
 
 _BELL = np.zeros((4, 4), dtype=np.complex128)
@@ -591,12 +667,12 @@ def brute_force_best(
         sorted(
             (
                 tuple(sorted((c.a, c.b))),
-                c.cost.fidelity,
-                c.cost.success,
-                serialize_strategy(Leaf(c.id)),
-                Leaf(c.id),
+                c.fidelity,
+                c.success,
+                serialize_strategy(Leaf(cid)),
+                Leaf(cid),
             )
-            for c in g.channels.values()
+            for cid, c in g.channels.items()
         )
     )
     best = None
@@ -668,15 +744,12 @@ class Rewriter:
         self.next_id = max(numbers, default=-1) + 1
 
     def graph(self) -> NetworkGraph:
-        return NetworkGraph(self.nodes.values(), self.channels.values(), self.ops)
+        return NetworkGraph(self.nodes.values(), self.channels.items(), self.ops)
 
-    def _at(self, node: str) -> list[Channel]:
-        return sorted(
-            (c for c in self.channels.values() if node in (c.a, c.b)),
-            key=lambda c: c.id,
-        )
+    def _at(self, node: str) -> list[str]:
+        return sorted(cid for cid, c in self.channels.items() if node in (c.a, c.b))
 
-    def _apply(self, kind, c1, c2, ends, eliminated, produced) -> ReductionStep:
+    def _apply(self, kind, id1, id2, ends, eliminated, produced) -> ReductionStep:
         if produced is None:
             produced = f"r{self.next_id}"
             self.next_id += 1
@@ -684,19 +757,20 @@ class Rewriter:
             raise GraphFormatError(
                 f"channel id {produced!r} must be 1-64 non-whitespace characters"
             )
-        elif produced in self.channels and produced not in (c1.id, c2.id):
+        elif produced in self.channels and produced not in (id1, id2):
             raise GraphFormatError(f"duplicate channel id {produced!r}")
         if kind is StepKind.SERIES:
             combine, tree = swap_cost, Swap
         else:
             combine, tree = purify_cost, Purify
-        cost = combine(c1.cost, c2.cost, self.ops)
+        c1, c2 = self.channels[id1], self.channels[id2]
+        cost = combine(CostVector(*c1[2:]), CostVector(*c2[2:]), self.ops)
         step = ReductionStep(
-            kind, (c1.id, c2.id), eliminated, produced, cost.fidelity, cost.success
+            kind, (id1, id2), eliminated, produced, cost.fidelity, cost.success
         )
-        self.trees[produced] = tree(self.trees.pop(c1.id), self.trees.pop(c2.id))
-        del self.channels[c1.id], self.channels[c2.id]
-        self.channels[produced] = Channel(produced, *ends, cost)
+        self.trees[produced] = tree(self.trees.pop(id1), self.trees.pop(id2))
+        del self.channels[id1], self.channels[id2]
+        self.channels[produced] = Channel(*sorted(ends), cost.fidelity, cost.success)
         self.steps.append(step)
         return step
 
@@ -709,7 +783,7 @@ class Rewriter:
         at = self._at(router)
         if len(at) != 2:
             raise ReductionError(f"router {router!r} has degree {len(at)}, need exactly 2")
-        u, w = (_far_end(c, router) for c in at)
+        u, w = (_far_end(self.channels[cid], router) for cid in at)
         if u == w:
             raise ReductionError(
                 f"both channels at {router!r} lead to {u!r}; purify them instead"
@@ -727,10 +801,12 @@ class Rewriter:
         for cid in (first, second):
             if cid not in self.channels:
                 raise GraphFormatError(f"unknown channel {cid!r}")
-        c1, c2 = sorted((self.channels[first], self.channels[second]), key=lambda c: c.id)
+        c1, c2 = self.channels[first], self.channels[second]
         if (c1.a, c1.b) != (c2.a, c2.b):
             raise ReductionError(f"channels {first!r} and {second!r} are not parallel")
-        return self._apply(StepKind.PARALLEL, c1, c2, (c1.a, c1.b), None, produced)
+        return self._apply(
+            StepKind.PARALLEL, *sorted((first, second)), (c1.a, c1.b), None, produced
+        )
 
     def moves(self) -> list[tuple]:
         """Every step that applies: ("parallel", id, id) for each two
@@ -738,12 +814,12 @@ class Rewriter:
         ("series", router) for each router of two channels to two distinct
         nodes, by its lower channel id and then its own id."""
         spans: dict[tuple[str, str], list[str]] = {}
-        at: dict[str, list[Channel]] = {}
+        at: dict[str, list[tuple[str, Channel]]] = {}
         for cid in sorted(self.channels):
             c = self.channels[cid]
             spans.setdefault((c.a, c.b), []).append(cid)
-            at.setdefault(c.a, []).append(c)
-            at.setdefault(c.b, []).append(c)
+            at.setdefault(c.a, []).append((cid, c))
+            at.setdefault(c.b, []).append((cid, c))
         parallel = sorted(
             ("parallel", ids[i], ids[j])
             for ids in spans.values()
@@ -751,11 +827,11 @@ class Rewriter:
             for j in range(i + 1, len(ids))
         )
         series = sorted(
-            (pair[0].id, nid)
+            (pair[0][0], nid)
             for nid, pair in at.items()
             if self.nodes[nid].role is NodeRole.ROUTER
             and len(pair) == 2
-            and _far_end(pair[0], nid) != _far_end(pair[1], nid)
+            and _far_end(pair[0][1], nid) != _far_end(pair[1][1], nid)
         )
         return parallel + [("series", nid) for _, nid in series]
 

@@ -22,7 +22,15 @@ from _generators import (
     seeded,
     two_path_graph,
 )
-from _reference import bell_fidelity, brute_force_best, dephase_bell
+from _reference import (
+    bell_fidelity,
+    brute_force_best,
+    dephase_bell,
+    dephasing_bell_fidelity,
+    purify_fidelity,
+    swap_fidelity,
+    swap_inverse,
+)
 import qnet
 from qnet import (
     GridSpec,
@@ -34,17 +42,13 @@ from qnet import (
     RouteRequest,
     SearchKind,
     Swap,
-    dephasing_bell_fidelity,
     estimate,
     evaluate_strategy,
     grid_cost,
-    purify_fidelity,
     reduce_to_fixpoint,
     route,
     serialize_graph,
     serialize_strategy,
-    swap_fidelity,
-    swap_inverse,
 )
 from qnet.algebra import swap_value, to_log_loss
 from qnet.reduction import strategy_leaves
@@ -118,7 +122,7 @@ def test_reduction_is_confluent():
         g = random_sp_graph(rng, max_edges=40)
         baseline = reduce_to_fixpoint(g)
         (terminal,) = baseline.graph.channels
-        costs = [baseline.graph.channel(terminal).cost]
+        costs = [baseline.graph.channel(terminal)]
         for _ in range(20):
             costs.append(reduce_random_order(g, rng))
         for component in ("fidelity", "success"):

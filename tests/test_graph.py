@@ -18,7 +18,6 @@ from _generators import (
 from qnet import (
     AlgebraDomainError,
     Channel,
-    CostVector,
     GraphFormatError,
     NetworkGraph,
     Node,
@@ -54,7 +53,7 @@ def test_parse_basic_document():
     g = parse_graph(doc())
     assert set(g.nodes) == {"A", "B", "mid"}
     assert g.node("mid").role is NodeRole.ROUTER
-    assert g.channel("c1").cost == CostVector(0.9, 0.8)
+    assert g.channel("c1") == Channel("A", "mid", 0.9, 0.8)
     assert g.op_costs == OperationCosts(0.9, 0.8, True)
 
 
@@ -83,7 +82,7 @@ def test_round_trip_keeps_operation_costs():
     # every OperationCosts that can be built serializes to a document that
     # parses back to it; a non-bool acceptance flag is refused up front
     nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
-    channels = [Channel("c1", "A", "B", CostVector(0.9, 0.8))]
+    channels = [("c1", Channel("A", "B", 0.9, 0.8))]
     for acceptance in (True, False):
         g = NetworkGraph(nodes, channels, OperationCosts(1, 1, acceptance))
         assert parse_graph(serialize_graph(g)) == g
@@ -238,9 +237,18 @@ def test_parse_rejects_non_numeric_costs():
 
 
 def test_channel_normalizes_endpoint_order():
-    c = Channel("c9", "B", "A", CostVector(0.9, 0.9))
-    assert (c.a, c.b) == ("A", "B")
-    assert c == Channel("c9", "A", "B", CostVector(0.9, 0.9))
+    # The constructor sorts a row's ends, and keeps a plain tuple as a Channel.
+    nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
+    rows = [Channel("B", "A", 0.9, 0.9), ("B", "A", 0.9, 0.9), ("A", "B", 0.9, 0.9)]
+    for row in rows:
+        c = NetworkGraph(nodes, [("c9", row)]).channel("c9")
+        assert (c.a, c.b) == ("A", "B")
+        assert c == Channel("A", "B", 0.9, 0.9)
+        assert type(c) is Channel
+    # costs are stored as floats, as CostVector stores them
+    c = NetworkGraph(nodes, [("c9", Channel("A", "B", True, 0))]).channel("c9")
+    assert c == ("A", "B", 1.0, 0.0)
+    assert (type(c.fidelity), type(c.success)) == (float, float)
 
 
 def test_graph_accessors():
@@ -262,19 +270,63 @@ def test_graph_views_are_read_only():
     with pytest.raises(TypeError):
         g.nodes["A"] = Node("A", NodeRole.ROUTER)
     with pytest.raises(TypeError):
-        g.channels["c1"] = Channel("c1", "A", "B", CostVector(0.5, 0.5))
+        g.channels["c1"] = Channel("A", "B", 0.5, 0.5)
     assert g.node("A").role is NodeRole.ENDPOINT
-    assert g.channel("c1").cost == CostVector(0.9, 0.9)
+    assert g.channel("c1") == Channel("A", "B", 0.9, 0.9)
 
 
 def test_constructor_validation():
+    # The constructor checks its rows as input from outside, with
+    # parse_graph's messages; a cost names the channel, not edges[i].
     nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
-    with pytest.raises(GraphFormatError):
-        NetworkGraph(nodes, [Channel("c", "A", "C", CostVector(0.9, 0.9))])
-    with pytest.raises(GraphFormatError):
+    good = ("c0", Channel("A", "B", 0.9, 0.9))
+    with pytest.raises(GraphFormatError, match="^duplicate node id 'A'$"):
         NetworkGraph(nodes + [Node("A", NodeRole.ROUTER)], [])
-    with pytest.raises(GraphFormatError):
-        NetworkGraph(nodes, [Channel("bad id", "A", "B", CostVector(0.9, 0.9))])
+    for channel, message in [
+        (("c", Channel("A", "C", 0.9, 0.9)), "channel 'c' references unknown node"),
+        (("c", Channel("C", "B", 0.9, 0.9)), "channel 'c' references unknown node"),
+        (("c", Channel("A", "A", 0.9, 0.9)), "channel 'c' is a self-loop"),
+        (("c0", Channel("B", "A", 0.5, 0.5)), "duplicate channel id 'c0'"),
+        (("bad id", Channel("A", "B", 0.9, 0.9)),
+         "channel id 'bad id' must be 1-64 non-whitespace characters"),
+        (("", Channel("A", "B", 0.9, 0.9)),
+         "channel id '' must be 1-64 non-whitespace characters"),
+        ((7, Channel("A", "B", 0.9, 0.9)),
+         "channel id 7 must be 1-64 non-whitespace characters"),
+        (("c", Channel("A", "B", 1.5, 0.9)),
+         "channel 'c': fidelity 1.5 outside [0, 1]"),
+        (("c", Channel("A", "B", 0.9, -0.25)),
+         "channel 'c': success probability -0.25 outside [0, 1]"),
+        (("c", Channel("A", "B", math.nan, 0.9)),
+         "channel 'c': fidelity nan outside [0, 1]"),
+    ]:
+        with pytest.raises(GraphFormatError) as info:
+            NetworkGraph(nodes, [good, channel])
+        assert str(info.value) == message
+
+
+def test_graphs_share_their_rows():
+    """A graph hands out the Channel rows it holds, read-only: a parsed
+    graph, a reduction's terminal (rows the engine made) and a route's
+    subgraph."""
+    # two A-B paths and a router x hanging off m1, outside the route's block
+    edges = [(f"c{i}", a, b, 0.9, 0.9) for i, (a, b) in enumerate(
+        [("A", "m1"), ("m1", "B"), ("A", "m2"), ("m2", "B"), ("m1", "x")], 1
+    )]
+    g = parse_graph(serialize_graph(build_graph(edges)))
+    graphs = [
+        g,
+        reduce_to_fixpoint(g).graph,
+        route(g, RouteRequest("A", "B", 0.3)).subgraph,
+    ]
+    assert set(graphs[1].channels) == {"c1", "c2", "c5", "r0"}
+    assert set(graphs[2].channels) == {"c1", "c2", "c3", "c4"}
+    for graph in graphs:
+        for cid in graph.channels:
+            assert graph.channel(cid) is graph.channels[cid]
+            assert type(graph.channel(cid)) is Channel
+            with pytest.raises(TypeError):
+                graph.channels[cid] = Channel("A", "B", 0.5, 0.5)
 
 
 def test_graph_equality_tracks_costs():
@@ -392,7 +444,7 @@ def test_parse_error_precedence_is_pinned(first, second, message):
 
 def test_node_and_channel_refuse_new_attributes():
     node = Node("A", NodeRole.ENDPOINT)
-    channel = Channel("c1", "A", "B", CostVector(0.9, 0.8))
+    channel = Channel("A", "B", 0.9, 0.8)
     for value in (node, channel):
         with pytest.raises(AttributeError):
             value.extra = 1
@@ -403,10 +455,12 @@ def test_parsed_graph_memory_per_channel():
 
     The document is a 40 x 50 grid, 2,000 channels.  A graph that kept a
     Channel and a CostVector record per channel held 474.4 B a channel on
-    Python 3.11, 496-498 on 3.10 and 443 on 3.12 and 3.13; as (a, b,
-    fidelity, success) rows that share their nodes' id strings it holds
-    327, 349-352 and 312.  Rows holding their own copies of the id strings
-    would hold about 110 B more.  A full collection before each reading
+    Python 3.11, 496-498 on 3.10 and 443 on 3.12 and 3.13; as plain (a, b,
+    fidelity, success) tuples that share their nodes' id strings it held
+    327, 349-352 and 312.  As Channel rows it holds 335 on 3.11: a tuple
+    subclass is allocated with one more item slot, 80 B where a 4-tuple
+    asks 72, though both take the same 80 B block of the allocator.  Rows
+    holding their own copies of the id strings would hold about 110 B more.  A full collection before each reading
     empties the interpreter's free lists, so their cached objects count in
     neither reading.
     """

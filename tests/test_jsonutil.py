@@ -15,7 +15,6 @@ from _reference import (
 )
 from qnet import (
     Channel,
-    CostVector,
     NetworkGraph,
     Node,
     NodeRole,
@@ -138,7 +137,7 @@ def graphs(draw):
     channels = []
     for cid in channel_ids:
         a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
-        channels.append(Channel(cid, a, b, CostVector(draw(fidelities), draw(costs))))
+        channels.append((cid, Channel(a, b, draw(fidelities), draw(costs))))
     ops = OperationCosts(draw(costs), draw(costs), draw(st.booleans()))
     return NetworkGraph([Node(n, r) for n, r in zip(names, roles)], channels, ops)
 
@@ -155,8 +154,8 @@ def _relabelled(g, node_tag, channel_tag):
     """g with every node and channel id prefixed by a tag that needs escaping."""
     nodes = [Node(node_tag + n.id, n.role) for n in g.nodes.values()]
     channels = [
-        Channel(channel_tag + c.id, node_tag + c.a, node_tag + c.b, c.cost)
-        for c in g.channels.values()
+        (channel_tag + cid, c._replace(a=node_tag + c.a, b=node_tag + c.b))
+        for cid, c in g.channels.items()
     ]
     return NetworkGraph(nodes, channels, g.op_costs)
 

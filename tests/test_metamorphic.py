@@ -20,7 +20,6 @@ import time
 from _generators import random_ops, seeded
 from qnet import (
     Channel,
-    CostVector,
     NetworkGraph,
     Node,
     NodeRole,
@@ -54,7 +53,7 @@ def _graph(rng):
         for n in names
     ]
     channels = [
-        Channel(f"c{i}", a, b, CostVector(rng.uniform(0.55, 0.95), rng.uniform(0.5, 1.0)))
+        (f"c{i}", Channel(a, b, rng.uniform(0.55, 0.95), rng.uniform(0.5, 1.0)))
         for i, (a, b) in enumerate(spans)
     ]
     return NetworkGraph(nodes, channels, random_ops(rng))
@@ -70,7 +69,7 @@ def _plan(g, floor):
 
 
 def _without(g, cid):
-    channels = [c for c in g.channels.values() if c.id != cid]
+    channels = [(k, c) for k, c in g.channels.items() if k != cid]
     return NetworkGraph(g.nodes.values(), channels, g.op_costs)
 
 
@@ -84,8 +83,8 @@ def _renamed(g, rng):
     )
     nodes = [Node(node_names[n.id], n.role) for n in g.nodes.values()]
     channels = [
-        Channel(channel_names[c.id], node_names[c.a], node_names[c.b], c.cost)
-        for c in g.channels.values()
+        (channel_names[cid], c._replace(a=node_names[c.a], b=node_names[c.b]))
+        for cid, c in g.channels.items()
     ]
     rng.shuffle(channels)
     return NetworkGraph(nodes, channels, g.op_costs)

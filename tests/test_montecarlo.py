@@ -29,11 +29,11 @@ from _reference import (
     dephase_bell,
     philox_two_draw_tallies,
     scalar_walk_tallies,
+    swap_fidelity,
     uniform_below,
 )
 from qnet import (
     Channel,
-    CostVector,
     GraphFormatError,
     Leaf,
     NetworkGraph,
@@ -45,7 +45,6 @@ from qnet import (
     Swap,
     estimate,
     evaluate_strategy,
-    swap_fidelity,
 )
 from qnet import algebra, montecarlo
 from qnet.reduction import postorder
@@ -460,12 +459,7 @@ def _sampled_trees(draw):
     low = draw(st.sampled_from([0.95, 0.5, 0.0]))
     nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
     channels = [
-        Channel(
-            f"c{i}",
-            "A",
-            "B",
-            CostVector(_probability(draw, 0.5), _probability(draw, low)),
-        )
+        (f"c{i}", Channel("A", "B", _probability(draw, 0.5), _probability(draw, low)))
         for i in range(n)
     ]
     ops = OperationCosts(
@@ -473,7 +467,7 @@ def _sampled_trees(draw):
         purify_success=_probability(draw, low),
         physical_acceptance=draw(st.booleans()),
     )
-    trees = [Leaf(c.id) for c in channels]
+    trees = [Leaf(cid) for cid, _ in channels]
     while len(trees) > 1:
         i = draw(st.integers(0, len(trees) - 2))
         kind = Swap if draw(st.booleans()) else Purify

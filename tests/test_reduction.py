@@ -34,6 +34,7 @@ from _reference import (
     reference_canonical_dumps,
     replay_trace,
     series_step,
+    swap_chain,
 )
 from qnet import (
     AlgebraDomainError,
@@ -53,7 +54,6 @@ from qnet import (
     parse_graph,
     reduce_to_fixpoint,
     serialize_graph,
-    swap_chain,
 )
 from qnet import cli, reduction
 from qnet.jsonutil import canonical_dumps
@@ -201,9 +201,9 @@ def test_engine_range_checks_every_step(monkeypatch, kernel, bad, message):
 
 def test_fixpoint_two_path_graph():
     result = reduce_to_fixpoint(two_path_graph())
-    (channel,) = result.graph.channels.values()
-    assert channel.id == "r2"
-    assert channel.cost == CostVector(0.9540295119182747, 0.46241928000000015)
+    ((cid, channel),) = result.graph.channels.items()
+    assert cid == "r2"
+    assert channel[2:] == (0.9540295119182747, 0.46241928000000015)
     kinds = [s.kind for s in result.trace.steps]
     assert kinds == [StepKind.SERIES, StepKind.SERIES, StepKind.PARALLEL]
     assert result.trace.steps[0].consumed == ("c1", "c2")
@@ -348,8 +348,8 @@ def test_strategies_evaluate_to_terminal_costs():
         result = reduce_to_fixpoint(g)
         for cid, channel in result.graph.channels.items():
             cost = evaluate_strategy(result.strategies[cid], g)
-            assert abs(cost.fidelity - channel.cost.fidelity) <= 1e-12
-            assert abs(cost.success - channel.cost.success) <= 1e-12
+            assert abs(cost.fidelity - channel.fidelity) <= 1e-12
+            assert abs(cost.success - channel.success) <= 1e-12
 
 
 def test_trace_conserves_channels():
@@ -386,8 +386,8 @@ def test_random_orders_agree_with_fixpoint():
         (terminal,) = reference.graph.channels.values()
         for _ in range(5):
             cost = reduce_random_order(g, rng)
-            assert abs(cost.fidelity - terminal.cost.fidelity) <= 1e-9
-            assert abs(cost.success - terminal.cost.success) <= 1e-9
+            assert abs(cost.fidelity - terminal.fidelity) <= 1e-9
+            assert abs(cost.success - terminal.success) <= 1e-9
 
 
 def test_is_fully_reduced_pair_cases():
@@ -406,11 +406,11 @@ def test_is_fully_reduced_pair_cases():
 
 def test_evaluate_strategy_basics():
     g = two_path_graph()
-    assert evaluate_strategy(Leaf("c1"), g) == g.channel("c1").cost
+    assert evaluate_strategy(Leaf("c1"), g) == CostVector(*g.channel("c1")[2:])
     tree = Purify(Swap(Leaf("c1"), Leaf("c2")), Swap(Leaf("c3"), Leaf("c4")))
     terminal = reduce_to_fixpoint(g).graph
     (channel,) = terminal.channels.values()
-    assert evaluate_strategy(tree, g) == channel.cost
+    assert evaluate_strategy(tree, g) == CostVector(channel.fidelity, channel.success)
     with pytest.raises(GraphFormatError):
         evaluate_strategy(Leaf("ghost"), g)
     with pytest.raises(ReductionError):
@@ -424,8 +424,8 @@ def _ladder(n_edges):
     hops = ["A"] + [f"m{i}" for i in range(rungs - 1)] + ["B"]
     chans = []
     for i in range(rungs):
-        chans.append(Channel(f"c{2 * i}", hops[i], hops[i + 1], CostVector(0.95, 0.9)))
-        chans.append(Channel(f"c{2 * i + 1}", hops[i], hops[i + 1], CostVector(0.9, 0.8)))
+        chans.append((f"c{2 * i}", Channel(hops[i], hops[i + 1], 0.95, 0.9)))
+        chans.append((f"c{2 * i + 1}", Channel(hops[i], hops[i + 1], 0.9, 0.8)))
     return NetworkGraph(nodes, chans)
 
 
@@ -471,7 +471,7 @@ def _rung_ladder(rungs):
     nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
     nodes += [Node(nid, NodeRole.ROUTER) for nid in hops[1:-1]]
     chans = [
-        Channel(f"h{j}_{k}", hops[j], hops[j + 1], CostVector(0.99, 0.999))
+        (f"h{j}_{k}", Channel(hops[j], hops[j + 1], 0.99, 0.999))
         for j in range(rungs)
         for k in (0, 1)
     ]
@@ -481,7 +481,7 @@ def _rung_ladder(rungs):
 def _bundle(n):
     """n parallel A-B channels p0 ... p{n-1}."""
     nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
-    chans = [Channel(f"p{k}", "A", "B", CostVector(0.9, 0.999)) for k in range(n)]
+    chans = [(f"p{k}", Channel("A", "B", 0.9, 0.999)) for k in range(n)]
     return NetworkGraph(nodes, chans)
 
 

@@ -136,10 +136,9 @@ def _random_block_case(rng):
             spans.append(tuple(rng.sample(names, 2)))
     cids = rng.sample(range(200), len(spans))
     channels = [
-        Channel(
-            f"c{k}", a, b,
-            CostVector(rng.uniform(0.5, 1.0), rng.choice([0.0, 0.5, 1.0, rng.random()])),
-        )
+        (f"c{k}", Channel(
+            a, b, rng.uniform(0.5, 1.0), rng.choice([0.0, 0.5, 1.0, rng.random()])
+        ))
         for k, (a, b) in zip(cids, spans)
     ]
     ops = OperationCosts(
@@ -181,7 +180,7 @@ def test_block_and_prune_match_the_path_reference():
         assert list(block.channels) == [c for c in g.channels if c in expected], seed
         ends = {source, target} | {n for c in block.channels.values() for n in (c.a, c.b)}
         assert list(block.nodes) == sorted(ends), seed
-        kept = list(block.channels.values())
+        kept = list(block.channels.items())
         copied = NetworkGraph([g.node(n) for n in sorted(ends)], kept, g.op_costs)
         assert block == _subgraph(g, list(block.channels), source, target) == copied, seed
         whole = len(kept) == len(g.channels) and len(ends) == len(g.nodes)
@@ -376,11 +375,11 @@ def test_full_collapse_is_at_least_as_faithful_as_any_strategy():
             continue
         ops = g.op_costs
         ops = OperationCosts(ops.swap_success, ops.purify_success, cases % 2 == 0)
-        g = NetworkGraph(list(g.nodes.values()), list(g.channels.values()), ops)
+        g = NetworkGraph(list(g.nodes.values()), list(g.channels.items()), ops)
         cases += 1
         (collapse,) = reduce_to_fixpoint(g).graph.channels.values()
         (_, best), _ = _exhaustive_search(g, "A", "B", 5e-324)
-        assert collapse.cost.fidelity >= best.fidelity * (1.0 - 1e-12), seed - 1
+        assert collapse.fidelity >= best.fidelity * (1.0 - 1e-12), seed - 1
 
 
 def test_exhaustive_search_directly():
@@ -594,7 +593,7 @@ def test_search_refuses_fidelity_below_half():
         g = random_connected_graph(
             seeded(seed), max_channels=7, fidelity=(0.02, 0.98)
         )
-        low = min(c.cost.fidelity for c in g.channels.values()) < 0.5
+        low = min(c.fidelity for c in g.channels.values()) < 0.5
         low_graphs += low
         try:
             found, _ = _exhaustive_search(g, "A", "B", 1e-6)
@@ -715,7 +714,7 @@ def _collapse_fidelity(block, floor):
     if not is_fully_reduced_pair(collapsed.graph, "A", "B"):
         return None
     (channel,) = collapsed.graph.channels.values()
-    return channel.cost.fidelity if channel.cost.success >= floor else None
+    return channel.fidelity if channel.success >= floor else None
 
 
 def test_route_with_fidelities_below_half_against_the_oracle():
@@ -804,18 +803,16 @@ def test_exhaustive_search_matches_reference_oracle():
         )
         for ops in (base.op_costs, extreme):
             channels = [
-                c
-                if rng.random() < 0.7
-                else Channel(c.id, c.a, c.b, CostVector(c.cost.fidelity, 1.0))
-                for c in base.channels.values()
+                (cid, c if rng.random() < 0.7 else c._replace(success=1.0))
+                for cid, c in base.channels.items()
             ]
             g = NetworkGraph(base.nodes.values(), channels, ops)
-            successes = sorted(c.cost.success for c in channels)
+            successes = sorted(c.success for _, c in channels)
             floors = [1e-6, 1.0, rng.choice(successes)]
             if successes[-1] < 1.0:
                 above = math.nextafter(successes[-1], 1.0)
                 floors.append(above)
-                if min(c.cost.fidelity for c in channels) >= 0.5:
+                if min(c.fidelity for _, c in channels) >= 0.5:
                     assert _exhaustive_search(g, "A", "B", above) == (None, 0)
             try:
                 best, _ = reference_exhaustive_search(g, "A", "B", 1e-6)

@@ -6,10 +6,11 @@ type with equal fields, hashes by those fields, prints as
 ``Name(field=value, ...)``, lists them by name in ``_asdict()``, refuses
 assignment and deletion, accepts its fields by position or keyword and
 refuses missing, extra, unknown or repeated ones, validates them on
-construction and survives a pickle or copy round trip.  ReductionStep, a
-trace row, is a named tuple that the engine builds unvalidated: it keeps
-the same contract, except that it equals the plain tuple of its fields
-and its constructor is __new__.
+construction and survives a pickle or copy round trip.  Channel, a
+graph's row, and ReductionStep, a trace row, are named tuples that the
+parser and the engine build unvalidated: they keep the same contract,
+except that each equals the plain tuple of its fields and its
+constructor is __new__.
 """
 import copy
 import importlib
@@ -39,7 +40,8 @@ from qnet import (
     Swap,
 )
 from qnet._value import Value
-from qnet.algebra import swap_inverse, swap_value
+from _reference import swap_inverse
+from qnet.algebra import swap_value
 from qnet.montecarlo import McEstimate
 from qnet.reduction import ReductionStep, ReductionTrace, StepKind
 from qnet.routing import RouteDiagnostics
@@ -60,7 +62,7 @@ DIAG_REPR = "RouteDiagnostics(candidates_evaluated=2, reduction_steps=3)"
 def _graph(fidelity=0.9):
     return NetworkGraph(
         [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)],
-        [Channel("c1", "A", "B", CostVector(fidelity, 0.8))],
+        [("c1", Channel("A", "B", fidelity, 0.8))],
     )
 
 
@@ -90,10 +92,6 @@ CASES = {
         Node, dict(id="A", role=NodeRole.ENDPOINT), dict(role=NodeRole.ROUTER),
         "Node(id='A', role=<NodeRole.ENDPOINT: 'endpoint'>)",
     ),
-    "Channel": (
-        Channel, dict(id="c1", a="A", b="B", cost=CV), dict(b="C"),
-        f"Channel(id='c1', a='A', b='B', cost={CV_REPR})",
-    ),
     "Leaf": (Leaf, dict(channel="c1"), dict(channel="c2"), "Leaf(channel='c1')"),
     "Swap": (
         Swap, dict(left=Leaf("c1"), right=Leaf("c2")), dict(right=Leaf("c3")),
@@ -111,6 +109,10 @@ CASES = {
              produced="r0", fidelity=0.9, success=0.8),
         dict(eliminated=None),
         STEP_REPR,
+    ),
+    "Channel": (
+        Channel, dict(a="A", b="B", fidelity=0.9, success=0.8), dict(b="C"),
+        "Channel(a='A', b='B', fidelity=0.9, success=0.8)",
     ),
     "ReductionTrace": (
         ReductionTrace,
@@ -159,7 +161,7 @@ CASES = {
 # hold a NetworkGraph, or a dict, so hashing raises TypeError
 UNHASHABLE = {"ReductionResult", "RouteResult"}
 # named tuples, not Value records (see the module docstring)
-ROWS = {"ReductionStep"}
+ROWS = {"Channel", "ReductionStep"}
 
 
 def _constructor(name: str) -> str:
@@ -227,9 +229,7 @@ def _value_classes() -> list[type]:
 def test_only_validating_classes_define_init():
     # A subclass defines __init__ only to validate or normalise a field.
     own = {cls.__name__ for cls in _value_classes() if "__init__" in vars(cls)}
-    assert own == {
-        "CostVector", "OperationCosts", "GridSpec", "RouteRequest", "Channel"
-    }
+    assert own == {"CostVector", "OperationCosts", "GridSpec", "RouteRequest"}
 
 
 def test_value_classes_store_only_their_fields():
@@ -392,20 +392,22 @@ def test_swap_and_purify_never_compare_equal():
 
 
 def test_channel_stores_exactly_its_four_fields():
-    # No endpoint pair is derived.  test_graph.py checks endpoint order.
-    swapped = Channel("c1", "B", "A", CV)
-    assert Channel.__slots__ == Channel._fields == ("id", "a", "b", "cost")
-    assert swapped == Channel("c1", "A", "B", CV)
-    assert repr(swapped) == f"Channel(id='c1', a='A', b='B', cost={CV_REPR})"
-    twin = pickle.loads(pickle.dumps(swapped))
-    assert (twin.a, twin.b) == ("A", "B")
+    # No endpoint pair is derived, and the row adds no slot to its tuple.
+    # test_graph.py checks that NetworkGraph sorts the ends.
+    row = Channel("A", "B", 0.9, 0.8)
+    assert Channel.__slots__ == ()
+    assert Channel._fields == ("a", "b", "fidelity", "success")
+    assert row == ("A", "B", 0.9, 0.8) and len(row) == 4
+    assert repr(row) == "Channel(a='A', b='B', fidelity=0.9, success=0.8)"
+    twin = pickle.loads(pickle.dumps(row))
+    assert type(twin) is Channel and (twin.a, twin.b) == ("A", "B")
 
 
 def test_channel_has_no_slot_for_a_pair():
     # A Channel has no slot for a pair, so not even object.__setattr__ can
     # store one, and assignment is refused.
-    plain = Channel("c1", "A", "B", CV)
-    twin = Channel("c1", "A", "B", CV)
+    plain = Channel("A", "B", 0.9, 0.8)
+    twin = Channel("A", "B", 0.9, 0.8)
     with pytest.raises(AttributeError):
         object.__setattr__(twin, "pair", frozenset())
     assert twin == plain and hash(twin) == hash(plain)
