@@ -8,9 +8,8 @@ success bookkeeping into an additive one.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-
-from ._value import Value, _set
 
 __all__ = [
     "AlgebraDomainError",
@@ -42,16 +41,20 @@ def _checked(x: float, what: str = "fidelity") -> float:
     return x
 
 
-class CostVector(Value):
+@classmethod
+def _make_checked(cls, iterable):
+    """namedtuple's _make, which _replace calls, through cls's own checks."""
+    return cls(*iterable)
+
+
+class CostVector(namedtuple("CostVector", "fidelity success")):
     """(fidelity, success probability) of one entangled pair."""
 
-    __slots__ = _fields = ("fidelity", "success")
-    fidelity: float
-    success: float
+    __slots__ = ()
+    _make = _make_checked
 
-    def __init__(self, fidelity: float, success: float) -> None:
-        _set(self, "fidelity", _checked(fidelity))
-        _set(self, "success", _checked(success, _SUCCESS))
+    def __new__(cls, fidelity: float, success: float):
+        return tuple.__new__(cls, (_checked(fidelity), _checked(success, _SUCCESS)))
 
 
 def check_cost(fidelity: float, success: float) -> None:
@@ -61,29 +64,29 @@ def check_cost(fidelity: float, success: float) -> None:
         _checked(success, _SUCCESS)
 
 
-class OperationCosts(Value):
+class OperationCosts(
+    namedtuple("OperationCosts", "swap_success purify_success physical_acceptance")
+):
     """Success factors charged per operation.
 
     physical_acceptance controls whether the state-dependent acceptance
     probability of a purification round multiplies the success probability.
     """
 
-    __slots__ = _fields = ("swap_success", "purify_success", "physical_acceptance")
-    swap_success: float
-    purify_success: float
-    physical_acceptance: bool
+    __slots__ = ()
+    _make = _make_checked
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         swap_success: float = 1.0,
         purify_success: float = 1.0,
         physical_acceptance: bool = True,
-    ) -> None:
-        _set(self, "swap_success", _checked(swap_success, _SUCCESS))
-        _set(self, "purify_success", _checked(purify_success, _SUCCESS))
+    ):
+        swap = _checked(swap_success, _SUCCESS)
+        purify = _checked(purify_success, _SUCCESS)
         if not isinstance(physical_acceptance, bool):
             raise AlgebraDomainError("physical_acceptance must be a boolean")
-        _set(self, "physical_acceptance", physical_acceptance)
+        return tuple.__new__(cls, (swap, purify, physical_acceptance))
 
 
 def swap_value(f1: float, f2: float) -> float:
@@ -120,8 +123,6 @@ def _chain_value(state: _ChainState) -> float:
     """prod(F) / (prod(F) + prod(1-F)) of the products in state."""
     kept, kept_exp, lost, lost_exp = state
     if kept == 0.0 or lost == 0.0:
-        if kept == lost:
-            raise AlgebraDomainError("singular purification input in chain")
         return 0.0 if kept == 0.0 else 1.0
     # Move the larger product into [1, 2); plain products are at most 1,
     # so this never scales below them.
@@ -187,40 +188,34 @@ class GridStrategy(Enum):
 MAX_GRID_SIDE = 10**6
 
 
-class GridSpec(Value):
+class GridSpec(
+    namedtuple("GridSpec", "breadth depth channel_fidelity channel_success strategy")
+):
     """A breadth x depth grid of identical channels.
 
     breadth parallel strands, each a chain of depth identical channels.
     """
 
-    __slots__ = _fields = (
-        "breadth", "depth", "channel_fidelity", "channel_success", "strategy"
-    )
-    breadth: int
-    depth: int
-    channel_fidelity: float
-    channel_success: float
-    strategy: GridStrategy
+    __slots__ = ()
+    _make = _make_checked
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         breadth: int,
         depth: int,
         channel_fidelity: float,
         channel_success: float,
         strategy: GridStrategy = GridStrategy.PURIFY_THEN_SWAP,
-    ) -> None:
+    ):
         if breadth < 1 or depth < 1:
             raise AlgebraDomainError("grid breadth and depth must be >= 1")
         if breadth > MAX_GRID_SIDE or depth > MAX_GRID_SIDE:
             raise AlgebraDomainError(
                 f"grid breadth and depth must be <= {MAX_GRID_SIDE}"
             )
-        _set(self, "breadth", breadth)
-        _set(self, "depth", depth)
-        _set(self, "channel_fidelity", _checked(channel_fidelity))
-        _set(self, "channel_success", _checked(channel_success, _SUCCESS))
-        _set(self, "strategy", strategy)
+        fidelity = _checked(channel_fidelity)
+        success = _checked(channel_success, _SUCCESS)
+        return tuple.__new__(cls, (breadth, depth, fidelity, success, strategy))
 
 
 def _purify_copies(base: float, count: int) -> tuple[float, float]:

@@ -15,7 +15,6 @@ from collections.abc import Iterable, Mapping
 from enum import Enum
 from types import MappingProxyType
 
-from ._value import Value
 from .algebra import OperationCosts, check_cost
 from .jsonutil import canonical_dumps, quote
 
@@ -41,17 +40,13 @@ class NodeRole(Enum):
     ROUTER = "router"
 
 
-class Node(Value):
-    __slots__ = _fields = ("id", "role")
-    id: str
-    role: NodeRole
-
-
+Node = namedtuple("Node", "id role")
 Channel = namedtuple("Channel", "a b fidelity success")
 Channel.__doc__ = """A channel as a graph keeps it under its id: ends a <= b, and cost.
 
-    A plain row, as ReductionStep is.  NetworkGraph checks rows as input;
-    the parser and the reduction engine build theirs with tuple.__new__.
+    A named tuple that checks nothing, as ReductionStep is.  NetworkGraph
+    checks rows as input; the parser and the reduction engine build theirs
+    with tuple.__new__.
     """
 
 

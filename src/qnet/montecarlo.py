@@ -46,11 +46,11 @@ estimate takes at most 2**40 samples.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 from math import ceil, sqrt
 from random import Random
 
-from ._value import Value
 from .graph import NetworkGraph
 from .reduction import Leaf, StrategyTree, Swap, check_strategy
 
@@ -80,21 +80,11 @@ Threshold = int  # T = ceil(p * 2**53), in [0, 2**53]
 Step = tuple[type[StrategyTree], Threshold]
 
 
-class McEstimate(Value):
-    __slots__ = _fields = (
-        "fidelity_hat",
-        "success_hat",
-        "std_error_fidelity",
-        "std_error_success",
-        "samples",
-        "seed",
-    )
-    fidelity_hat: float | None
-    success_hat: float
-    std_error_fidelity: float | None
-    std_error_success: float
-    samples: int
-    seed: int
+# fidelity_hat and std_error_fidelity are None when no sample succeeds
+McEstimate = namedtuple(
+    "McEstimate",
+    "fidelity_hat success_hat std_error_fidelity std_error_success samples seed",
+)
 
 
 def _threshold(p: float) -> Threshold:

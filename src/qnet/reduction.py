@@ -19,7 +19,6 @@ from collections import namedtuple
 from enum import Enum
 
 from . import algebra
-from ._value import Value, _new
 from .algebra import CostVector, check_cost, purify_floats, swap_floats
 from .graph import Channel, GraphFormatError, NetworkGraph, NodeRole
 from .jsonutil import quote
@@ -43,18 +42,19 @@ class ReductionError(ValueError):
     """Raised when a rewrite step does not apply."""
 
 
-class Leaf(Value):
-    __slots__ = _fields = ("channel",)
-    channel: str
+Leaf = namedtuple("Leaf", "channel")
 
 
-class _Operation(Value):
-    __slots__ = _fields = ("left", "right")
-    left: StrategyTree
-    right: StrategyTree
+class _Operation:
+    """Swap's and Purify's equality, hash and repr.
 
-    # Value's field-by-field versions recurse through the children; these
-    # walk without recursion, so trees of any depth compare, hash and print.
+    A tuple's own versions recurse through the children; these walk
+    without recursion, so trees of any depth compare, hash and print.  Swap and
+    Purify of the same children differ, and each equals the plain tuple
+    (left, right), as tuple comparison finds.
+    """
+
+    __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -64,6 +64,10 @@ class _Operation(Value):
             type(a) is type(b) and (type(a) is not Leaf or a == b)
             for a, b in zip(mine, theirs)
         )
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
         return fold(
@@ -85,11 +89,11 @@ class _Operation(Value):
         return "".join(out)
 
 
-class Swap(_Operation):
+class Swap(_Operation, namedtuple("Swap", "left right")):
     __slots__ = ()
 
 
-class Purify(_Operation):
+class Purify(_Operation, namedtuple("Purify", "left right")):
     __slots__ = ()
 
 
@@ -201,16 +205,8 @@ ReductionStep.__doc__ = """One rewrite step: a plain row, not a validated record
     """
 
 
-class ReductionTrace(Value):
-    __slots__ = _fields = ("steps",)
-    steps: tuple[ReductionStep, ...]
-
-
-class ReductionResult(Value):
-    __slots__ = _fields = ("graph", "trace", "strategies")
-    graph: NetworkGraph
-    trace: ReductionTrace
-    strategies: dict[str, StrategyTree]
+ReductionTrace = namedtuple("ReductionTrace", "steps")
+ReductionResult = namedtuple("ReductionResult", "graph trace strategies")
 
 
 def _synthetic_start(g: NetworkGraph) -> int:
@@ -219,12 +215,6 @@ def _synthetic_start(g: NetworkGraph) -> int:
         if m:
             top = max(top, int(m.group(1)))
     return top + 1
-
-
-# The engine makes strategy nodes as Value.__init__ would, without its
-# argument binding: _new, then each slot's own setter.
-_set_channel = Leaf.channel.__set__
-_set_left, _set_right = _Operation.left.__set__, _Operation.right.__set__
 
 
 class _Engine:
@@ -248,9 +238,10 @@ class _Engine:
 
     chan starts as a copy of the graph's rows, and result() hands the live
     ones to the graph it returns.  swap_floats and purify_floats compose
-    them, check_cost checks each result, each step is appended to steps as
-    a ReductionStep row made by tuple.__new__, and strategy nodes skip
-    Value's argument binding, so no record is built or validated per step.
+    them and check_cost checks each result.  Each step's ReductionStep, its
+    produced Channel row and its Swap or Purify node are all made by
+    tuple.__new__, the node once both children are known, so no record is
+    validated per step.
     """
 
     def __init__(self, g: NetworkGraph) -> None:
@@ -265,8 +256,7 @@ class _Engine:
             inc[a].add(cid)
             inc[b].add(cid)
             pairs.setdefault((a, b), []).append(cid)
-            trees[cid] = leaf = _new(Leaf)
-            _set_channel(leaf, cid)
+            trees[cid] = tuple.__new__(Leaf, (cid,))
         self.steps: list[ReductionStep] = []
         self.next_id = _synthetic_start(g)
         for members in pairs.values():
@@ -286,7 +276,7 @@ class _Engine:
         par_heap, ser_heap = self.par_heap, self.ser_heap
         push, pop = heapq.heappush, heapq.heappop
         swap, purify, check = swap_floats, purify_floats, check_cost
-        new, new_row, set_left, set_right = _new, tuple.__new__, _set_left, _set_right
+        new_row = tuple.__new__
         row, SERIES, PARALLEL = ReductionStep, StepKind.SERIES, StepKind.PARALLEL
         next_id = self.next_id
         while True:
@@ -301,7 +291,7 @@ class _Engine:
                 cid2 = pop(members)
                 _, _, f2, s2 = chan.pop(cid2)
                 f, s = purify(f1, s1, f2, s2, ops)
-                kind, eliminated, tree = PARALLEL, None, new(Purify)
+                kind, eliminated, op = PARALLEL, None, Purify
                 at_u, at_w = inc[u], inc[w]
                 at_u.remove(cid1)
                 at_u.remove(cid2)
@@ -333,7 +323,7 @@ class _Engine:
                 if nid is None:
                     break  # no step applies
                 f, s = swap(f1, s1, f2, s2, ops)
-                kind, eliminated, tree = SERIES, nid, new(Swap)
+                kind, eliminated, op = SERIES, nid, Swap
                 # a router of two channels is the only node of both pairs
                 del chan[cid1], chan[cid2], pairs[a1, b1], pairs[a2, b2], inc[nid]
                 at_u, at_w = inc[u], inc[w]
@@ -345,10 +335,7 @@ class _Engine:
             produced = f"r{next_id}"
             next_id += 1
             steps.append(new_row(row, (kind, (cid1, cid2), eliminated, produced, f, s)))
-            # the strategy node made above gets its two children
-            set_left(tree, trees.pop(cid1))
-            set_right(tree, trees.pop(cid2))
-            trees[produced] = tree
+            trees[produced] = new_row(op, (trees.pop(cid1), trees.pop(cid2)))
             chan[produced] = new_row(Channel, (u, w, f, s))
             members = pairs.setdefault((u, w), [])
             push(members, produced)

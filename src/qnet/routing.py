@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from enum import Enum
 
-from ._value import Value
 from .algebra import (
     AlgebraDomainError,
     CostVector,
+    _make_checked,
     check_cost,
     purify_floats,
     swap_floats,
@@ -64,20 +65,19 @@ class SearchKind(Enum):
     INFEASIBLE = "Infeasible"
 
 
-class RouteRequest(Value):
-    __slots__ = _fields = ("source", "target", "min_success", "max_bruteforce_edges")
-    source: str
-    target: str
-    min_success: float
-    max_bruteforce_edges: int
+class RouteRequest(
+    namedtuple("RouteRequest", "source target min_success max_bruteforce_edges")
+):
+    __slots__ = ()
+    _make = _make_checked
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         source: str,
         target: str,
         min_success: float,
         max_bruteforce_edges: int = DEFAULT_MAX_BRUTEFORCE_EDGES,
-    ) -> None:
+    ):
         if not 0.0 < min_success <= 1.0:
             raise ValueError(f"min_success {min_success!r} outside (0, 1]")
         if max_bruteforce_edges < 1:
@@ -86,22 +86,18 @@ class RouteRequest(Value):
             raise ValueError(
                 f"max_bruteforce_edges must be <= {MAX_BRUTEFORCE_EDGES}"
             )
-        Value.__init__(self, source, target, min_success, max_bruteforce_edges)
+        return tuple.__new__(
+            cls, (source, target, min_success, max_bruteforce_edges)
+        )
 
 
-class RouteDiagnostics(Value):
-    __slots__ = _fields = ("candidates_evaluated", "reduction_steps")
-    candidates_evaluated: int
-    reduction_steps: int
-
-
-class RouteResult(Value):
-    __slots__ = _fields = ("subgraph", "strategy", "cost", "search", "diagnostics")
-    subgraph: NetworkGraph
-    strategy: StrategyTree | None
-    cost: CostVector | None
-    search: SearchKind
-    diagnostics: RouteDiagnostics
+RouteDiagnostics = namedtuple(
+    "RouteDiagnostics", "candidates_evaluated reduction_steps"
+)
+# strategy and cost are None for an infeasible request
+RouteResult = namedtuple(
+    "RouteResult", "subgraph strategy cost search diagnostics"
+)
 
 
 def _check_endpoints(g: NetworkGraph, source: str, target: str) -> None:

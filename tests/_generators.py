@@ -1,4 +1,6 @@
 """Random graph and strategy builders shared across test modules."""
+import json
+import math
 import random
 
 from _reference import Rewriter
@@ -223,6 +225,85 @@ def random_strategy_tree(rng, max_leaves=10, acceptance=True):
 
     tree = grow([cid for cid, _ in channels])
     return tree, NetworkGraph(nodes, channels, ops)
+
+
+# The ends of the accepted cost domain: 0, the least subnormal, the floats
+# either side of 1/2, where swapping turns a pair's fidelity over, the
+# float below 1, and 1.
+EDGE_FLOATS = (
+    0.0, 5e-324, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+    1.0 - 2**-53, 1.0,
+)
+# id characters: ASCII, 'r' and digits (reduction names its channels
+# r<n>), and non-ASCII in and past the Basic Multilingual Plane
+_ID_CHARS = "ar0159_-.éßψ中😀"
+
+
+def _fresh_id(rng, taken):
+    """An id of 1 or 64 characters, or of 2-8, not yet in taken."""
+    while True:
+        size = rng.choice((1, 64, rng.randint(2, 8)))
+        new = "".join(rng.choice(_ID_CHARS) for _ in range(size))
+        if new not in taken:
+            taken.add(new)
+            return new
+
+
+def _domain_float(rng):
+    """An edge of the domain, or a uniform draw mostly at or above 1/2."""
+    r = rng.random()
+    if r < 0.3:
+        return rng.choice(EDGE_FLOATS)
+    return rng.uniform(0.5, 1.0) if r < 0.9 else rng.uniform(0.0, 0.5)
+
+
+def accepted_document(rng):
+    """A random graph document that parse_graph accepts, drawn over the
+    whole accepted domain, and the two endpoints it is planned between.
+
+    One to three chains of up to three routers join the endpoints, a
+    router of one chain may be tied to one of another, some spans get
+    parallel channels, and foreign endpoints hang off routers.  Costs are
+    EDGE_FLOATS or uniform, operation successes 0, 1 or uniform, acceptance
+    on or off, and any op_costs field may be left to its default.  Returns
+    (document bytes, source id, target id).
+    """
+    node_ids, channel_ids = set(), set()
+    source, target = _fresh_id(rng, node_ids), _fresh_id(rng, node_ids)
+    endpoints, routers, spans = [source, target], [], []
+    for _ in range(rng.randint(1, 3)):
+        chain = [_fresh_id(rng, node_ids) for _ in range(rng.randint(0, 3))]
+        routers += chain
+        hops = [source, *chain, target]
+        spans += zip(hops, hops[1:])
+    if len(routers) > 1 and rng.random() < 0.5:
+        spans.append(tuple(rng.sample(routers, 2)))
+    for _ in range(rng.randint(0, 2)):
+        spans.append(rng.choice(spans))
+    for _ in range(rng.randint(0, 2) if routers else 0):
+        foreign = _fresh_id(rng, node_ids)
+        endpoints.append(foreign)
+        spans.append((foreign, rng.choice(routers)))
+    doc = {
+        "version": 1,
+        "nodes": [{"id": n, "role": "endpoint"} for n in endpoints]
+        + [{"id": n, "role": "router"} for n in routers],
+        "edges": [
+            {"id": _fresh_id(rng, channel_ids), "a": a, "b": b,
+             "fidelity": _domain_float(rng), "success": _domain_float(rng)}
+            for a, b in spans
+        ],
+    }
+    if rng.random() < 0.8:
+        costs = {
+            "swap_success": rng.choice((0.0, 1.0, rng.uniform(0.5, 1.0))),
+            "purify_success": rng.choice((0.0, 1.0, rng.uniform(0.5, 1.0))),
+            "physical_acceptance": rng.random() < 0.5,
+        }
+        doc["op_costs"] = {k: v for k, v in costs.items() if rng.random() < 0.8}
+    ascii_only = rng.random() < 0.5
+    text = json.dumps(doc, ensure_ascii=ascii_only)
+    return text.encode("utf-8"), source, target
 
 
 def seeded(seed):

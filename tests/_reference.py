@@ -594,6 +594,8 @@ def purify_chain(fs) -> float:
     state = _CHAIN_START
     for v in vals:
         state = _chain_step(state, v)
+    if state[0] == state[2] == 0.0:
+        raise AlgebraDomainError("singular purification input in chain")
     return _chain_value(state)
 
 

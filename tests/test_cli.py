@@ -9,7 +9,13 @@ import sys
 
 import pytest
 
-from _generators import bridge_graph, build_graph, two_path_graph
+from _generators import (
+    accepted_document,
+    bridge_graph,
+    build_graph,
+    seeded,
+    two_path_graph,
+)
 from qnet import (
     GridSpec,
     GridStrategy,
@@ -229,6 +235,44 @@ def _subcommands(doc, large):
         ["grid", "--breadth", side[0], "--depth", side[1],
          "--fidelity", "0.9", "--success", "0.9"],
     ]
+
+
+def _contract_commands(rng, doc, source, target):
+    """reduce --trace, route and both simulate forms on one document."""
+    floor = str(rng.choice((1.0, 0.5, 1e-300, 5e-324, rng.uniform(1e-6, 1.0))))
+    # "--source=<id>", as an id may begin with "-"
+    plan = [f"--source={source}", f"--target={target}", "--min-success", floor]
+    if rng.random() < 0.25:
+        plan += ["--max-bruteforce-edges", "1"]
+    sample = ["--samples", "64", "--seed", str(rng.randrange(2**128))]
+    return [
+        ["reduce", doc, "--trace"],
+        ["route", doc, *plan],
+        ["simulate", doc, *sample],
+        ["simulate", doc, *sample, *plan],
+    ]
+
+
+def test_accepted_documents_get_one_json_answer(tmp_path):
+    """Every command on a document of the accepted domain writes one JSON
+    document and no traceback: its report, or an error document whose code
+    is the exit code; together the documents reach every exit code."""
+    rng = seeded(10)
+    reached = set()
+    for i in range(200):
+        document, source, target = accepted_document(rng)
+        path = tmp_path / f"doc{i}.json"
+        path.write_bytes(document)
+        for argv in _contract_commands(rng, str(path), source, target):
+            code, out = _run_in_process(argv)
+            assert out.endswith("\n") and out.count("\n") == 1, argv
+            report = json.loads(out)
+            if "code" in report:
+                assert report["code"] == code != 0, argv
+            else:
+                assert report["command"] == argv[0] and code in (0, 2), argv
+            reached.add(code)
+    assert reached == {0, 1, 2, 3}
 
 
 def test_commands_leave_little_cyclic_garbage(two_path_doc, ladder_doc):

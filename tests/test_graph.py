@@ -457,12 +457,14 @@ def test_parsed_graph_memory_per_channel():
     Channel and a CostVector record per channel held 474.4 B a channel on
     Python 3.11, 496-498 on 3.10 and 443 on 3.12 and 3.13; as plain (a, b,
     fidelity, success) tuples that share their nodes' id strings it held
-    327, 349-352 and 312.  As Channel rows it holds 335 on 3.11: a tuple
+    327, 349-352 and 312.  As Channel rows it held 335 on 3.11: a tuple
     subclass is allocated with one more item slot, 80 B where a 4-tuple
-    asks 72, though both take the same 80 B block of the allocator.  Rows
-    holding their own copies of the id strings would hold about 110 B more.  A full collection before each reading
-    empties the interpreter's free lists, so their cached objects count in
-    neither reading.
+    asks 72, though both take the same 80 B block of the allocator.  With
+    each of the 1,962 nodes a Node named tuple, not a two-slot object, it
+    holds 351.  Rows holding their own copies of the id strings would hold
+    about 110 B more.  A full collection before each reading empties the
+    interpreter's free lists, so their cached objects count in neither
+    reading.
     """
     text = serialize_graph(uniform_grid(40, 50))
     tracemalloc.start()

@@ -1,16 +1,21 @@
-"""The value-class contract: equality, hash, repr, _asdict, immutability,
+"""The record contract: equality, hash, repr, _asdict, immutability,
 pickling.
 
-Every public value class compares equal only to an instance of its own
-type with equal fields, hashes by those fields, prints as
+Every qnet record is a collections.namedtuple, or a subclass of one that
+adds no slot, so its _fields are its whole value, in the order its
+constructor, __new__, takes them.  A record equals the plain tuple of its
+fields and can be indexed and unpacked; it hashes by its fields, prints as
 ``Name(field=value, ...)``, lists them by name in ``_asdict()``, refuses
 assignment and deletion, accepts its fields by position or keyword and
-refuses missing, extra, unknown or repeated ones, validates them on
-construction and survives a pickle or copy round trip.  Channel, a
-graph's row, and ReductionStep, a trace row, are named tuples that the
-parser and the engine build unvalidated: they keep the same contract,
-except that each equals the plain tuple of its fields and its
-constructor is __new__.
+refuses missing, extra, unknown or repeated ones, and survives a pickle or
+copy round trip.  Four records validate: CostVector, OperationCosts,
+GridSpec and RouteRequest define a __new__ that checks and normalises
+their fields, and route namedtuple's _make, and so _replace, through it.
+Swap and Purify walk trees of any depth without recursion to compare, hash
+and print, and never equal each other.  Code that checks the fields itself
+builds rows by the thousand with tuple.__new__: the parser a graph's
+Channel rows, the reduction engine its ReductionStep rows and strategy
+nodes.
 """
 import copy
 import importlib
@@ -39,7 +44,6 @@ from qnet import (
     SearchKind,
     Swap,
 )
-from qnet._value import Value
 from _reference import swap_inverse
 from qnet.algebra import swap_value
 from qnet.montecarlo import McEstimate
@@ -160,12 +164,6 @@ CASES = {
 }
 # hold a NetworkGraph, or a dict, so hashing raises TypeError
 UNHASHABLE = {"ReductionResult", "RouteResult"}
-# named tuples, not Value records (see the module docstring)
-ROWS = {"Channel", "ReductionStep"}
-
-
-def _constructor(name: str) -> str:
-    return "__new__" if name in ROWS else "__init__"
 
 
 @pytest.fixture(params=sorted(CASES))
@@ -195,56 +193,59 @@ def test_extra_unknown_and_repeated_arguments_raise(case):
         (lambda: cls(values[0], **fields),
          f"got multiple values for argument '{next(iter(fields))}'"),
     ]:
-        with pytest.raises(
-            TypeError, match=rf"^{name}\.{_constructor(name)}\(\) {message}$"
-        ):
+        with pytest.raises(TypeError, match=rf"^{name}\.__new__\(\) {message}$"):
             call()
 
 
 def test_missing_arguments_raise(case):
     name, cls, fields, _, _ = case
-    constructor = getattr(cls, _constructor(name))
-    required = len(fields) - len(constructor.__defaults__ or ())
+    required = len(fields) - len(cls.__new__.__defaults__ or ())
     for field in list(fields)[:required]:
-        message = rf"missing (1 )?required (positional )?argument: '{field}'"
-        with pytest.raises(
-            TypeError, match=rf"^{name}\.{_constructor(name)}\(\) {message}$"
-        ):
+        message = rf"missing 1 required positional argument: '{field}'"
+        with pytest.raises(TypeError, match=rf"^{name}\.__new__\(\) {message}$"):
             cls(**{key: value for key, value in fields.items() if key != field})
 
 
 def _value_classes() -> list[type]:
-    """Every Value subclass defined in a qnet module, all modules imported."""
+    """Every record, all qnet modules imported: each tuple subclass with
+    _fields defined in a qnet module, less the named tuples that another
+    such class subclasses."""
     for module in pkgutil.iter_modules(qnet.__path__, "qnet."):
         if module.name != "qnet.__main__":
             importlib.import_module(module.name)
-    classes, todo = [], [Value]
+    classes, todo = [], [tuple]
     while todo:
         subclasses = todo.pop().__subclasses__()
         classes += subclasses
         todo += subclasses
-    return [cls for cls in classes if cls.__module__.startswith("qnet.")]
+    return [
+        cls for cls in classes
+        if cls.__module__.startswith("qnet.") and hasattr(cls, "_fields")
+        and not cls.__subclasses__()
+    ]
 
 
-def test_only_validating_classes_define_init():
-    # A subclass defines __init__ only to validate or normalise a field.
-    own = {cls.__name__ for cls in _value_classes() if "__init__" in vars(cls)}
+def test_only_validating_classes_define_new():
+    # A record defines __new__ over its named tuple's only to validate or
+    # normalise a field.
+    own = {
+        cls.__name__ for cls in _value_classes()
+        if cls.__bases__ != (tuple,) and "__new__" in vars(cls)
+    }
     assert own == {"CostVector", "OperationCosts", "GridSpec", "RouteRequest"}
 
 
 def test_value_classes_store_only_their_fields():
-    # The slots of a class and its bases are exactly _fields, in order, and
-    # no class in between adds a __dict__: equality, hashing, printing and
-    # pickling read _fields only, so any other slot would be state they miss.
-    # (Swap and Purify declare no slots of their own; _Operation holds them.)
+    # Every class between a record and tuple declares no slot, so no
+    # instance has a __dict__: equality, hashing, printing and pickling
+    # read the tuple's items only, so any other state would be missed.
     classes = _value_classes()
-    assert set(CASES) - ROWS <= {cls.__name__ for cls in classes}
-    assert not ROWS & {cls.__name__ for cls in classes}
+    assert set(CASES) == {cls.__name__ for cls in classes}
     for cls in classes:
-        slots = tuple(
-            name for k in reversed(cls.__mro__[:-1]) for name in vars(k)["__slots__"]
-        )
-        assert slots == cls._fields, cls.__name__
+        between = cls.__mro__[: cls.__mro__.index(tuple)]
+        assert [vars(k).get("__slots__") for k in between] == [()] * len(between)
+        _, fields, _, _ = CASES[cls.__name__]
+        assert not hasattr(cls(**fields), "__dict__"), cls.__name__
 
 
 def test_equality_and_hash(case):
@@ -254,7 +255,7 @@ def test_equality_and_hash(case):
     assert a == b and not a != b
     assert a != other and not a == other
     assert a != object()
-    assert (a == tuple(fields.values())) == (name in ROWS)
+    assert a == tuple(fields.values())
     if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)
@@ -323,6 +324,9 @@ def test_values_are_normalised_to_float():
     spec = GridSpec(1, 1, 1, 0)
     assert (spec.channel_fidelity, spec.channel_success) == (1.0, 0.0)
     assert type(spec.channel_fidelity) is float
+    # _replace builds through the checking constructor too
+    cost = CostVector(0.9, 0.8)._replace(fidelity=1)
+    assert cost == (1.0, 0.8) and type(cost.fidelity) is float
 
 
 @pytest.mark.parametrize(
@@ -365,6 +369,25 @@ def test_values_are_normalised_to_float():
     ],
 )
 def test_validation_messages(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: CostVector(0.9, 0.8)._replace(fidelity=1.5), AlgebraDomainError,
+         r"^fidelity 1\.5 outside \[0, 1\]$"),
+        (lambda: OperationCosts._make([1.0, 2.0, True]), AlgebraDomainError,
+         r"^success probability 2\.0 outside \[0, 1\]$"),
+        (lambda: GridSpec(2, 3, 0.9, 0.8)._replace(breadth=0), AlgebraDomainError,
+         r"^grid breadth and depth must be >= 1$"),
+        (lambda: RouteRequest("A", "B", 0.5)._replace(min_success=0.0), ValueError,
+         r"^min_success 0\.0 outside \(0, 1\]$"),
+    ],
+)
+def test_make_and_replace_validate(build, error, message):
+    # namedtuple's own _make builds with tuple.__new__, past __new__'s checks
     with pytest.raises(error, match=message):
         build()
 
