@@ -32,11 +32,9 @@ from .reduction import (
 )
 from .routing import (
     DEFAULT_MAX_BRUTEFORCE_EDGES,
-    InfeasibleRouteError,
     RouteRequest,
     RouteResult,
     SearchBoundError,
-    SearchKind,
     route,
 )
 
@@ -50,15 +48,11 @@ class ExitCode(IntEnum):
     BOUND_EXCEEDED = 3
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems instead of calling sys.exit."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _emit(doc: dict) -> None:
@@ -198,7 +192,7 @@ def _cmd_route(args) -> int:
     g = parse_graph(_read(args.graph))
     result = route(g, _route_request(args))
     _emit(_route_obj(result))
-    if result.search is SearchKind.INFEASIBLE:
+    if result.strategy is None:
         print("error: no feasible route", file=sys.stderr)
         return int(ExitCode.NO_ROUTE)
     return int(ExitCode.OK)
@@ -216,16 +210,14 @@ def _default_strategy(g: NetworkGraph) -> StrategyTree:
     return result.strategies[cid]
 
 
-def _simulation_strategy(g: NetworkGraph, args) -> StrategyTree:
+def _simulation_strategy(g: NetworkGraph, args) -> StrategyTree | None:
+    """The strategy to sample, or None for an infeasible route request."""
     route_flags = [args.source, args.target, args.min_success]
     if args.strategy is not None and any(v is not None for v in route_flags):
-        raise GraphFormatError(
-            "--strategy and route flags are mutually exclusive"
-        )
+        raise GraphFormatError("--strategy and route flags are mutually exclusive")
     if args.strategy is not None:
-        raw = _read(args.strategy)
         try:
-            obj = json.loads(raw.decode("utf-8"), parse_int=_json_int)
+            obj = json.loads(_read(args.strategy).decode("utf-8"), parse_int=_json_int)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: nested deeper than the JSON parser allows
             raise GraphFormatError(f"bad strategy document: {exc}") from None
@@ -236,10 +228,7 @@ def _simulation_strategy(g: NetworkGraph, args) -> StrategyTree:
                 "route-driven simulation needs --source, --target "
                 "and --min-success together"
             )
-        result = route(g, _route_request(args))
-        if result.search is SearchKind.INFEASIBLE:
-            raise InfeasibleRouteError("no feasible route to simulate")
-        return result.strategy
+        return route(g, _route_request(args)).strategy
     return _default_strategy(g)
 
 
@@ -251,10 +240,13 @@ def estimate(*args, **kwargs):
 
 
 def _cmd_simulate(args) -> int:
+    from .montecarlo import check_sampling
+
+    check_sampling(args.samples, args.seed)
     g = parse_graph(_read(args.graph))
-    if args.samples < 1:
-        raise GraphFormatError("--samples must be >= 1")
     tree = _simulation_strategy(g, args)
+    if tree is None:
+        return _fail(ExitCode.NO_ROUTE, "no feasible route to simulate")
     # the algebra may refuse the strategy: refuse it before sampling
     analytic = evaluate_strategy(tree, g)
     est = estimate(tree, g, args.samples, args.seed)
@@ -308,8 +300,6 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_grid(args)
-    except InfeasibleRouteError as exc:
-        return _fail(ExitCode.NO_ROUTE, str(exc))
     except SearchBoundError as exc:
         return _fail(ExitCode.BOUND_EXCEEDED, str(exc))
     except ValueError as exc:

@@ -172,6 +172,16 @@ def _chunk_samples(depth: int) -> int:
     return min(_CHUNK_SAMPLES, 30 * max(1, row // 4))
 
 
+def check_sampling(samples: int, seed: int) -> None:
+    """ValueError unless 1 <= samples <= 2**40 and 0 <= seed < 2**128."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be <= 2**40 ({_MAX_SAMPLES:,})")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed {seed} outside [0, 2**128)")
+
+
 def estimate(
     tree: StrategyTree,
     g: NetworkGraph,
@@ -183,12 +193,7 @@ def estimate(
     The estimate depends only on (tree, graph, samples, seed).  fidelity_hat
     and its standard error are None when no sample was accepted.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if samples > _MAX_SAMPLES:
-        raise ValueError(f"samples must be <= 2**40 ({_MAX_SAMPLES:,})")
-    if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed {seed} outside [0, 2**128)")
+    check_sampling(samples, seed)
     nodes = check_strategy(tree, g)
     ops, rows = g.op_costs, g.channels
     steps: list[Step] = []

@@ -39,7 +39,7 @@ _SYNTHETIC_ID_RE = re.compile(r"^r(\d+)$")
 
 
 class ReductionError(ValueError):
-    """Raised when a rewrite step does not apply."""
+    """Raised when a strategy names one channel twice (check_strategy)."""
 
 
 Leaf = namedtuple("Leaf", "channel")
@@ -225,16 +225,19 @@ class _Engine:
     goes first; routers that tie on it go in id order.  A live channel is
     the Channel row chan[id] = (a, b, fidelity, success), a <= b; inc[n]
     holds the live ids at live node n.  pairs[(a, b)] is a heap of exactly
-    the live ids spanning a and b.  par_heap holds an entry for the smallest
-    id of every pair with two or more, and ser_heap the lower id of every
-    router of two channels, each plus stale entries dropped when they reach
-    the top.  A ser_heap entry names a channel, not a router: the
-    channel's ends a <= b are tried in that order, the order of routers
-    that tie on it, so the heap compares plain strings.  A par_heap entry
-    whose channel is live is still its pair's smallest, in a pair of two or
-    more: a smaller id of the pair would have an entry of its own, and
-    channels leave a pair of several only two smallest at a time, by a
-    parallel step.  The whole run is O(|E| log |E|).
+    the live ids spanning a and b.  ser_heap holds the lower id of every
+    router of two channels, plus stale entries dropped when they reach the
+    top.  A ser_heap entry names a channel, not a router: the channel's
+    ends a <= b are tried in that order, the order of routers that tie on
+    it, so the heap compares plain strings.  par_heap holds the smallest
+    id of every pair of two or more, and nothing else whenever it is
+    popped.  Parallel steps exhaust before any series step, so a series
+    step pushes only into a pair that held at most one channel and no
+    entry; a parallel step pops its pair's only entry and consumes it with
+    the next smallest id, so a channel with an entry leaves chan only by
+    that pop.  A series-only run pops nothing, and consumes no channel of
+    a pair of two or more: none sits at a router of two channels with
+    distinct far ends.  Each engine runs once.  The run is O(|E| log |E|).
 
     chan starts as a copy of the graph's rows, and result() hands the live
     ones to the graph it returns.  swap_floats and purify_floats compose
@@ -280,10 +283,8 @@ class _Engine:
         row, SERIES, PARALLEL = ReductionStep, StepKind.SERIES, StepKind.PARALLEL
         next_id = self.next_id
         while True:
-            while par_heap and par_heap[0] not in chan:
-                pop(par_heap)
             if par_heap and not series_only:
-                # The parallel step: the live top and the next id of its pair.
+                # The parallel step: the top and the next id of its pair.
                 cid1 = pop(par_heap)
                 u, w, f1, s1 = chan.pop(cid1)
                 members = pairs[u, w]

@@ -36,7 +36,6 @@ from .reduction import (
 )
 
 __all__ = [
-    "InfeasibleRouteError",
     "RouteRequest",
     "RouteResult",
     "SearchBoundError",
@@ -49,10 +48,6 @@ DEFAULT_MAX_BRUTEFORCE_EDGES = 12
 # The kernel search keeps a table of 2**k subsets and tries 3**k splits for
 # a k-channel kernel, so no request may allow more than this many.
 MAX_BRUTEFORCE_EDGES = 20
-
-
-class InfeasibleRouteError(Exception):
-    """No strategy satisfies the success constraint."""
 
 
 class SearchBoundError(Exception):

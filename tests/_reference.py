@@ -100,7 +100,6 @@ from qnet.reduction import (
     serialize_strategy,
 )
 from qnet.routing import (
-    InfeasibleRouteError,
     SearchBoundError,
     _check_endpoints,
     _pair_join,
@@ -647,6 +646,14 @@ def bell_fidelity(state: DensityMatrix4) -> float:
     return float(np.real(np.trace(_BELL @ state.matrix)))
 
 
+class InfeasibleRouteError(Exception):
+    """brute_force_best found no strategy that meets the success floor.
+
+    qnet's own route never raises: it answers such a request with a
+    RouteResult of search SearchKind.INFEASIBLE and no strategy.
+    """
+
+
 def brute_force_best(
     g: NetworkGraph, source: str, target: str, min_success: float
 ) -> tuple[StrategyTree, CostVector]:
@@ -654,7 +661,8 @@ def brute_force_best(
 
     Explores every way of combining channels two at a time (purify on equal
     node pairs, swap through repeaters) and keeps the best feasible pair
-    spanning source-target.  Limited to 8 channels.
+    spanning source-target.  Limited to 8 channels.  Raises
+    InfeasibleRouteError when no strategy meets min_success.
     """
     _check_endpoints(g, source, target)
     if len(g.channels) > 8:

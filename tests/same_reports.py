@@ -5,10 +5,13 @@
 Exports REF with git archive into a temporary directory, builds the four
 benchmark workloads' documents for each seed with perfbench/workloads.py,
 and runs every distinct command (by argv; thread counts are not part of
-a report) under ``python -m qnet`` against REF's src and this tree's.
-Exit code, stdout and stderr must match.  Prints the number of commands
-that differ and the first difference; exits 1 on any difference, a
-timeout (TIMEOUT_S per command and tree) included.  Standard library only; pytest does not collect it.
+a report) under ``python -m qnet`` against REF's src and this tree's,
+then the fixed help and usage-error invocations of USAGE.  Both trees run
+on this interpreter with COLUMNS=80, so argparse wraps its text alike.
+Exit code, stdout and stderr must match.  Prints, for each group, the
+number of commands that differ, then the first difference; exits 1 on any
+difference, a timeout (TIMEOUT_S per command and tree) included.
+Standard library only; pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -27,6 +30,17 @@ import workloads  # noqa: E402
 
 # The slowest workload command takes a few seconds.
 TIMEOUT_S = 120.0
+# Help and usage errors: argparse answers each before any document is read.
+_ROUTE = ["route", "network.json", "--target", "B", "--min-success", "0.5"]
+USAGE = [
+    ["--help"],
+    *([command, "--help"] for command in ("reduce", "route", "simulate", "grid")),
+    [],
+    ["teleport"],
+    _ROUTE,
+    ["simulate", "network.json", "--samples", "x"],
+    [*_ROUTE, "--source", "A", "--max-paths", "3"],
+]
 
 
 def _export(ref: str, dest: str) -> None:
@@ -62,7 +76,10 @@ def _commands(seeds: list[int], docs_dir: str) -> list[list[str]]:
 def _run(tree: str, argv: list[str], cwd: str):
     """(exit code, stdout, stderr) of qnet from tree's src, or None on timeout."""
     env = dict(
-        os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1"
+        os.environ,
+        PYTHONPATH=os.path.join(tree, "src"),
+        PYTHONDONTWRITEBYTECODE="1",
+        COLUMNS="80",
     )
     try:
         proc = subprocess.run(
@@ -101,15 +118,21 @@ def main(argv: list[str] | None = None) -> int:
         os.mkdir(base_tree)
         os.mkdir(docs_dir)
         _export(args.base, base_tree)
-        commands = _commands(args.seeds, docs_dir)
+        groups = [
+            ("commands", _commands(args.seeds, docs_dir)),
+            ("help and usage invocations", USAGE),
+        ]
         differing, first = 0, None
-        for cmd in commands:
-            diff = _difference(_run(base_tree, cmd, tmp), _run(ROOT, cmd, tmp))
-            if diff is not None:
-                differing += 1
-                if first is None:
-                    first = f"qnet {' '.join(cmd)}\n  {diff}"
-    print(f"{differing} of {len(commands)} commands differ from {args.base}")
+        for what, commands in groups:
+            before = differing
+            for cmd in commands:
+                diff = _difference(_run(base_tree, cmd, tmp), _run(ROOT, cmd, tmp))
+                if diff is not None:
+                    differing += 1
+                    if first is None:
+                        first = f"qnet {' '.join(cmd)}\n  {diff}"
+            count = f"{differing - before} of {len(commands)} {what}"
+            print(f"{count} differ from {args.base}")
     if first is not None:
         print(f"first difference: {first}")
     return 1 if differing else 0

@@ -23,6 +23,7 @@ from _generators import (
     two_path_graph,
 )
 from _reference import (
+    InfeasibleRouteError,
     bell_fidelity,
     brute_force_best,
     dephase_bell,
@@ -35,7 +36,6 @@ import qnet
 from qnet import (
     GridSpec,
     GridStrategy,
-    InfeasibleRouteError,
     Leaf,
     OperationCosts,
     Purify,

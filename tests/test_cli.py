@@ -668,23 +668,62 @@ def test_simulate_refuses_a_singular_strategy_before_sampling(
 def test_simulate_flag_conflicts(two_path_doc, tmp_path):
     spath = tmp_path / "s.json"
     spath.write_text('{"op": "leaf", "channel": "c1"}')
-    proc = run_cli(
-        [
-            "simulate",
-            two_path_doc,
-            "--samples",
-            "10",
-            "--strategy",
-            str(spath),
-            "--source",
-            "A",
-        ]
-    )
-    assert proc.returncode == 1
-    proc = run_cli(["simulate", two_path_doc, "--samples", "10", "--source", "A"])
-    assert proc.returncode == 1
-    proc = run_cli(["simulate", two_path_doc, "--samples", "0"])
-    assert proc.returncode == 1
+    cases = [
+        (["--strategy", str(spath), "--source", "A"],
+         "--strategy and route flags are mutually exclusive"),
+        (["--source", "A"],
+         "route-driven simulation needs --source, --target and --min-success together"),
+        (["--samples", "0"], "samples must be >= 1"),
+    ]
+    for flags, message in cases:
+        proc = run_cli(["simulate", two_path_doc, "--samples", "10", *flags])
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["message"] == message
+        assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--samples", str(10**20)], "samples must be <= 2**40 (1,099,511,627,776)"),
+        (["--samples", "10", "--seed", str(2**128)],
+         f"seed {2**128} outside [0, 2**128)"),
+    ],
+    ids=["samples", "seed"],
+)
+def test_simulate_checks_samples_and_seed_before_planning(
+    two_path_doc, monkeypatch, capsys, flags, message
+):
+    """A sample count or seed out of range is refused before the document
+    is read, so a large document costs nothing to refuse."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("planned before checking --samples and --seed")
+
+    monkeypatch.setattr(cli, "parse_graph", never)
+    monkeypatch.setattr(cli, "reduce_to_fixpoint", never)
+    plan = ["--source", "A", "--target", "B", "--min-success", "0.1"]
+    for argv in (
+        ["simulate", two_path_doc, *flags],
+        ["simulate", "missing.json", *flags, *plan],
+    ):
+        assert cli.run(argv) == 1
+        assert json.loads(capsys.readouterr().out)["message"] == message
+
+
+def test_ids_that_begin_with_a_dash_need_the_equals_form(tmp_path):
+    """argparse reads "-a" after --source as an option, not as its value."""
+    path = tmp_path / "dash.json"
+    path.write_bytes(serialize_graph(build_graph(
+        [("c1", "-a", "B", 0.9, 0.9)], endpoints=("-a", "B")
+    )))
+    plan = ["--target", "B", "--min-success", "0.5"]
+    code, out = _run_in_process(["route", str(path), "--source", "-a", *plan])
+    assert code == 1
+    assert json.loads(out)["message"] == "argument --source: expected one argument"
+    code, out = _run_in_process(["route", str(path), "--source=-a", *plan])
+    assert code == 0
+    assert json.loads(out)["search"] == "FullyReduced"
 
 
 def test_simulate_infeasible_route_flags(two_path_doc):

@@ -517,6 +517,64 @@ def test_series_heap_pushes_stay_linear(monkeypatch):
         assert parallel <= len(g.channels) + steps, parallel
 
 
+def _multigraph(rng):
+    """A random multigraph of 3-9 nodes and 1-22 channels whose ids sort on
+    both sides of the engine's r<n> ids (an r<n> id among them too)."""
+    n = rng.randint(3, 9)
+    nodes = [
+        Node(f"n{i}", NodeRole.ENDPOINT if rng.random() < 0.3 else NodeRole.ROUTER)
+        for i in range(n)
+    ]
+    chans = []
+    for k in range(rng.randint(1, 22)):
+        a, b = rng.sample(range(n), 2)
+        cost = rng.uniform(0.5, 1.0), rng.uniform(0.1, 1.0)
+        chans.append((f"{rng.choice('aqrsz')}{k}", Channel(f"n{a}", f"n{b}", *cost)))
+    return NetworkGraph(nodes, chans)
+
+
+def test_parallel_heap_pops_only_live_pair_minima(monkeypatch):
+    """Every pop from par_heap is a live channel and its pair's smallest id,
+    so the engine drops no stale parallel entry (see _Engine).
+
+    A full run pops par_heap once per parallel step and ends with it empty;
+    a series-only run never pops it.
+    """
+    engine = None
+
+    def heappop(heap, pop=heapq.heappop):
+        if heap is engine.par_heap:
+            cid = heap[0]
+            assert cid in engine.chan
+            members = engine.pairs[engine.chan[cid][:2]]
+            assert len(members) > 1 and members[0] == cid
+            par_pops.append(cid)
+        return pop(heap)
+
+    shim = types.SimpleNamespace(
+        heappush=heapq.heappush, heappop=heappop, heapify=heapq.heapify
+    )
+    monkeypatch.setattr(reduction, "heapq", shim)
+    rng = seeded(43)
+    graphs = [_multigraph(rng) for _ in range(300)]
+    for n in range(3, 9):
+        nodes = [Node("A", NodeRole.ENDPOINT), Node("B", NodeRole.ENDPOINT)]
+        ids = [f"{rng.choice('aqrsz')}{k}" for k in range(n)]
+        chans = [(cid, Channel("A", "B", 0.9, 0.9)) for cid in ids]
+        graphs.append(NetworkGraph(nodes, chans))
+    for g in graphs:
+        for series_only in (False, True):
+            par_pops = []
+            engine = _Engine(g)
+            engine.run(series_only)
+            if series_only:
+                assert par_pops == []
+            else:
+                kinds = [step.kind for step in engine.steps]
+                assert len(par_pops) == kinds.count(StepKind.PARALLEL)
+                assert engine.par_heap == []
+
+
 def _assert_exact_pair_heaps(engine):
     live = {}
     for cid, (a, b, _, _) in engine.chan.items():
@@ -593,6 +651,34 @@ def test_composed_serialization_matches_full_serialization(tree):
     assert canonical_dumps(json.loads(text)) == text
     assert reference_canonical_dumps(json.loads(text)) == text
     assert serialize_strategy(strategy_from_obj(json.loads(text))) == text
+
+
+_LEAF = {"op": "leaf", "channel": "c1"}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "strategy node must be an object with an 'op' field"),
+        ({"op": "swap", "left": _LEAF, "right": {"channel": "c2"}},
+         "strategy node must be an object with an 'op' field"),
+        ({"op": "leaf", "channel": 1},
+         "leaf node needs exactly a string 'channel' field"),
+        ({"op": "leaf", "channel": "c1", "left": _LEAF},
+         "leaf node needs exactly a string 'channel' field"),
+        ({"op": "purify", "left": _LEAF},
+         "purify node needs exactly 'left' and 'right'"),
+        ({"op": "swap", "left": _LEAF, "right": _LEAF, "x": 0},
+         "swap node needs exactly 'left' and 'right'"),
+        ({"op": "teleport"}, "unknown strategy op 'teleport'"),
+        ({"op": "purify", "left": _LEAF, "right": {"op": None}},
+         "unknown strategy op None"),
+    ],
+)
+def test_strategy_from_obj_refusals(obj, message):
+    with pytest.raises(ValueError) as refused:
+        strategy_from_obj(obj)
+    assert str(refused.value) == message
 
 
 def test_strategy_walks_handle_a_20000_deep_chain():

@@ -15,6 +15,7 @@ from _generators import (
     two_path_graph,
 )
 from _reference import (
+    InfeasibleRouteError,
     brute_force_best,
     reference_block,
     reference_exhaustive_search,
@@ -25,7 +26,6 @@ from qnet import (
     Channel,
     CostVector,
     GraphFormatError,
-    InfeasibleRouteError,
     Leaf,
     NetworkGraph,
     Node,
