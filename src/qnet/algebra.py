@@ -18,7 +18,6 @@ __all__ = [
     "GridStrategy",
     "OperationCosts",
     "grid_cost",
-    "purify_acceptance",
     "purify_cost",
     "swap_cost",
 ]
@@ -98,40 +97,6 @@ def swap_value(f1: float, f2: float) -> float:
     return f1 * f2 + (1.0 - f1) * (1.0 - f2)
 
 
-def purify_acceptance(f1: float, f2: float) -> float:
-    """Probability that a purification round accepts (both measurements agree)."""
-    return swap_value(_checked(f1), _checked(f2))
-
-
-# Running products prod(F) and prod(1 - F) of a purification chain, each as
-# a mantissa in [1/2, 1) and a power of two: (kept, kept_exp, lost, lost_exp).
-_ChainState = tuple[float, int, float, int]
-_CHAIN_START: _ChainState = (1.0, 0, 1.0, 0)
-
-
-def _chain_step(state: _ChainState, v: float) -> _ChainState:
-    """Multiply one more fidelity into both running products."""
-    kept, kept_exp, lost, lost_exp = state
-    kept, e = math.frexp(kept * v)
-    kept_exp += e
-    lost, e = math.frexp(lost * (1.0 - v))
-    lost_exp += e
-    return kept, kept_exp, lost, lost_exp
-
-
-def _chain_value(state: _ChainState) -> float:
-    """prod(F) / (prod(F) + prod(1-F)) of the products in state."""
-    kept, kept_exp, lost, lost_exp = state
-    if kept == 0.0 or lost == 0.0:
-        return 0.0 if kept == 0.0 else 1.0
-    # Move the larger product into [1, 2); plain products are at most 1,
-    # so this never scales below them.
-    top = max(kept_exp, lost_exp) - 1
-    kept = math.ldexp(kept, kept_exp - top)
-    lost = math.ldexp(lost, lost_exp - top)
-    return kept / (kept + lost)
-
-
 def to_log_loss(p: float) -> float:
     """-ln(success); 0 maps to the +infinity marker."""
     x = _checked(p, _SUCCESS)
@@ -164,6 +129,37 @@ def purify_floats(
     return (f1 * f2) / agree, s
 
 
+def swap_run(f: float, n: int) -> float:
+    """Fidelity of n copies of f swapped end to end, for n >= 1.
+
+    A run of swaps multiplies the bias 2f - 1, so this is
+    (1 + (2f - 1)**n) / 2; a run of one is f itself.
+    """
+    if n == 1:
+        return f
+    return (1.0 + (2.0 * f - 1.0) ** n) / 2.0
+
+
+def purify_run(f: float, n: int) -> tuple[float, float]:
+    """Fidelity of n copies of f purified down to one pair, for n >= 1, and
+    the product of the acceptance probabilities of its n - 1 rounds.
+
+    A run of purifications multiplies the odds f / (1 - f), and its rounds'
+    acceptances telescope to f**n + (1 - f)**n.  Both are taken through q,
+    the ratio of the smaller of f and 1 - f to the larger, raised to n: q
+    lies in [0, 1], so it cannot overflow.  The larger side's power is one
+    pow, which underflows to 0 where a running product would stick at the
+    smallest subnormal.  A run of one is (f, 1).
+    """
+    if n == 1:
+        return f, 1.0
+    lost = 1.0 - f
+    big = max(f, lost)
+    q = (min(f, lost) / big) ** n
+    fidelity = 1.0 / (1.0 + q) if f >= lost else q / (1.0 + q)
+    return fidelity, big**n * (1.0 + q)
+
+
 def swap_cost(c1: CostVector, c2: CostVector, ops: OperationCosts) -> CostVector:
     """Cost vector of swapping two pairs at a shared repeater."""
     return CostVector(
@@ -183,8 +179,7 @@ class GridStrategy(Enum):
     SWAP_THEN_PURIFY = "swap-then-purify"
 
 
-# grid_cost folds over breadth and depth in loops that hold no list, but
-# their time grows with each side: two sides of 10**6 take 2-3 s.
+# A bound on outside input, not on run time: grid_cost takes constant time.
 MAX_GRID_SIDE = 10**6
 
 
@@ -218,37 +213,16 @@ class GridSpec(
         return tuple.__new__(cls, (breadth, depth, fidelity, success, strategy))
 
 
-def _purify_copies(base: float, count: int) -> tuple[float, float]:
-    """Fidelity of purifying count copies of base down to one pair, and the
-    product of the acceptance probabilities of its count - 1 rounds, in one
-    pass: round i purifies the chain of i copies against one more copy, so
-    its products carry over.
-    """
-    total = 1.0
-    state = _chain_step(_CHAIN_START, base)
-    for _ in range(1, count):
-        total *= purify_acceptance(_chain_value(state), base)
-        state = _chain_step(state, base)
-    return _chain_value(state), total
-
-
-def _swap_copies(base: float, count: int) -> float:
-    """Fidelity of swapping count copies of base end to end: swap_value
-    folded over the count without a list."""
-    acc = base
-    for _ in range(1, count):
-        acc = swap_value(acc, base)
-    return acc
-
-
 def grid_cost(spec: GridSpec, ops: OperationCosts | None = None) -> CostVector:
     """End-to-end cost of a grid under the chosen operation order.
 
     PURIFY_THEN_SWAP purifies each rung of breadth channels, then swaps the
     depth purified segments; SWAP_THEN_PURIFY swaps each strand end to end,
-    then purifies the breadth strand pairs.  The channel contribution to the
-    success probability is computed in closed form, so for trivial operation
-    costs it equals channel_success ** (breadth * depth) bit for bit.
+    then purifies the breadth strand pairs.  Each run is one call of
+    purify_run or swap_run, so the cost takes constant time.  The channel
+    contribution to the success probability is computed in closed form, so
+    for trivial operation costs it equals channel_success ** (breadth *
+    depth) bit for bit.
     """
     if ops is None:
         ops = OperationCosts()
@@ -256,15 +230,14 @@ def grid_cost(spec: GridSpec, ops: OperationCosts | None = None) -> CostVector:
     b, d = spec.breadth, spec.depth
     success = s ** (b * d)
     if spec.strategy is GridStrategy.PURIFY_THEN_SWAP:
-        rung, accepted = _purify_copies(f, b)
-        fidelity = _swap_copies(rung, d)
+        rung, accepted = purify_run(f, b)
+        fidelity = swap_run(rung, d)
         success *= ops.purify_success ** (d * (b - 1))
         success *= ops.swap_success ** (d - 1)
         if ops.physical_acceptance:
             success *= accepted ** d
     else:
-        strand = _swap_copies(f, d)
-        fidelity, accepted = _purify_copies(strand, b)
+        fidelity, accepted = purify_run(swap_run(f, d), b)
         success *= ops.swap_success ** (b * (d - 1))
         success *= ops.purify_success ** (b - 1)
         if ops.physical_acceptance:

@@ -45,10 +45,14 @@ physics rather than against itself.
 swap_fidelity and purify_fidelity are the fidelity halves of
 qnet.algebra.swap_floats and purify_floats under free operations, the
 kernels every command composes with; the algebra's laws are stated
-through them.  swap_chain and purify_chain fold a sequence of fidelities
-(purify_chain through the grid's scaled running products), and
-swap_inverse gives the formal inverse f / (2f - 1); grid_cost's folds
-over copies are checked against the chains.
+through them.  purify_acceptance is the probability that one round
+accepts.  swap_chain folds a sequence of fidelities, purify_chain purifies
+one in exact rational arithmetic, and swap_inverse gives the formal
+inverse f / (2f - 1).  exact_swap_run and exact_purify_run are the
+closed forms of a run of one operation in fractions.Fraction, checked
+against exact folds one operation at a time, and exact_grid_cost is
+grid_cost built from them with no rounding: qnet.algebra.swap_run and
+purify_run, which grid_cost calls, are checked against it.
 
 Rewriter is a plain series/parallel rewriter, written apart from
 qnet.reduction._Engine: it keeps one dict of Channel rows, scans it at
@@ -69,16 +73,16 @@ from __future__ import annotations
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
 from qnet.algebra import (
     AlgebraDomainError,
     CostVector,
+    GridSpec,
+    GridStrategy,
     OperationCosts,
-    _CHAIN_START,
-    _chain_step,
-    _chain_value,
     _checked,
     purify_cost,
     purify_floats,
@@ -580,22 +584,61 @@ def swap_chain(fs) -> float:
     return acc
 
 
+def purify_acceptance(f1: float, f2: float) -> float:
+    """Probability that a purification round accepts (both measurements agree)."""
+    return swap_value(_checked(f1), _checked(f2))
+
+
 def purify_chain(fs) -> float:
     """Fidelity of purifying n pairs down to one: prod(F) / (prod(F) + prod(1-F)).
 
-    The running products are the grid's, a mantissa and a power of two
-    each, so long chains do not underflow; only both products being
-    exactly zero is singular.
+    The products are exact fractions, rounded once at the end, so long
+    chains do not underflow; only both products being zero is singular.
     """
-    vals = [_checked(f) for f in fs]
+    vals = [Fraction(_checked(f)) for f in fs]
     if not vals:
         raise AlgebraDomainError("purify_chain of empty sequence")
-    state = _CHAIN_START
-    for v in vals:
-        state = _chain_step(state, v)
-    if state[0] == state[2] == 0.0:
+    kept = math.prod(vals)
+    lost = math.prod(1 - v for v in vals)
+    if kept == lost == 0:
         raise AlgebraDomainError("singular purification input in chain")
-    return _chain_value(state)
+    return float(kept / (kept + lost))
+
+
+def exact_swap_run(f: Fraction, n: int) -> Fraction:
+    """n copies of f swapped end to end: the bias 2f - 1 multiplies."""
+    return (1 + (2 * f - 1) ** n) / 2
+
+
+def exact_purify_run(f: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """n copies of f purified to one pair, and the product of the rounds'
+    acceptances, which telescopes to f**n + (1 - f)**n."""
+    kept, lost = f**n, (1 - f) ** n
+    return kept / (kept + lost), kept + lost
+
+
+def exact_grid_cost(spec: GridSpec, ops: OperationCosts) -> tuple[Fraction, Fraction]:
+    """(fidelity, success) of grid_cost in exact rational arithmetic.
+
+    Each run is exact_swap_run or exact_purify_run, and success factors
+    are charged per operation as grid_cost charges them.
+    """
+    f, s = Fraction(spec.channel_fidelity), Fraction(spec.channel_success)
+    swap, purify = Fraction(ops.swap_success), Fraction(ops.purify_success)
+    b, d = spec.breadth, spec.depth
+    success = s ** (b * d)
+    if spec.strategy is GridStrategy.PURIFY_THEN_SWAP:
+        rung, accepted = exact_purify_run(f, b)
+        fidelity = exact_swap_run(rung, d)
+        success *= purify ** (d * (b - 1)) * swap ** (d - 1)
+        if ops.physical_acceptance:
+            success *= accepted**d
+    else:
+        fidelity, accepted = exact_purify_run(exact_swap_run(f, d), b)
+        success *= swap ** (b * (d - 1)) * purify ** (b - 1)
+        if ops.physical_acceptance:
+            success *= accepted
+    return fidelity, success
 
 
 def dephasing_bell_fidelity(p: float) -> float:

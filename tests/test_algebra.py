@@ -1,12 +1,15 @@
-"""Cost-vector algebra: group laws, chains, log-loss, grids, dephasing.
+"""Cost-vector algebra: group laws, chains, runs, log-loss, grids, dephasing.
 
 The laws are stated through swap_fidelity and purify_fidelity, the
 fidelities of the kernels swap_floats and purify_floats; the chains, the
-swap inverse and the dephasing closed form are test oracles in _reference.
+swap inverse, the exact grid cost and the dephasing closed form are test
+oracles in _reference.
 """
 import math
 import random
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -14,6 +17,10 @@ from hypothesis import assume, given, strategies as st
 from _generators import build_graph
 from _reference import (
     dephasing_bell_fidelity,
+    exact_grid_cost,
+    exact_purify_run,
+    exact_swap_run,
+    purify_acceptance,
     purify_chain,
     purify_fidelity,
     swap_chain,
@@ -27,16 +34,16 @@ from qnet import (
     GridStrategy,
     OperationCosts,
     grid_cost,
-    purify_acceptance,
     reduce_to_fixpoint,
 )
 from qnet.algebra import (
-    _purify_copies,
-    _swap_copies,
     check_cost,
     purify_cost,
     purify_floats,
+    purify_run,
     swap_cost,
+    swap_floats,
+    swap_run,
     swap_value,
     to_log_loss,
 )
@@ -269,8 +276,21 @@ def test_grid_spec_validation():
         GridSpec(2, 3, 1.5, 0.9)
 
 
+def _draw_fidelity(rng):
+    """A channel fidelity: 0, 1/2 and 1 themselves, within 1e-3 of 1/2, or any."""
+    near_half = 0.5 + rng.uniform(-1e-3, 1e-3)
+    return rng.choice([0.0, 0.5, 1.0, near_half, rng.random(), rng.uniform(0.5, 1.0)])
+
+
 def test_grid_single_channel_is_passthrough():
     assert grid_cost(GridSpec(1, 1, 0.8, 0.7)) == CostVector(0.8, 0.7)
+    # bit for bit at any channel and operation costs: runs of one are their operand
+    rng = random.Random(4848)
+    for _ in range(200):
+        f, s = _draw_fidelity(rng), rng.random()
+        ops = OperationCosts(rng.random(), rng.random(), rng.random() < 0.5)
+        for strategy in GridStrategy:
+            assert grid_cost(GridSpec(1, 1, f, s, strategy), ops) == (f, s)
 
 
 @given(
@@ -385,45 +405,118 @@ def test_grid_cost_survives_underflowing_chain_products(strategy):
     assert abs(got.success - want.success) <= 1e-9 * want.success
 
 
-def _per_round_acceptance_product(base, count):
-    """The acceptance product as first written: a fresh chain every round."""
-    total = 1.0
-    for i in range(1, count):
-        total *= purify_acceptance(purify_chain([base] * i), base)
-    return total
-
-
-def test_acceptance_product_matches_per_round_chains():
-    rng = random.Random(4242)
-    cases = [(base, 200) for base in (0.0, 0.5, 1.0, 0.57, 0.999)]
-    cases += [(rng.random(), rng.randint(1, 200)) for _ in range(60)]
-    cases += [(rng.uniform(0.5, 1.0), rng.randint(1, 200)) for _ in range(60)]
-    for base, count in cases:
-        got = _purify_copies(base, count)
-        want = purify_chain([base] * count), _per_round_acceptance_product(base, count)
-        assert got == want, (base, count)
-
-
-def test_grid_cost_is_linear_in_breadth():
-    # 20,000 rounds of acceptance; one chain per round would take minutes.
+def test_grid_cost_runs_in_constant_time():
+    # 20,000 purified copies: the acceptance underflows and the fidelity rounds to 1.
     got = grid_cost(GridSpec(20_000, 2, 0.9, 0.99))
     assert got.fidelity == 1.0
     assert got.success == 0.0
 
 
-def test_swap_copies_match_swap_chain():
-    rng = random.Random(4343)
-    cases = [(base, 200) for base in (0.0, 0.5, 1.0, 0.57, 0.999)]
-    cases += [(rng.random(), rng.randint(1, 200)) for _ in range(60)]
-    cases += [(rng.uniform(0.5, 1.0), rng.randint(1, 2000)) for _ in range(20)]
-    for base, count in cases:
-        assert _swap_copies(base, count) == swap_chain([base] * count), (base, count)
+# Two roundings apart: a binary kernel and a run kernel on one pair.
+PAIR_TOL = 2 * sys.float_info.epsilon
+
+
+@given(unit)
+def test_binary_kernels_match_run_kernels_on_runs_of_two(f):
+    fid = swap_floats(f, 1.0, f, 1.0, OperationCosts())[0]
+    assert abs(fid - swap_run(f, 2)) <= PAIR_TOL
+    fid, success = purify_floats(f, 1.0, f, 1.0, OperationCosts())
+    run_fid, accepted = purify_run(f, 2)
+    assert abs(fid - run_fid) <= PAIR_TOL
+    assert math.isclose(success, accepted, rel_tol=PAIR_TOL)
+
+
+def _random_fold(kernel, f, n, rng):
+    """(fidelity, success) of n copies of (f, 1) merged by kernel, two
+    neighbours at a time in random order, so in random association."""
+    items = [(f, 1.0)] * n
+    while len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        items[i : i + 2] = [kernel(*items[i], *items[i + 1], OperationCosts())]
+    return items[0]
+
+
+def test_binary_folds_in_random_association_match_run_kernels():
+    rng = random.Random(4646)
+    for _ in range(600):
+        f = rng.choice([0.0, 0.5, 1.0, rng.random(), 0.5 + rng.uniform(-1e-3, 1e-3)])
+        n = rng.randint(1, 40)
+        assert abs(_random_fold(swap_floats, f, n, rng)[0] - swap_run(f, n)) <= 1e-13
+        # with physical acceptance and unit successes, success is the
+        # product of the rounds' acceptances
+        fid, accepted = _random_fold(purify_floats, f, n, rng)
+        run_fid, run_accepted = purify_run(f, n)
+        assert abs(fid - run_fid) <= 1e-13, (f, n)
+        assert math.isclose(accepted, run_accepted, rel_tol=1e-13), (f, n)
+
+
+@pytest.mark.parametrize("f", [0.0, 0.5, 1.0, 0.57, 0.49999, 0.9, 0.1])
+def test_exact_run_closed_forms_equal_folds(f):
+    """The closed forms of the exact oracle equal, exactly, runs folded one
+    operation at a time, each purification round's acceptance charged as
+    it happens."""
+    f = Fraction(f)
+    swapped, purified, accepted = f, f, Fraction(1)
+    for n in range(1, 41):
+        assert exact_swap_run(f, n) == swapped
+        assert exact_purify_run(f, n) == (purified, accepted)
+        swapped = swapped * f + (1 - swapped) * (1 - f)
+        agree = purified * f + (1 - purified) * (1 - f)
+        purified, accepted = purified * f / agree, accepted * agree
+
+
+def test_grid_cost_matches_exact_fractions():
+    """500 seeded grids, sides 1-40, both orders, random operation costs,
+    acceptance on and off.  (1 + (2F - 1)**n) / 2 cancels near F = 0, so
+    fidelity is held to an absolute bound; success to a relative one where
+    it is a normal float, and below the smallest normal otherwise."""
+    rng = random.Random(4747)
+    smallest = Fraction(sys.float_info.min)
+    for _ in range(500):
+        spec = GridSpec(
+            rng.randint(1, 40),
+            rng.randint(1, 40),
+            _draw_fidelity(rng),
+            rng.choice([1.0, rng.random()]),
+            rng.choice(list(GridStrategy)),
+        )
+        ops = OperationCosts(
+            rng.choice([1.0, rng.uniform(0.5, 1.0)]),
+            rng.choice([1.0, rng.uniform(0.5, 1.0)]),
+            rng.random() < 0.5,
+        )
+        got = grid_cost(spec, ops)
+        fidelity, success = exact_grid_cost(spec, ops)
+        assert abs(Fraction(got.fidelity) - fidelity) <= 1e-14, (spec, ops)
+        if success >= smallest:
+            assert abs(Fraction(got.success) - success) <= Fraction(1e-13) * success, (
+                spec,
+                ops,
+            )
+        else:
+            assert got.success < sys.float_info.min * (1 + 1e-13), (spec, ops)
+
+
+@pytest.mark.parametrize("strategy", list(GridStrategy))
+@pytest.mark.parametrize("f", [math.nextafter(0.5, 0.0), 0.49999, 0.57, 0.9])
+def test_grid_cost_at_the_side_bounds(f, strategy):
+    """Sides of 10**6 raise nothing: the purify run's ratio is at most 1."""
+    got = grid_cost(GridSpec(10**6, 10**6, f, 0.9, strategy))
+    assert 0.0 <= got.fidelity <= 1.0
+    assert got.success == 0.0
+
+
+@pytest.mark.parametrize("strategy", list(GridStrategy))
+def test_grid_acceptance_underflows_to_zero(strategy):
+    # 0.50001**10**6 is about 10**-301021: below every float, so 0, not 5e-324.
+    got = grid_cost(GridSpec(10**6, 1, 0.49999, 1.0, strategy))
+    assert got.success == 0.0
 
 
 @pytest.mark.parametrize("strategy", list(GridStrategy))
 def test_grid_cost_folds_without_lists(strategy):
-    """A grid 10**6 channels deep is folded over its depth: grid_cost holds
-    no list of it, where [rung] * depth alone would take 8 MB."""
+    """grid_cost holds no list of a grid 10**6 channels deep, where
+    [rung] * depth alone would take 8 MB."""
     tracemalloc.start()
     try:
         grid_cost(GridSpec(10, 10**6, 0.9, 0.9, strategy))

@@ -752,7 +752,7 @@ def test_estimate_is_reproducible_per_seed():
     assert estimate(tree, g, 50000, seed=11) == estimate(tree, g, 50000, seed=11)
 
 
-def test_estimate_thread_count_never_changes_numbers():
+def test_estimate_numbers_are_pinned_and_take_no_thread_count():
     """estimate takes no thread count.  Its numbers on four chunks (50,000,
     50,000, 50,000 and 50,001 samples) were pinned at every thread count
     from 1 to 4 when it still took one, and pinned again once each sample

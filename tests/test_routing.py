@@ -64,7 +64,7 @@ def _kept(g, floor, source="A", target="B"):
     return set(_floor_prune(block, source, target, floor).channels)
 
 
-def test_harvest_single_edge_threshold():
+def test_block_and_floor_prune_single_edge_threshold():
     g = build_graph([("c1", "A", "B", 0.9, 0.81)])
     assert set(_block(g, "A", "B").channels) == {"c1"}
     assert _kept(g, 0.5) == {"c1"}
@@ -73,14 +73,14 @@ def test_harvest_single_edge_threshold():
     assert list(pruned.nodes) == ["A", "B"]
 
 
-def test_harvest_two_path_graph():
+def test_block_and_floor_prune_keep_both_paths_of_two_path_graph():
     # Both disjoint paths lie in the block, and each meets the floor.
     g = two_path_graph()
     assert set(_block(g, "A", "B").channels) == {"c1", "c2", "c3", "c4"}
     assert _kept(g, 0.5) == {"c1", "c2", "c3", "c4"}
 
 
-def test_harvest_charges_swap_loss_per_interior_router():
+def test_floor_prune_charges_swap_loss_per_interior_router():
     # The path's success is 0.9 * 0.9 * 0.5 = 0.405.
     ops = OperationCosts(swap_success=0.5)
     g = build_graph(
@@ -90,7 +90,7 @@ def test_harvest_charges_swap_loss_per_interior_router():
     assert _kept(g, 0.41) == set()
 
 
-def test_harvest_never_routes_through_foreign_endpoints():
+def test_block_never_routes_through_foreign_endpoints():
     g = build_graph(
         [
             ("c1", "A", "C", 0.99, 0.99),
@@ -417,7 +417,7 @@ def test_route_is_deterministic():
         )
 
 
-def test_route_matches_oracle_when_harvest_covers_it():
+def test_route_matches_oracle_when_block_covers_it():
     """route matches the brute-force optimum on every feasible graph.
 
     The block holds every channel of the oracle's strategy, so no feasible
